@@ -12,12 +12,12 @@ import ncgraph as ng
 def show(descriptor):
     g = ng.construct(descriptor)
     graph = ng.build_nc_graph(g)
-    degrees = ng.degree_sequence(graph)
+    degrees = tuple(sorted(graph.degrees()))
     print(f"{descriptor}: order {g.order}, {graph.num_vertices} vertices, "
           f"{graph.num_edges} edges")
     print(f"  degree sequence {degrees}")
-    print(f"  regular: {ng.is_regular(graph)}")
-    parts = ng.complete_multipartite_params(graph)
+    print(f"  regular: {graph.is_regular}")
+    parts = graph.multipartite_parts()
     if parts is not None:
         print(f"  complete multipartite with part sizes {parts}")
         print("  (each part is a centralizer minus the center: elements that")
@@ -47,7 +47,7 @@ def main():
     for descriptor in ("dicyclic(2)", "dihedral(8)"):
         g = ng.construct(descriptor)
         uniform, size = ng.has_uniform_class_sizes(g)
-        regular = ng.is_regular(ng.build_nc_graph(g))
+        regular = ng.build_nc_graph(g).is_regular
         tail = f"shared class size {size}" if uniform else "mixed class sizes"
         print(f"  {descriptor}: regular={regular}, uniform={uniform} ({tail})")
 

@@ -54,9 +54,6 @@ from .descriptors import (
 from .graphs import (
     NcGraph,
     build_nc_graph,
-    complete_multipartite_params,
-    degree_sequence,
-    is_regular,
     relabeled,
 )
 from .canon import (
@@ -135,8 +132,7 @@ __all__ = [
     # descriptors
     "GroupDescriptor", "parse_descriptor", "descriptor_order", "construct",
     # graphs
-    "NcGraph", "build_nc_graph", "degree_sequence", "is_regular",
-    "complete_multipartite_params", "relabeled",
+    "NcGraph", "build_nc_graph", "relabeled",
     # canonical labeling
     "TwinClass", "twin_partition", "canonical_order", "certificate",
     "CanonicalCertificate", "canonical_certificate", "degree_profile",

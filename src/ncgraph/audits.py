@@ -25,6 +25,7 @@ from .cayley import (
     induced_group,
     is_ac_group,
     is_nilpotent,
+    is_prime,
     sylow_decomposition,
 )
 from .canon import Isomorphism, certificate
@@ -823,11 +824,6 @@ class CrossPrimeScan:
         }
 
 
-def _primes_upto(limit: int) -> list:
-    return [p for p in range(2, limit + 1)
-            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-
-
 def cross_prime_scan(max_prime: int = 7, max_exp: int = 8,
                      max_cofactor: int = 50) -> CrossPrimeScan:
     """Exhaustively scan cross-prime parameter tuples and verify none survives.
@@ -842,7 +838,7 @@ def cross_prime_scan(max_prime: int = 7, max_exp: int = 8,
     least 2 met on the divisor grid is recorded, and for each such base pair
     the box is re-enumerated to confirm at most one length pair exists.
     """
-    primes = _primes_upto(max_prime)
+    primes = [p for p in range(2, max_prime + 1) if is_prime(p)]
     prime_pairs = [(p, q) for p in primes for q in primes if p != q]
     configs_per_side = []
     candidates = 0

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalInconsistency, NotAnIsomorphism
-from .graphs import NcGraph
+from .graphs import NcGraph, adjacency_matrix, iter_bits
 
 _AUT_CAP = 64
 _LEAF_STORE_CAP = 4096
@@ -216,11 +216,8 @@ class _QuotientSearch:
                     "leaf-derived map does not preserve quotient colours"
                 )
             image = 0
-            m = self.adj[v]
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in iter_bits(self.adj[v]):
                 image |= 1 << gamma[j]
-                m &= m - 1
             if image != self.adj[gamma[v]]:
                 raise InternalInconsistency(
                     "leaf-derived map does not preserve quotient adjacency"
@@ -250,15 +247,8 @@ def _canon(graph: NcGraph):
     q_pi, _ = _QuotientSearch(qadj, colors).run()
     order = tuple(v for q in q_pi for v in classes[q].members)
     n = graph.num_vertices
-    mat = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        m = graph.adj[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            mat[i, j] = True
-            m &= m - 1
     perm = np.array(order, dtype=np.int64)
-    mat = mat[np.ix_(perm, perm)]
+    mat = adjacency_matrix(graph)[np.ix_(perm, perm)]
     iu, ju = np.triu_indices(n, k=1)
     cert = n.to_bytes(4, "big") + np.packbits(mat[iu, ju]).tobytes()
     return order, cert
@@ -326,14 +316,10 @@ class Isomorphism:
             raise NotAnIsomorphism("mapping is not a bijection on vertex positions")
         for i in range(n):
             image = 0
-            m = self.source.adj[i]
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in iter_bits(self.source.adj[i]):
                 image |= 1 << self.mapping[j]
-                m &= m - 1
             if image != self.target.adj[self.mapping[i]]:
-                diff = image ^ self.target.adj[self.mapping[i]]
-                j = (diff & -diff).bit_length() - 1
+                j = next(iter_bits(image ^ self.target.adj[self.mapping[i]]))
                 raise NotAnIsomorphism(
                     f"adjacency not preserved at vertex {i}",
                     witness=(i, j),

@@ -25,6 +25,7 @@ from .cayley import (
     conjugacy_classes,
     is_ac_group,
     is_nilpotent,
+    is_prime,
     sylow_decomposition,
 )
 from .descriptors import (
@@ -41,7 +42,7 @@ from .errors import (
     RegularGraph,
     WrongShape,
 )
-from .graphs import build_nc_graph
+from .graphs import build_nc_graph, relabeled
 
 DEFAULT_FAMILIES = (
     "dihedral(3..16)",
@@ -118,10 +119,6 @@ class CertificateCache:
             raise
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def _family_instances(request: str, max_order: int) -> list:
     """Expand one family request into descriptors within the order cap.
 
@@ -143,7 +140,7 @@ def _family_instances(request: str, max_order: int) -> list:
         out = []
         p = 2
         while p ** 3 <= max_order:
-            if _is_prime(p):
+            if is_prime(p):
                 k = 1
                 while p ** (2 * k + 1) <= max_order:
                     out.append(GroupDescriptor("heisenberg", (p, k)))
@@ -248,7 +245,7 @@ def _rle(values) -> tuple:
     return tuple((v, c) for v, c in out)
 
 
-def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> CatalogEntry:
+def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
     g = construct(desc, max_order=max_order)
     if g.is_abelian:
         raise BadDescriptor(
@@ -273,7 +270,7 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> CatalogEntry:
         na_prime = None
     degrees = graph.degrees()
     class_sizes = [len(c) for c in conjugacy_classes(g) if len(c) > 1]
-    return CatalogEntry(
+    return g, CatalogEntry(
         descriptor=key,
         order=g.order,
         center_size=len(center(g)),
@@ -291,11 +288,8 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> CatalogEntry:
     )
 
 
-def enumerate_catalog(config: CatalogConfig = None) -> list:
-    """Deterministic, duplicate-free entry list for the configured families
-    and their coprime abelian-cofactor products, sorted by descriptor."""
-    if config is None:
-        config = CatalogConfig()
+def _enumerate(config: CatalogConfig) -> list:
+    """(group, entry) pairs for the catalog, sorted by descriptor."""
     cache = CertificateCache(config.cache_dir) if config.cache_dir else None
     bases = []
     for request in config.families:
@@ -312,10 +306,16 @@ def enumerate_catalog(config: CatalogConfig = None) -> list:
                 continue
             full = GroupDescriptor("product", (base, co_desc))
             descriptors[str(full)] = full
-    entries = []
-    for key in sorted(descriptors):
-        entries.append(_build_entry(descriptors[key], config.max_order, cache))
-    return entries
+    return [_build_entry(descriptors[key], config.max_order, cache)
+            for key in sorted(descriptors)]
+
+
+def enumerate_catalog(config: CatalogConfig = None) -> list:
+    """Deterministic, duplicate-free entry list for the configured families
+    and their coprime abelian-cofactor products, sorted by descriptor."""
+    if config is None:
+        config = CatalogConfig()
+    return [entry for _, entry in _enumerate(config)]
 
 
 @dataclass(frozen=True)
@@ -385,18 +385,16 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
     The headline verdict per class: if every member is nilpotent with an
     irregular graph, all member orders must be equal.  Regular classes whose
     member orders differ are logged as cross-order candidates instead of
-    violations.  A deterministic sample of certificates is recomputed from
-    scratch to spot-check the cache.
+    violations.  For a deterministic sample of entries the certificate is
+    recomputed on the graph with its vertex order reversed: that misses every
+    cache, so it checks both the stored certificate and its independence of
+    the labeling.
     """
     if config is None:
         config = CatalogConfig()
-    entries = enumerate_catalog(config)
-    groups_cache = {}
-
-    def group_for(descriptor: str):
-        if descriptor not in groups_cache:
-            groups_cache[descriptor] = construct(descriptor, max_order=config.max_order)
-        return groups_cache[descriptor]
+    built = _enumerate(config)
+    entries = [entry for _, entry in built]
+    groups = {entry.descriptor: g for g, entry in built}
 
     by_cert = {}
     for entry in entries:
@@ -425,7 +423,7 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 ea, eb = members[i], members[j]
-                ga, gb = group_for(ea.descriptor), group_for(eb.descriptor)
+                ga, gb = groups[ea.descriptor], groups[eb.descriptor]
                 graph_a, graph_b = build_nc_graph(ga), build_nc_graph(gb)
                 phi = find_isomorphism(graph_a, graph_b)
                 if phi is None:
@@ -471,8 +469,8 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
     checked = []
     for idx in sample_idx:
         entry = entries[idx]
-        g = group_for(entry.descriptor)
-        fresh = certificate(build_nc_graph(g))
+        graph = build_nc_graph(groups[entry.descriptor])
+        fresh = certificate(relabeled(graph, range(graph.num_vertices - 1, -1, -1)))
         if fresh != entry.certificate:
             raise InternalInconsistency(
                 f"cached certificate for {entry.descriptor} differs from a "

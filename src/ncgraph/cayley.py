@@ -9,6 +9,7 @@ construction, so concurrent reads are safe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,6 +447,11 @@ def has_uniform_class_sizes(g: CayleyTable):
     if len(sizes) == 1:
         return True, sizes.pop()
     return False, None
+
+
+def is_prime(p: int) -> bool:
+    """Trial-division primality test (inputs here are small)."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def prime_factorization(n: int) -> dict:

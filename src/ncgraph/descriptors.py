@@ -13,7 +13,14 @@ from functools import reduce
 
 import numpy as np
 
-from .cayley import DEFAULT_ORDER_CAP, CayleyTable, center, product_table, validate
+from .cayley import (
+    DEFAULT_ORDER_CAP,
+    CayleyTable,
+    center,
+    is_prime,
+    product_table,
+    validate,
+)
 from .errors import BadDescriptor, InternalInconsistency, OrderOverflow
 
 FAMILY_NAMES = ("cyclic", "abelian", "dihedral", "dicyclic", "heisenberg", "product")
@@ -29,17 +36,6 @@ class GroupDescriptor:
     def __str__(self):
         inner = ",".join(str(a) for a in self.args)
         return f"{self.name}({inner})"
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # --- parsing -------------------------------------------------------------------
@@ -124,7 +120,7 @@ def _check(desc: GroupDescriptor) -> None:
     elif name == "heisenberg":
         if len(args) != 2 or not ints or args[1] < 1:
             raise BadDescriptor(f"heisenberg needs integers (p, k) with k >= 1, got {desc}")
-        if not _is_prime(args[0]):
+        if not is_prime(args[0]):
             raise BadDescriptor(f"heisenberg needs a prime first argument, got {desc}")
     elif name == "product":
         if len(args) < 2 or not all(isinstance(a, GroupDescriptor) for a in args):
@@ -261,9 +257,6 @@ def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     """
     desc = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
     _check(desc)
-    for a in desc.args:
-        if isinstance(a, GroupDescriptor):
-            _check(a)
     raw = _build_raw(desc, max_order)
     g = validate(raw, descriptor=str(desc), trusted=True)
     if len(center(g)) != _expected_center_size(desc):

@@ -16,10 +16,25 @@ from .cayley import CayleyTable, center
 from .errors import AbelianInput, InternalInconsistency
 
 
-def _row_mask(row: np.ndarray) -> int:
-    """Pack a boolean row into one little-endian bitmask integer."""
-    packed = np.packbits(row, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def iter_bits(mask: int):
+    """Positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def adjacency_matrix(graph: NcGraph) -> np.ndarray:
+    """The adjacency masks unpacked to an n-by-n boolean matrix.
+
+    Bits at positions n and above are dropped; ``NcGraph`` rejects them
+    before it unpacks its own masks.
+    """
+    n = len(graph.adj)
+    width = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in graph.adj)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
 @dataclass(frozen=True)
@@ -41,19 +56,17 @@ class NcGraph:
         n = len(self.vertices)
         if len(self.adj) != n:
             raise ValueError("adjacency length does not match the vertex list")
-        full = (1 << n) - 1
         for i, mask in enumerate(self.adj):
-            if mask & ~full:
+            if mask >> n:
                 raise ValueError(f"vertex {i} has neighbour bits outside 0..{n - 1}")
-            if mask >> i & 1:
-                raise ValueError(f"vertex {i} has a self-loop")
-        for i, mask in enumerate(self.adj):
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                if not self.adj[j] >> i & 1:
-                    raise ValueError(f"edge {i}-{j} is not symmetric")
-                m &= m - 1
+        mat = adjacency_matrix(self)
+        loops = np.flatnonzero(mat.diagonal())
+        if loops.size:
+            raise ValueError(f"vertex {loops[0]} has a self-loop")
+        one_way = np.argwhere(mat & ~mat.T)
+        if one_way.size:
+            i, j = one_way[0]
+            raise ValueError(f"edge {i}-{j} is not symmetric")
 
     @property
     def num_vertices(self) -> int:
@@ -75,24 +88,12 @@ class NcGraph:
         return len(set(degs)) <= 1
 
     def neighbors(self, i: int) -> tuple:
-        out = []
-        m = self.adj[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            out.append(j)
-            m &= m - 1
-        return tuple(out)
+        return tuple(iter_bits(self.adj[i]))
 
     def edges(self) -> list:
         """All edges as local (i, j) pairs with i < j, lexicographic."""
-        out = []
-        for i, mask in enumerate(self.adj):
-            m = mask >> (i + 1) << (i + 1)
-            while m:
-                j = (m & -m).bit_length() - 1
-                out.append((i, j))
-                m &= m - 1
-        return out
+        return [(i, j) for i, mask in enumerate(self.adj)
+                for j in iter_bits(mask >> (i + 1) << (i + 1))]
 
     def complement_components(self) -> list:
         """Connected components of the complement graph, as sorted tuples."""
@@ -113,13 +114,7 @@ class NcGraph:
                 comp |= new
                 frontier |= new
                 unseen &= ~new
-            members = []
-            m = comp
-            while m:
-                j = (m & -m).bit_length() - 1
-                members.append(j)
-                m &= m - 1
-            comps.append(tuple(members))
+            comps.append(tuple(iter_bits(comp)))
         return comps
 
     def multipartite_parts(self):
@@ -139,22 +134,27 @@ class NcGraph:
 
 
 def build_nc_graph(g: CayleyTable) -> NcGraph:
-    """Build the non-commuting graph of a non-abelian group.
+    """The non-commuting graph of a non-abelian group, memoised on the table.
 
-    Post-conditions checked here rather than assumed: the vertex count equals
-    the group order minus the centre size, and no vertex is isolated (a
-    non-central element always fails to commute with something).
+    Post-conditions checked on the first build rather than assumed: the
+    vertex count equals the group order minus the centre size, and no vertex
+    is isolated (a non-central element always fails to commute with
+    something).
     """
     if g.is_abelian:
         raise AbelianInput(
             f"{g.descriptor}: the non-commuting graph of an abelian group is empty"
         )
+    graph = g._memo.get("graph")
+    if graph is not None:
+        return graph
     comm = g.commuting
     central = comm.all(axis=1)
     verts = tuple(int(v) for v in np.nonzero(~central)[0])
     sub = ~comm[np.ix_(verts, verts)]
     np.fill_diagonal(sub, False)
-    adj = tuple(_row_mask(sub[i]) for i in range(len(verts)))
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     graph = NcGraph(
         vertices=verts,
         adj=adj,
@@ -173,22 +173,8 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
                 f"{g.descriptor}: non-central element {verts[i]} has no "
                 f"non-commuting partner"
             )
+    g._memo["graph"] = graph
     return graph
-
-
-def degree_sequence(graph: NcGraph) -> tuple:
-    """Vertex degrees sorted ascending."""
-    return tuple(sorted(graph.degrees()))
-
-
-def is_regular(graph: NcGraph) -> bool:
-    """True when every vertex has the same degree."""
-    return graph.is_regular
-
-
-def complete_multipartite_params(graph: NcGraph):
-    """Part sizes (descending) if the graph is complete multipartite, else None."""
-    return graph.multipartite_parts()
 
 
 def relabeled(graph: NcGraph, perm) -> NcGraph:
@@ -204,11 +190,8 @@ def relabeled(graph: NcGraph, perm) -> NcGraph:
     for i in range(n):
         new_vertices[perm[i]] = graph.vertices[i]
         mask = 0
-        m = graph.adj[i]
-        while m:
-            j = (m & -m).bit_length() - 1
+        for j in iter_bits(graph.adj[i]):
             mask |= 1 << perm[j]
-            m &= m - 1
         new_adj[perm[i]] = mask
     return NcGraph(
         vertices=tuple(new_vertices),

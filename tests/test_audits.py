@@ -11,6 +11,25 @@ def iso_pair(name_a, name_b, max_order=512):
     return g_a, g_b, phi
 
 
+class TestGraphFit:
+    """The audits refuse a bijection whose graphs were built from other groups."""
+
+    def test_pair_audit_rejects_swapped_groups(self):
+        g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        with pytest.raises(ng.NotAnIsomorphism, match="not built from the given group"):
+            ng.audit_isomorphic_pair(g_b, g_a, phi)
+
+    def test_same_prime_audit_rejects_swapped_groups(self):
+        g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        with pytest.raises(ng.NotAnIsomorphism, match="not built from the given group"):
+            ng.same_prime_audit(g_b, g_a, phi)
+
+    def test_fresh_table_of_the_same_group_fits(self):
+        _, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        audit = ng.audit_isomorphic_pair(ng.construct("dihedral(8)"), g_b, phi)
+        assert audit.verdict == "consistent"
+
+
 class TestPairAudit:
     def test_dihedral_dicyclic_16(self):
         g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 import ncgraph as ng
+from ncgraph import catalog
 
 SMALL = ng.CatalogConfig(
     families=("dihedral(3..8)", "dicyclic(2..4)"),
@@ -149,8 +151,47 @@ class TestCache:
         with pytest.raises(ng.InternalInconsistency):
             ng.scan_pairs(cfg)
 
+    def test_one_poisoned_entry_is_caught_by_the_spot_check(self, tmp_path):
+        cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
+                               max_order=32, cofactor_max=1,
+                               cache_dir=str(tmp_path))
+        first = ng.enumerate_catalog(replace(cfg, cache_dir=None))[0]
+        # heisenberg(3,1) has 24 vertices, more than any entry here, so the
+        # poisoned entry lands in a class of its own and no pair search sees it
+        outsider = ng.certificate(ng.build_nc_graph(ng.construct("heisenberg(3,1)")))
+        ng.CertificateCache(str(tmp_path)).put(first.descriptor, outsider)
+        with pytest.raises(ng.InternalInconsistency,
+                           match="differs from a fresh recomputation"):
+            ng.scan_pairs(cfg)
+
+    def test_spot_check_catches_a_labeling_dependent_certificate(self, monkeypatch):
+        true_certificate = catalog.certificate
+
+        def labeled(graph):
+            return true_certificate(graph) + bytes([graph.vertices[0] % 256])
+
+        monkeypatch.setattr(catalog, "certificate", labeled)
+        cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
+                               max_order=32, cofactor_max=1)
+        with pytest.raises(ng.InternalInconsistency,
+                           match="differs from a fresh recomputation"):
+            ng.scan_pairs(cfg)
+
 
 class TestScan:
+    def test_scan_constructs_each_entry_once(self, monkeypatch):
+        built = []
+        real_construct = catalog.construct
+
+        def counting(descriptor, *args, **kwargs):
+            built.append(str(descriptor))
+            return real_construct(descriptor, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "construct", counting)
+        report = ng.scan_pairs(SMALL)
+        assert any(c.pair_audits for c in report.classes)
+        assert sorted(built) == sorted(e.descriptor for e in report.entries)
+
     def test_small_scan(self):
         report = ng.scan_pairs(SMALL)
         assert report.violations == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
+from ncgraph.cayley import is_prime
 
 # A 5x5 loop: Latin square with identity 0 that fails associativity at
 # (1*1)*2 = 0*2 = 2 versus 1*(1*2) = 1*3 = 4.
@@ -172,6 +173,10 @@ class TestProductsAndSylow:
     def test_prime_factorization(self):
         assert ng.prime_factorization(360) == {2: 3, 3: 2, 5: 1}
         assert ng.prime_factorization(1) == {}
+
+    def test_is_prime(self):
+        assert [p for p in range(-2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert is_prime(1_000_003) and not is_prime(1_000_001)
 
     def test_sylow_cyclic_12(self):
         factors = ng.sylow_decomposition(ng.construct("cyclic(12)"))

@@ -58,6 +58,8 @@ class TestParsing:
         "dihedral(2)",          # needs k >= 3
         "dicyclic(1)",          # needs k >= 2
         "heisenberg(4,1)",      # first argument must be prime
+        pytest.param("heisenberg(1" + "0" * 400 + ",1)",  # too large for a float
+                     id="heisenberg(10**400,1)"),
         "heisenberg(3,0)",      # second argument must be >= 1
         "cyclic(0)",
         "abelian()",

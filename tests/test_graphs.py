@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
+from ncgraph.graphs import adjacency_matrix, iter_bits
 
 
 def masks_from_edges(n, edges):
@@ -24,9 +25,9 @@ class TestBuild:
         graph = ng.build_nc_graph(g)
         assert graph.num_vertices == 6
         assert graph.num_edges == 12
-        assert ng.degree_sequence(graph) == (4, 4, 4, 4, 4, 4)
-        assert ng.is_regular(graph)
-        assert ng.complete_multipartite_params(graph) == (2, 2, 2)
+        assert tuple(sorted(graph.degrees())) == (4, 4, 4, 4, 4, 4)
+        assert graph.is_regular
+        assert graph.multipartite_parts() == (2, 2, 2)
 
     def test_vertices_are_noncentral_parent_indices(self):
         g = ng.construct("dihedral(4)")
@@ -37,8 +38,18 @@ class TestBuild:
         assert graph.parent_descriptor == "dihedral(4)"
 
     def test_abelian_input_rejected(self):
-        with pytest.raises(ng.AbelianInput):
-            ng.build_nc_graph(ng.construct("cyclic(6)"))
+        g = ng.construct("cyclic(6)")
+        for _ in range(2):  # the graph memo must not skip the check
+            with pytest.raises(ng.AbelianInput):
+                ng.build_nc_graph(g)
+
+    def test_graph_is_memoised_on_its_table(self):
+        g = ng.construct("dihedral(5)")
+        assert ng.build_nc_graph(g) is ng.build_nc_graph(g)
+        # another table of the same group builds an equal, separate graph
+        other = ng.build_nc_graph(ng.construct("dihedral(5)"))
+        assert other == ng.build_nc_graph(g)
+        assert other is not ng.build_nc_graph(g)
 
     def test_adjacency_matches_commutation(self):
         g = ng.construct("dicyclic(3)")
@@ -51,20 +62,20 @@ class TestBuild:
 
     def test_dihedral_16_parts(self):
         graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
-        assert ng.complete_multipartite_params(graph) == (6, 2, 2, 2, 2)
-        assert ng.degree_sequence(graph) == (8,) * 6 + (12,) * 8
-        assert not ng.is_regular(graph)
+        assert graph.multipartite_parts() == (6, 2, 2, 2, 2)
+        assert tuple(sorted(graph.degrees())) == (8,) * 6 + (12,) * 8
+        assert not graph.is_regular
 
     def test_heisenberg_27_parts(self):
         graph = ng.build_nc_graph(ng.construct("heisenberg(3,1)"))
-        assert ng.complete_multipartite_params(graph) == (6, 6, 6, 6)
-        assert ng.is_regular(graph)
+        assert graph.multipartite_parts() == (6, 6, 6, 6)
+        assert graph.is_regular
 
     def test_large_heisenberg_not_multipartite(self):
         graph = ng.build_nc_graph(ng.construct("heisenberg(3,2)"))
         assert graph.num_vertices == 240
         assert set(graph.degrees()) == {162}
-        assert ng.complete_multipartite_params(graph) is None
+        assert graph.multipartite_parts() is None
 
 
 class TestInvariants:
@@ -92,8 +103,41 @@ class TestInvariants:
                        parent_descriptor="x", parent_order=3,
                        parent_center_size=1)
 
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            ng.NcGraph(vertices=(0, 1), adj=(-2, 0b01),
+                       parent_descriptor="x", parent_order=3,
+                       parent_center_size=1)
+
+    def test_messages_name_the_offending_vertex(self):
+        with pytest.raises(ValueError, match="vertex 2 has a self-loop"):
+            ng.NcGraph(vertices=(0, 1, 2), adj=(0b010, 0b001, 0b100),
+                       parent_descriptor="x", parent_order=4,
+                       parent_center_size=1)
+        with pytest.raises(ValueError, match="edge 1-2 is not symmetric"):
+            ng.NcGraph(vertices=(0, 1, 2), adj=(0b010, 0b101, 0b000),
+                       parent_descriptor="x", parent_order=4,
+                       parent_center_size=1)
+
 
 class TestOperations:
+    def test_iter_bits_ascending(self):
+        assert list(iter_bits(0)) == []
+        assert list(iter_bits(0b101001)) == [0, 3, 5]
+        assert list(iter_bits(1 << 200 | 1 << 64)) == [64, 200]
+
+    @pytest.mark.parametrize("descriptor", ["dicyclic(3)", "dihedral(9)",
+                                            "product(dihedral(4),cyclic(3))"])
+    def test_adjacency_matrix_matches_masks(self, descriptor):
+        graph = ng.build_nc_graph(ng.construct(descriptor))
+        n = graph.num_vertices
+        mat = adjacency_matrix(graph)
+        assert mat.dtype == bool and mat.shape == (n, n)
+        reference = [[bool(graph.adj[i] >> j & 1) for j in range(n)] for i in range(n)]
+        assert mat.tolist() == reference
+        for i in range(n):
+            assert graph.neighbors(i) == tuple(j for j in range(n) if reference[i][j])
+
     def test_edges_sorted(self):
         graph = make_graph(4, [(0, 1), (2, 3), (0, 3)])
         assert graph.edges() == [(0, 1), (0, 3), (2, 3)]
