@@ -3,27 +3,44 @@
 Two graphs receive the same certificate if and only if they are isomorphic.
 The pipeline:
 
-1. Partition the vertices into twin classes -- vertices with equal open
-   neighbourhoods (false twins, pairwise non-adjacent) and, among the rest,
-   vertices with equal closed neighbourhoods (true twins, pairwise adjacent).
-   Any isomorphism maps twin classes onto twin classes of the same size and
-   kind, and all adjacency between two distinct classes is all-or-nothing.
-2. Contract each class to one vertex of a coloured quotient graph, colour
-   (class size, class kind), verifying the all-or-nothing block property.
-3. Canonically label the quotient by individualization-refinement: equitable
-   refinement of the colour partition, branching on the first smallest
-   non-singleton cell, pruning branches with automorphisms discovered from
-   equal-encoding leaves, keeping the lexicographically least encoding.
-4. Expand the winning quotient order to a full-graph vertex order (classes in
-   quotient order, members ascending) and emit the adjacency matrix under
-   that order as the certificate bytes.
+1. Partition the vertices into coloured twin classes -- vertices of one
+   colour with equal open neighbourhoods (kind 1, pairwise non-adjacent) or,
+   among the rest, equal closed neighbourhoods (kind 2, pairwise adjacent).
+   The graph's own vertices all share one colour.  Any colour-preserving
+   isomorphism maps twin classes onto twin classes of the same size, kind
+   and colour, and all adjacency between two distinct classes is
+   all-or-nothing.
+2. Contract each class to one vertex of a coloured quotient graph, verifying
+   the all-or-nothing block property and each class interior.  A class of
+   two or more vertices gets the colour (class size, class kind, member
+   colour); a singleton keeps its colour.  Repeat steps 1 and 2 on the
+   quotient until no twin class is left.
+3. Canonically label the final quotient by individualization-refinement:
+   equitable refinement of the colour partition, branching on the first
+   smallest non-singleton cell, keeping the lexicographically least leaf
+   encoding.  Each leaf is compared with the first leaf and the best leaf
+   found so far, and with no other.  An equal encoding yields an
+   automorphism, which is verified and stored; the search then jumps back to
+   the node where the current path leaves that leaf's path, and at every
+   node skips the children in the orbit of an explored child under the
+   stored automorphisms that fix the node's base pointwise.
+4. Expand the winning quotient order to a full-graph vertex order, each
+   quotient vertex recursively into its class members (members ascending at
+   every level), and emit the adjacency matrix under that order as the
+   certificate bytes.
 
 Step 4 is well defined because every entry of the expanded matrix depends
-only on data frozen by the leaf encoding: within a class adjacency is decided
-by the class kind, and between classes by the quotient edge.  Equal leaf
-encodings therefore give byte-identical certificates, and conversely equal
-certificates exhibit an explicit isomorphism (the matrices are equal entry
-for entry).
+only on data frozen by the leaf encoding.  Between two quotient vertices
+adjacency is decided by the quotient edge.  Within one, it is decided by the
+colour, by induction on the nesting: the members of a kind-1 class are
+pairwise non-adjacent, those of a kind-2 class pairwise adjacent, and each
+member's own block is decided by the member colour.  The encoding spells
+each nested colour out in full, so equal leaf encodings give byte-identical
+certificates, and conversely equal certificates exhibit an explicit
+isomorphism (the matrices are equal entry for entry).  The least encoding
+does not depend on the labeling, because pruning drops only subtrees whose
+leaves are images, under a verified automorphism, of leaves in a subtree
+already explored.
 """
 
 from __future__ import annotations
@@ -36,8 +53,9 @@ import numpy as np
 from .errors import InternalInconsistency, NotAnIsomorphism
 from .graphs import NcGraph, adjacency_matrix, iter_bits
 
-_AUT_CAP = 64
-_LEAF_STORE_CAP = 4096
+# Bumped whenever the certificate bytes of some graph change; stores of
+# certificates key on it so that they never hand back bytes of another version.
+CERT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -49,64 +67,94 @@ class TwinClass:
     kind: int
 
 
-def twin_partition(graph: NcGraph) -> tuple:
-    """Partition local vertices into twin classes, ordered by least member."""
-    n = graph.num_vertices
+def _twin_classes(adj, colors) -> list:
+    """Coloured twin classes, members ascending, ordered by least member."""
     open_groups = {}
-    for v in range(n):
-        open_groups.setdefault(graph.adj[v], []).append(v)
+    for v in range(len(adj)):
+        open_groups.setdefault((colors[v], adj[v]), []).append(v)
     classes = []
     leftovers = []
     for vs in open_groups.values():
         if len(vs) >= 2:
-            classes.append(TwinClass(tuple(sorted(vs)), 1))
+            classes.append(TwinClass(tuple(vs), 1))
         else:
             leftovers.append(vs[0])
     closed_groups = {}
     for v in leftovers:
-        closed_groups.setdefault(graph.adj[v] | 1 << v, []).append(v)
+        closed_groups.setdefault((colors[v], adj[v] | 1 << v), []).append(v)
     for vs in closed_groups.values():
-        if len(vs) >= 2:
-            classes.append(TwinClass(tuple(sorted(vs)), 2))
-        else:
-            classes.append(TwinClass((vs[0],), 0))
+        classes.append(TwinClass(tuple(vs), 2 if len(vs) >= 2 else 0))
     classes.sort(key=lambda c: c.members[0])
-    return tuple(classes)
+    return classes
 
 
-def _build_quotient(graph: NcGraph, classes: tuple):
+def twin_partition(graph: NcGraph) -> tuple:
+    """Partition local vertices into twin classes, ordered by least member."""
+    return tuple(_twin_classes(graph.adj, (b"",) * graph.num_vertices))
+
+
+def _contract(adj, colors, classes):
     """Coloured quotient adjacency; verifies every inter-class block is constant
     and every class interior matches its kind."""
-    k = len(classes)
-    cmasks = [0] * k
+    owner = [0] * len(adj)
+    cmasks = [0] * len(classes)
     for a, c in enumerate(classes):
         for v in c.members:
+            owner[v] = a
             cmasks[a] |= 1 << v
-    qadj = [0] * k
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            want = None
-            for u in classes[a].members:
-                inter = graph.adj[u] & cmasks[b]
-                got = cmasks[b] if inter == cmasks[b] else (0 if inter == 0 else None)
-                if got is None or (want is not None and got != want):
-                    raise InternalInconsistency(
-                        f"block between twin classes {a} and {b} is not constant"
-                    )
-                want = got
-            if want:
-                qadj[a] |= 1 << b
+    qadj = []
+    qcolors = []
     for a, c in enumerate(classes):
-        for u in c.members:
-            inter = graph.adj[u] & cmasks[a]
-            if c.kind == 1 and inter:
+        members, kind = c.members, c.kind
+        cmask = cmasks[a]
+        outside = adj[members[0]] & ~cmask
+        for u in members:
+            stray = (adj[u] & ~cmask) ^ outside
+            if stray:
+                b = owner[next(iter_bits(stray))]
+                raise InternalInconsistency(
+                    f"block between twin classes {a} and {b} is not constant"
+                )
+            inter = adj[u] & cmask
+            if kind == 1 and inter:
                 raise InternalInconsistency(f"open-twin class {a} contains an edge")
-            if c.kind == 2 and inter != cmasks[a] & ~(1 << u):
+            if kind == 2 and inter != cmask & ~(1 << u):
                 raise InternalInconsistency(f"closed-twin class {a} is not a clique")
-    colors = tuple((len(c.members), c.kind) for c in classes)
-    return tuple(qadj), colors
+        row = 0
+        rest = outside
+        while rest:
+            b = owner[(rest & -rest).bit_length() - 1]
+            if outside & cmasks[b] != cmasks[b]:
+                raise InternalInconsistency(
+                    f"block between twin classes {a} and {b} is not constant"
+                )
+            row |= 1 << b
+            rest &= ~cmasks[b]
+        qadj.append(row)
+        color = colors[members[0]]
+        if kind:
+            color = len(members).to_bytes(4, "big") + bytes([kind]) + color
+        qcolors.append(color)
+    return tuple(qadj), tuple(qcolors)
+
+
+def _contract_to_fixpoint(adj):
+    """Contract coloured twin classes until none is left.
+
+    Returns the final quotient's adjacency masks and colours, and for each
+    quotient vertex the graph vertices it stands for, in expansion order.  A
+    colour is a byte string: the base colour is empty, and a contracted class
+    prepends a (size: 4 bytes, kind: 1 byte) record to its members' colour.
+    """
+    colors = (b"",) * len(adj)
+    expansion = [(v,) for v in range(len(adj))]
+    while True:
+        classes = _twin_classes(adj, colors)
+        if len(classes) == len(adj):
+            return adj, colors, expansion
+        adj, colors = _contract(adj, colors, classes)
+        expansion = [tuple(v for m in c.members for v in expansion[m])
+                     for c in classes]
 
 
 class _QuotientSearch:
@@ -116,11 +164,10 @@ class _QuotientSearch:
         self.adj = qadj
         self.colors = colors
         self.n = len(qadj)
-        self.best_enc = None
-        self.best_pi = None
-        self.leaves = {}
-        self.auts = []
-        self._aut_set = set()
+        self.color_codes = [len(c).to_bytes(4, "big") + c for c in colors]
+        self.first = None  # (encoding, leaf, path) of the first leaf
+        self.best = None  # (encoding, leaf, path) of the least leaf so far
+        self.auts = []  # verified automorphisms with their fixed-point masks
 
     def run(self):
         by_color = {}
@@ -128,7 +175,7 @@ class _QuotientSearch:
             by_color.setdefault(self.colors[v], []).append(v)
         cells = [tuple(by_color[c]) for c in sorted(by_color)]
         self._search(cells, ())
-        return self.best_pi, self.best_enc
+        return self.best[1]
 
     def _refine(self, cells):
         """Equitable refinement: split cells by neighbour count into each
@@ -160,54 +207,78 @@ class _QuotientSearch:
                 return cells
 
     def _search(self, cells, base):
+        """Explore the subtree below the individualized sequence ``base``.
+
+        Returns the depth to jump back to when a leaf below turned out to be
+        equivalent to the first or the best leaf, else None.
+        """
         cells = self._refine(cells)
         if all(len(c) == 1 for c in cells):
-            self._leaf(tuple(c[0] for c in cells))
-            return
+            return self._leaf(tuple(c[0] for c in cells), base)
         size = min(len(c) for c in cells if len(c) > 1)
         ti = next(i for i, c in enumerate(cells) if len(c) == size)
         target = cells[ti]
-        pruned = set()
+        depth = len(base)
+        explored = []
+        orbits, known = None, -1
         for v in target:
-            if v in pruned:
-                continue
+            if explored:
+                if known != len(self.auts):
+                    orbits, known = self._orbits(base), len(self.auts)
+                if orbits[v] in {orbits[u] for u in explored}:
+                    continue
             rest = tuple(u for u in target if u != v)
-            self._search(cells[:ti] + [(v,), rest] + cells[ti + 1:], base + (v,))
-            pruned |= self._orbit(v, base)
+            jump = self._search(cells[:ti] + [(v,), rest] + cells[ti + 1:], base + (v,))
+            explored.append(v)
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    def _orbit(self, v, base):
-        gens = [g for g in self.auts if all(g[b] == b for b in base)]
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return orbit
+    def _orbits(self, base):
+        """Orbit representative of each vertex under the stored automorphisms
+        that fix every vertex of ``base``."""
+        bmask = 0
+        for b in base:
+            bmask |= 1 << b
+        rep = list(range(self.n))
 
-    def _leaf(self, pi):
+        def find(x):
+            while rep[x] != x:
+                rep[x] = rep[rep[x]]
+                x = rep[x]
+            return x
+
+        for gamma, fixed in self.auts:
+            if fixed & bmask != bmask:
+                continue
+            for x in range(self.n):
+                rx, ry = find(x), find(gamma[x])
+                if rx != ry:
+                    rep[max(rx, ry)] = min(rx, ry)
+        return [find(x) for x in range(self.n)]
+
+    def _leaf(self, pi, path):
         enc = self._encode(pi)
-        if self.best_enc is None or enc < self.best_enc:
-            self.best_enc, self.best_pi = enc, pi
-        prev = self.leaves.get(enc)
-        if prev is None:
-            if len(self.leaves) < _LEAF_STORE_CAP:
-                self.leaves[enc] = pi
-            return
-        if prev == pi or len(self.auts) >= _AUT_CAP:
-            return
-        gamma = [0] * self.n
-        for k in range(self.n):
-            gamma[prev[k]] = pi[k]
-        gamma = tuple(gamma)
-        if gamma in self._aut_set:
-            return
-        self._verify_automorphism(gamma)
-        self.auts.append(gamma)
-        self._aut_set.add(gamma)
+        if self.first is None:
+            self.first = self.best = (enc, pi, path)
+            return None
+        for ref_enc, ref_pi, ref_path in (self.first, self.best):
+            if enc != ref_enc:
+                continue
+            gamma = [0] * self.n
+            for k in range(self.n):
+                gamma[ref_pi[k]] = pi[k]
+            self._verify_automorphism(gamma)
+            fixed = 0
+            for v in range(self.n):
+                if gamma[v] == v:
+                    fixed |= 1 << v
+            self.auts.append((tuple(gamma), fixed))
+            # two distinct leaves' paths differ before either one ends
+            return next(i for i, (x, y) in enumerate(zip(path, ref_path)) if x != y)
+        if enc < self.best[0]:
+            self.best = (enc, pi, path)
+        return None
 
     def _verify_automorphism(self, gamma):
         for v in range(self.n):
@@ -224,10 +295,7 @@ class _QuotientSearch:
                 )
 
     def _encode(self, pi):
-        head = bytearray()
-        for v in pi:
-            size, kind = self.colors[v]
-            head += size.to_bytes(4, "big") + bytes([kind])
+        head = b"".join(self.color_codes[v] for v in pi)
         bits = 0
         npairs = 0
         for i in range(self.n):
@@ -237,15 +305,14 @@ class _QuotientSearch:
                 npairs += 1
         nbytes = (npairs + 7) // 8
         bits <<= nbytes * 8 - npairs
-        return bytes(head) + bits.to_bytes(nbytes, "big")
+        return head + bits.to_bytes(nbytes, "big")
 
 
 @lru_cache(maxsize=256)
 def _canon(graph: NcGraph):
-    classes = twin_partition(graph)
-    qadj, colors = _build_quotient(graph, classes)
-    q_pi, _ = _QuotientSearch(qadj, colors).run()
-    order = tuple(v for q in q_pi for v in classes[q].members)
+    qadj, colors, expansion = _contract_to_fixpoint(graph.adj)
+    q_pi = _QuotientSearch(qadj, colors).run()
+    order = tuple(v for q in q_pi for v in expansion[q])
     n = graph.num_vertices
     perm = np.array(order, dtype=np.int64)
     mat = adjacency_matrix(graph)[np.ix_(perm, perm)]

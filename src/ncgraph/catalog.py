@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .audits import audit_isomorphic_pair, same_prime_audit
-from .canon import certificate, find_isomorphism
+from .canon import CERT_VERSION, certificate, find_isomorphism
 from .cayley import (
     center,
     conjugacy_classes,
@@ -89,15 +89,16 @@ class CatalogConfig:
 
 
 class CertificateCache:
-    """Content-addressed certificate store: one file per descriptor string,
-    written via a temp file and an atomic rename."""
+    """Content-addressed certificate store: one file per descriptor string
+    and certificate version, written via a temp file and an atomic rename."""
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, descriptor: str) -> str:
-        digest = hashlib.sha256(descriptor.encode()).hexdigest()
+        key = f"v{CERT_VERSION}:{descriptor}"
+        digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.directory, digest + ".cert")
 
     def get(self, descriptor: str):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
+from ncgraph import canon
 
 networkx = pytest.importorskip("networkx")
 
@@ -21,6 +22,21 @@ def random_graph(rng, n):
         if not adjm[i].any():
             j = (i + 1) % n
             adjm[i, j] = adjm[j, i] = True
+    return to_ncgraph(adjm)
+
+
+def blow_up(adjm, sizes, closed):
+    """Replace vertex i by a class of sizes[i] twins, pairwise adjacent
+    (closed twins) where closed[i] holds and pairwise non-adjacent otherwise."""
+    owner = np.repeat(np.arange(len(adjm)), sizes)
+    same = owner[:, None] == owner[None, :]
+    big = np.where(same, closed[owner][:, None], adjm[np.ix_(owner, owner)])
+    np.fill_diagonal(big, False)
+    return big
+
+
+def to_ncgraph(adjm):
+    n = len(adjm)
     masks = tuple(
         int.from_bytes(np.packbits(adjm[i], bitorder="little").tobytes(), "little")
         for i in range(n)
@@ -97,6 +113,34 @@ class TestCertificate:
             vf2 = networkx.is_isomorphic(to_networkx(a), to_networkx(b))
             assert cert_equal == vf2
 
+    def test_agrees_with_vf2_on_nested_twins(self):
+        # a small graph blown up twice, its copy with one second-level class
+        # kind flipped, and a relabeled copy; most need two contraction
+        # rounds, and every pair of equal size in the pool is checked
+        rng = np.random.default_rng(5)
+        pool = []
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            m = np.triu(rng.random((n, n)) < 0.5, 1)
+            mid = blow_up(m | m.T, rng.integers(1, 4, n), rng.random(n) < 0.5)
+            sizes = rng.integers(2, 4, len(mid))
+            closed = rng.random(len(mid)) < 0.5
+            flipped = closed.copy()
+            flipped[rng.integers(len(mid))] ^= True
+            a = to_ncgraph(blow_up(mid, sizes, closed))
+            perm = [int(p) for p in rng.permutation(a.num_vertices)]
+            pool += [a, to_ncgraph(blow_up(mid, sizes, flipped)), ng.relabeled(a, perm)]
+        outcomes = []
+        for i, a in enumerate(pool):
+            for b in pool[i + 1:]:
+                if a.num_vertices != b.num_vertices:
+                    continue
+                cert_equal = ng.certificate(a) == ng.certificate(b)
+                vf2 = networkx.is_isomorphic(to_networkx(a), to_networkx(b))
+                assert cert_equal == vf2
+                outcomes.append(cert_equal)
+        assert len(outcomes) >= 200 and 30 < sum(outcomes) < len(outcomes)
+
 
 class TestTwins:
     def test_dihedral_6_twin_classes(self):
@@ -127,6 +171,55 @@ class TestTwins:
                             assert not edge
                         elif c.kind == 2:
                             assert edge
+
+
+class TestContraction:
+    @pytest.mark.parametrize("name", [
+        "dihedral(64)", "dicyclic(32)", "heisenberg(3,2)", "heisenberg(2,3)"])
+    def test_symmetric_family_relabeling_invariance(self, name):
+        graph = ng.build_nc_graph(ng.construct(name))
+        perm = [int(p) for p in np.random.default_rng(3).permutation(graph.num_vertices)]
+        other = ng.relabeled(graph, perm)
+        assert ng.certificate(other) == ng.certificate(graph)
+        assert ng.find_isomorphism(graph, other) is not None
+
+    def test_dihedral_and_dicyclic_contract_to_at_most_three_vertices(self):
+        names = ([f"dihedral({k})" for k in range(3, 41)]
+                 + [f"dicyclic({k})" for k in range(2, 21)])
+        for name in names:
+            graph = ng.build_nc_graph(ng.construct(name))
+            qadj, colors, expansion = canon._contract_to_fixpoint(graph.adj)
+            assert len(qadj) <= 3, name
+            assert len(colors) == len(qadj)
+            flat = sorted(v for vs in expansion for v in vs)
+            assert flat == list(range(graph.num_vertices)), name
+
+    def test_colours_differing_at_depth_two_encode_differently(self):
+        def record(size, kind):
+            return size.to_bytes(4, "big") + bytes([kind])
+
+        outer = record(2, 2)
+        encodings = set()
+        for inner in (record(3, 1), record(3, 2), record(4, 1), b""):
+            search = canon._QuotientSearch((0b10, 0b01), (outer + inner,) * 2)
+            encodings.add(search._encode((0, 1)))
+        assert len(encodings) == 4
+
+    def test_contraction_and_automorphism_checks_fire(self):
+        path = (0b010, 0b101, 0b010)  # 0 - 1 - 2: only 0 and 2 are twins
+        plain = (b"",) * 3
+        one = ng.TwinClass((1,), 0)
+        with pytest.raises(ng.InternalInconsistency, match="not constant"):
+            canon._contract(path, plain, [ng.TwinClass((0, 1), 2), ng.TwinClass((2,), 0)])
+        with pytest.raises(ng.InternalInconsistency, match="not a clique"):
+            canon._contract(path, plain, [ng.TwinClass((0, 2), 2), one])
+        qadj, colors = canon._contract(path, plain, [ng.TwinClass((0, 2), 1), one])
+        assert qadj == (0b10, 0b01)
+        assert colors == ((2).to_bytes(4, "big") + b"\x01", b"")
+        search = canon._QuotientSearch(path, plain)
+        search._verify_automorphism((2, 1, 0))
+        with pytest.raises(ng.InternalInconsistency, match="adjacency"):
+            search._verify_automorphism((1, 0, 2))
 
 
 class TestIsomorphism:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -137,6 +138,36 @@ class TestCache:
         assert any(p.suffix == ".cert" for p in tmp_path.iterdir())
         second = ng.scan_pairs(cfg).to_json()  # warm cache
         assert first == second
+
+    def test_cache_of_another_certificate_version_is_rewritten(self, tmp_path,
+                                                              monkeypatch):
+        cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
+                               max_order=32, cofactor_max=1,
+                               cache_dir=str(tmp_path))
+        cold = ng.scan_pairs(cfg).to_json()
+        certs = {e.descriptor: e.certificate
+                 for e in ng.enumerate_catalog(replace(cfg, cache_dir=None))}
+        names = sorted(certs)
+        for p in tmp_path.glob("*.cert"):
+            p.unlink()
+        # files of an older version, and of the unversioned layout keyed on
+        # the descriptor alone, all holding bytes the current version rejects
+        monkeypatch.setattr(catalog, "CERT_VERSION", catalog.CERT_VERSION - 1)
+        ng.scan_pairs(cfg)
+        monkeypatch.undo()
+        for name in names:
+            digest = hashlib.sha256(name.encode()).hexdigest()
+            (tmp_path / f"{digest}.cert").write_bytes(b"stale")
+        stale = sorted(tmp_path.glob("*.cert"))
+        assert len(stale) == 2 * len(names)
+        for p in stale:
+            p.write_bytes(b"stale")
+        cache = ng.CertificateCache(str(tmp_path))
+        assert all(cache.get(name) is None for name in names)
+        assert ng.scan_pairs(cfg).to_json() == cold
+        assert len(list(tmp_path.glob("*.cert"))) == 3 * len(names)
+        assert all(p.read_bytes() == b"stale" for p in stale)
+        assert all(cache.get(name) == certs[name] for name in names)
 
     def test_corrupt_cache_detected(self, tmp_path):
         cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
