@@ -2,8 +2,8 @@
 
 A .cay file is plain text: line 1 holds the order n, then n lines of n
 space-separated 0-based element indices (row i, column j holds the product
-i*j).  Import always runs the full validator, so a .cay file from an
-untrusted source cannot smuggle in a non-group.
+i*j).  Import runs the full validator, as construction does, so a .cay
+file from any source cannot smuggle in a non-group.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def parse_group(text: str, descriptor: str = None) -> CayleyTable:
     for extra in range(n + 1, len(lines)):
         if lines[extra].strip():
             raise CayParseError(f"line {extra + 1}: unexpected content after the table")
-    return validate(rows, descriptor=descriptor, trusted=False)
+    return validate(rows, descriptor=descriptor)
 
 
 def import_group(path: str) -> CayleyTable:

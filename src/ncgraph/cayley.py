@@ -1,7 +1,10 @@
 """Finite groups as dense multiplication tables over element indices.
 
 A group of order n lives in an n-by-n table of element indices with the
-identity pinned at index 0.  Derived data (inverses, centre, conjugacy
+identity pinned at index 0.  Every table, whatever its source, passes the
+full group-axiom check in ``validate``; associativity is proved with Light's
+test over a generating set (O(n^2) per generator, at most log2(n)
+generators for a group).  Derived data (inverses, centre, conjugacy
 classes, ...) is memoised on the table object; tables are immutable after
 construction, so concurrent reads are safe.
 """
@@ -26,11 +29,6 @@ from .errors import (
     NotNilpotent,
     OrderOverflow,
 )
-
-# Full O(n^3) associativity checking is done at or below this order; larger
-# tables produced by the trusted constructors skip the cube, everything else
-# still gets it.
-FULL_ASSOC_LIMIT = 128
 
 # Default ceiling for construction-type operations (tables are O(n^2) memory).
 DEFAULT_ORDER_CAP = 512
@@ -123,13 +121,64 @@ class SylowFactor:
     abelian: bool
 
 
-def validate(raw, descriptor=None, *, trusted=False) -> CayleyTable:
+def _right_closure(arr, mask, frontier, gens) -> None:
+    """Grow the boolean ``mask`` in place until it is closed under right
+    multiplication by ``gens``; ``frontier`` lists the members whose products
+    are not yet taken."""
+    gens = np.asarray(gens, dtype=np.int64)
+    frontier = np.asarray(frontier, dtype=np.int64)
+    while frontier.size and gens.size:
+        prods = arr[np.ix_(frontier, gens)].ravel()
+        frontier = np.unique(prods[~mask[prods]])
+        mask[frontier] = True
+
+
+def _check_associative(arr, identity, name) -> None:
+    """Light's associativity test on a Latin square with a two-sided identity.
+
+    Light's criterion: the table is associative iff (x*a)*y == x*(a*y) for
+    every x, y and every a in a generating set.  The elements that pass are
+    closed under products (for passing a, b, (x*(a*b))*y == x*((a*b)*y)
+    follows from the two checks), so it suffices to check the smallest
+    element not yet covered, add it to the generators and grow the cover by
+    right closure until it is the whole table.  For a group the cover is the
+    subgroup the generators span, so at most log2(n) generators are checked,
+    each with two n-by-n gathers.  The witness of a failure is the first
+    ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, generators in index order and
+    ``(x, y)`` in row-major order.
+    """
+    n = arr.shape[0]
+    covered = np.zeros(n, dtype=bool)
+    covered[identity] = True
+    gens = []
+    # the two n-by-n buffers are reused by every generator
+    left = np.empty_like(arr)
+    right = np.empty_like(arr)
+    while not covered.all():
+        a = int(np.argmin(covered))
+        # entries are range-checked already, so "clip" never clips; it
+        # spares the extra buffer that the default mode uses with out=
+        np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
+        np.take(arr, arr[a], axis=1, out=right, mode="clip")    # x*(a*y)
+        if not np.array_equal(left, right):
+            x, y = map(int, np.argwhere(left != right)[0])
+            raise NotAssociative(
+                f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
+                witness=(x, a, y),
+            )
+        gens.append(a)
+        _right_closure(arr, covered, np.nonzero(covered)[0], gens)
+
+
+def validate(raw, descriptor=None) -> CayleyTable:
     """Check the group axioms on a raw table and return a normalized group.
 
-    Closure, two-sided identity and the Latin-square property are always
-    checked.  Associativity is the full cube check, skipped only for trusted
-    constructor output above ``FULL_ASSOC_LIMIT``.  If the identity is not at
-    index 0, elements are relabeled so that it is.
+    Closure, two-sided identity, the Latin-square property and associativity
+    are checked on every table.  Associativity is Light's test over a
+    generating set (see ``_check_associative``); a failure raises
+    ``NotAssociative`` with a triple ``(x, a, y)`` such that
+    ``(x*a)*y != x*(a*y)``.  If the identity is not at index 0, elements are
+    relabeled so that it is.
     """
     arr = np.array(raw, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -144,6 +193,9 @@ def validate(raw, descriptor=None, *, trusted=False) -> CayleyTable:
             f"{name}: entry {int(arr[i, j])} at ({i}, {j}) is outside 0..{n - 1}",
             witness=(i, j, int(arr[i, j])),
         )
+    # every entry is now an index, and the returned table is int32: narrow
+    # early so the checks below move half the bytes
+    arr = arr.astype(np.int32)
 
     idx = np.arange(n)
     row_ids = np.nonzero((arr == idx).all(axis=1))[0]
@@ -166,8 +218,8 @@ def validate(raw, descriptor=None, *, trusted=False) -> CayleyTable:
             f"{name}: row {i} repeats value {v} at columns {j1} and {j2}",
             witness=(i, j1, j2),
         )
-    sorted_cols = np.sort(arr, axis=0)
-    bad_cols = np.nonzero((sorted_cols != idx[:, None]).any(axis=0))[0]
+    sorted_cols = np.sort(np.ascontiguousarray(arr.T), axis=1)
+    bad_cols = np.nonzero((sorted_cols != idx).any(axis=1))[0]
     if bad_cols.size:
         j = int(bad_cols[0])
         counts = np.bincount(arr[:, j], minlength=n)
@@ -178,16 +230,7 @@ def validate(raw, descriptor=None, *, trusted=False) -> CayleyTable:
             witness=(i1, i2, j),
         )
 
-    if n <= FULL_ASSOC_LIMIT or not trusted:
-        for i in range(n):
-            left = arr[arr[i], :]      # [j, k] -> (i*j)*k
-            right = arr[i][arr]        # [j, k] -> i*(j*k)
-            if not np.array_equal(left, right):
-                j, k = map(int, np.argwhere(left != right)[0])
-                raise NotAssociative(
-                    f"{name}: ({i}*{j})*{k} != {i}*({j}*{k})",
-                    witness=(i, j, k),
-                )
+    _check_associative(arr, identity, name)
 
     if identity != 0:
         sigma = idx.copy()
@@ -395,24 +438,19 @@ def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
 
 
 def generate_subgroup(g: CayleyTable, seed) -> ElementSet:
-    """Closure of a seed set under multiplication (always contains the identity)."""
-    t = g.table
-    members = {0}
-    frontier = [0]
+    """The subgroup generated by a seed set (always contains the identity).
+
+    In a finite group the right closure of {e} under the seed is the
+    subgroup the seed generates.
+    """
+    seed = [int(x) for x in seed]
     for x in seed:
         if not 0 <= x < g.order:
             raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
-        if x not in members:
-            members.add(int(x))
-            frontier.append(int(x))
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (int(t[x, y]), int(t[y, x])):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return ElementSet(g, frozenset(members), True)
+    mask = np.zeros(g.order, dtype=bool)
+    mask[0] = True
+    _right_closure(g.table, mask, [0], seed)
+    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]), True)
 
 
 # --- structure tests ------------------------------------------------------------

@@ -251,14 +251,14 @@ def _expected_center_size(desc: GroupDescriptor) -> int:
 def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     """Build a family group from a descriptor string or tree.
 
-    The raw table goes through full validation (trusted, so the cubic
-    associativity sweep is skipped only above the size limit), and the centre
-    size is cross-checked against the closed form for the family.
+    The raw table goes through the same full validation as any imported
+    table, associativity included, and the centre size is cross-checked
+    against the closed form for the family.
     """
     desc = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
     _check(desc)
     raw = _build_raw(desc, max_order)
-    g = validate(raw, descriptor=str(desc), trusted=True)
+    g = validate(raw, descriptor=str(desc))
     if len(center(g)) != _expected_center_size(desc):
         raise InternalInconsistency(
             f"{desc}: centre size {len(center(g))} does not match the "

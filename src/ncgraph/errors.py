@@ -1,7 +1,8 @@
 """Exceptions shared across the package.
 
 Errors that point at a concrete counterexample carry it in ``witness``
-(e.g. the first associativity-breaking triple ``(i, j, k)``).
+(e.g. a triple ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, the first failure
+found by Light's associativity test).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
+from ncgraph import cayley
 from ncgraph.cayley import is_prime
 
 # A 5x5 loop: Latin square with identity 0 that fails associativity at
@@ -64,13 +65,115 @@ class TestValidate:
         with pytest.raises(ValueError):
             ng.validate([[0, 1, 2], [1, 2, 0]])
 
-    def test_trusted_large_table(self):
-        # for trusted constructor output above the full-cube limit, closure,
-        # identity, and the Latin property are still fully checked
+    def test_large_table_checked_in_full(self):
+        # above the order where the old cubic sweep stopped, every axiom,
+        # associativity included, is still checked
         n = 150
         t = [[(i + j) % n for j in range(n)] for i in range(n)]
-        g = ng.validate(t, trusted=True)
+        g = ng.validate(t)
         assert g.order == n
+
+
+def has_failing_triple(t):
+    """Brute-force associativity oracle over all n^3 triples."""
+    n = len(t)
+    return any(t[t[i][j]][k] != t[i][t[j][k]]
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def random_loop(n, rng):
+    """A random Latin square with identity 0, filled cell by cell with
+    random candidate order and backtracking."""
+    t = [[0] * n for _ in range(n)]
+    t[0] = list(range(n))
+    for i in range(n):
+        t[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(t[i][:j]) | {t[r][j] for r in range(i)}
+        for v in rng.permutation(n).tolist():
+            if v not in used:
+                t[i][j] = v
+                if fill(c + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return t
+
+
+def swap_intercalate(t, rng):
+    """Swap one intercalate (a 2x2 Latin subsquare) off the identity row and
+    column, or return None if the table has none."""
+    n = len(t)
+    quads = [(x, x2, c, c2)
+             for x in range(1, n) for x2 in range(x + 1, n)
+             for c in range(1, n) for c2 in range(c + 1, n)
+             if t[x][c] == t[x2][c2] and t[x][c2] == t[x2][c]]
+    if not quads:
+        return None
+    x, x2, c, c2 = quads[int(rng.integers(len(quads)))]
+    bad = [row[:] for row in t]
+    bad[x][c], bad[x][c2] = t[x][c2], t[x][c]
+    bad[x2][c], bad[x2][c2] = t[x2][c2], t[x2][c]
+    return bad
+
+
+def relabel(t, rng):
+    """The same table with element i renamed p[i]."""
+    p = rng.permutation(len(t))
+    q = np.argsort(p)
+    return p[np.asarray(t)[np.ix_(q, q)]].tolist()
+
+
+class TestLightAssociativity:
+    def test_agrees_with_brute_force_on_small_loops(self):
+        rng = np.random.default_rng(2024)
+        cases = [random_loop(n, rng) for n in range(1, 9) for _ in range(12)]
+        for desc in ("cyclic(4)", "abelian(2,2)", "cyclic(6)", "dihedral(3)",
+                     "cyclic(8)", "abelian(2,4)", "abelian(2,2,2)",
+                     "dihedral(4)", "dicyclic(2)"):
+            base = ng.construct(desc).table.tolist()
+            for _ in range(4):
+                bad = swap_intercalate(base, rng)
+                if bad is not None:
+                    cases.append(bad)
+        cases += [relabel(t, rng) for t in cases]
+        outcomes = set()
+        for t in cases:
+            failing = has_failing_triple(t)
+            outcomes.add(failing)
+            if not failing:
+                assert ng.validate(t).order == len(t)
+                continue
+            with pytest.raises(ng.NotAssociative) as exc:
+                ng.validate(t)
+            x, a, y = exc.value.witness
+            assert t[t[x][a]][y] != t[x][t[a][y]]
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("desc", ["dihedral(512)", "heisenberg(2,4)"])
+    def test_relabeled_large_groups_pass(self, desc, monkeypatch):
+        g = ng.construct(desc, max_order=1024)
+        t = relabel(g.table, np.random.default_rng(7))
+        checked = []
+        real = cayley._right_closure
+
+        def counting(arr, mask, frontier, gens):
+            checked.append(len(gens))
+            return real(arr, mask, frontier, gens)
+
+        monkeypatch.setattr(cayley, "_right_closure", counting)
+        h = ng.validate(t)
+        assert h.order == g.order
+        assert len(ng.center(h)) == len(ng.center(g))
+        # one right closure per checked generator; a group never needs
+        # more than log2(n) of them
+        assert 1 <= len(checked) <= int(np.log2(g.order))
 
 
 class TestStructure:
@@ -139,6 +242,28 @@ class TestStructure:
         d4 = ng.construct("dihedral(4)")
         assert ng.generate_subgroup(d4, [1]).sorted_members == (0, 1, 2, 3)
         assert ng.generate_subgroup(d4, [1, 4]).sorted_members == tuple(range(8))
+
+    def test_generate_subgroup_matches_two_sided_closure(self):
+        rng = np.random.default_rng(5)
+        for desc in ("dihedral(12)", "heisenberg(3,1)", "product(dicyclic(2),cyclic(3))"):
+            g = ng.construct(desc)
+            t = g.table.tolist()
+            for size in (0, 1, 2, 3):
+                seed = rng.integers(g.order, size=size).tolist()
+                members = {0, *seed}
+                while True:
+                    grown = members | {t[x][y] for x in members for y in members}
+                    if grown == members:
+                        break
+                    members = grown
+                got = ng.generate_subgroup(g, seed)
+                assert got.members == frozenset(members)
+                assert g.order % len(got) == 0
+
+    def test_generate_subgroup_rejects_bad_seed(self):
+        d4 = ng.construct("dihedral(4)")
+        with pytest.raises(ng.IndexOutOfRange):
+            ng.generate_subgroup(d4, [1, 8])
 
     def test_is_ac_group(self):
         assert ng.is_ac_group(ng.construct("dihedral(4)"))

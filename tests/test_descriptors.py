@@ -143,3 +143,24 @@ class TestConstruction:
     def test_accepts_parsed_descriptor_object(self):
         d = ng.parse_descriptor("dihedral(6)")
         assert ng.construct(d).order == 12
+
+
+class TestFullValidation:
+    def test_corrupted_large_table_is_rejected(self, monkeypatch):
+        # dihedral(100), order 200: index i is r^i and 100 + i is s r^i.
+        # w = r^20 has order 5, so rows x and x*w hold the same five values in
+        # the columns w^i * u; rotating the two rows across those columns keeps
+        # a Latin square with identity 0 but breaks associativity.
+        from ncgraph import descriptors
+
+        good = descriptors._build_raw(ng.parse_descriptor("dihedral(100)"), 512)
+        x, w, u = 3, 20, 107
+        xw = int(good[x, w])
+        cols = [int(good[p, u]) for p in (0, 20, 40, 60, 80)]
+        bad = good.copy()
+        bad[x, cols], bad[xw, cols] = good[xw, cols], good[x, cols]
+        monkeypatch.setattr(descriptors, "_build_raw", lambda desc, max_order: bad)
+        with pytest.raises(ng.NotAssociative) as exc:
+            ng.construct("dihedral(100)")
+        i, j, k = exc.value.witness
+        assert bad[bad[i, j], k] != bad[i, bad[j, k]]
