@@ -27,9 +27,11 @@ from .cayley import (
     DEFAULT_ORDER_CAP,
     CayleyTable,
     ElementSet,
+    CentralizerData,
     SylowFactor,
     center,
     centralizer,
+    centralizer_data,
     centralizer_size,
     conjugacy_classes,
     direct_product,
@@ -125,6 +127,7 @@ __all__ = [
     # groups
     "DEFAULT_ORDER_CAP", "CayleyTable", "ElementSet", "SylowFactor",
     "validate", "center", "centralizer", "centralizer_size",
+    "CentralizerData", "centralizer_data",
     "conjugacy_classes", "element_orders", "upper_central_series",
     "is_nilpotent", "direct_product", "induced_group", "generate_subgroup",
     "is_ac_group", "has_uniform_class_sizes", "prime_factorization",

@@ -1,11 +1,12 @@
 """Exact structural audits of groups whose non-commuting graphs are isomorphic.
 
-Every audit recomputes both sides of each identity directly from the
-multiplication tables -- never from previously derived data -- so the audits
-double as an independent oracle on the group and graph modules.  All
-arithmetic is exact integers; a failed identity on genuinely verified inputs
-is treated as an internal bug (InternalInconsistency), because each identity
-is a proved statement about such inputs.
+Both sides of each identity come from each group's own commuting matrix (read
+through ``centralizer_data``, which is computed from that matrix and nothing
+else) -- never from the other group or from the graph -- so the audits double
+as an independent oracle on the group and graph modules.  All arithmetic is
+exact integers; a failed identity on genuinely verified inputs is treated as
+an internal bug (InternalInconsistency), because each identity is a proved
+statement about such inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .cayley import (
     CayleyTable,
     center,
     centralizer,
-    centralizer_size,
+    centralizer_data,
     conjugacy_classes,
     induced_group,
     is_ac_group,
@@ -43,14 +44,10 @@ from .repunits import repunit
 
 # --- small helpers -------------------------------------------------------------
 
-def _members_abelian(g: CayleyTable, members) -> bool:
-    sub = g.commuting[np.ix_(members, members)]
-    return bool(sub.all())
-
-
-def _members_center_size(g: CayleyTable, members) -> int:
-    sub = g.commuting[np.ix_(members, members)]
-    return int(sub.all(axis=1).sum())
+def _first(mask):
+    """Index of the first True entry of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def _valuation(value: int, p: int):
@@ -146,6 +143,13 @@ def _check_graph_fit(g: CayleyTable, graph: NcGraph, side: str):
         )
 
 
+def _vertex_arrays(phi: Isomorphism):
+    """Parent elements of each source vertex and of its image, as arrays."""
+    elems_a = np.array(phi.source.vertices, dtype=np.int64)
+    elems_b = np.array(phi.target.vertices, dtype=np.int64)[list(phi.mapping)]
+    return elems_a, elems_b
+
+
 def divisibility_check(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism) -> tuple:
     """Per-vertex check that |C_H(phi(g))| divides (|g^G| - 1)(|Z(G)| - |Z(H)|),
     with zero divisible by everything.  Returns (element_a, divisor, dividend, ok)
@@ -153,16 +157,12 @@ def divisibility_check(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism) -> 
     _check_graph_fit(g_a, phi.source, "source")
     _check_graph_fit(g_b, phi.target, "target")
     za, zb = len(center(g_a)), len(center(g_b))
-    rows = []
-    for i, elem_a in enumerate(phi.source.vertices):
-        elem_b = phi.target.vertices[phi.mapping[i]]
-        ca = centralizer_size(g_a, elem_a)
-        cb = centralizer_size(g_b, elem_b)
-        class_size = g_a.order // ca
-        dividend = (class_size - 1) * (za - zb)
-        ok = dividend % cb == 0
-        rows.append((elem_a, cb, dividend, ok))
-    return tuple(rows)
+    elems_a, elems_b = _vertex_arrays(phi)
+    ca = centralizer_data(g_a).sizes[elems_a]
+    cb = centralizer_data(g_b).sizes[elems_b]
+    dividend = (g_a.order // ca - 1) * (za - zb)
+    ok = (dividend % cb == 0).tolist()
+    return tuple(zip(elems_a.tolist(), cb.tolist(), dividend.tolist(), ok))
 
 
 def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
@@ -184,8 +184,11 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
       and |C_G(g)| = |C_H(phi(g))| are all equivalent, for every vertex.
     - ``divisibility``: the divisibility_check rows all pass.
 
-    With strict=True (default) a failed item raises InternalInconsistency,
-    since on verified inputs every item is a proven identity.
+    The per-vertex quantities are gathered from each group's
+    ``centralizer_data`` through the bijection; every witness is the first
+    failing vertex in source order.  With strict=True (default) a failed item
+    raises InternalInconsistency, since on verified inputs every item is a
+    proven identity.
     """
     _check_graph_fit(g_a, phi.source, "source")
     _check_graph_fit(g_b, phi.target, "target")
@@ -198,83 +201,71 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
         witness=None if na - za == nb - zb else (na, za, nb, zb),
     ))
 
-    vertex_pairs = []
-    degree_ok, degree_witness = True, None
-    for i, elem_a in enumerate(phi.source.vertices):
-        elem_b = phi.target.vertices[phi.mapping[i]]
-        ca = centralizer_size(g_a, elem_a)
-        cb = centralizer_size(g_b, elem_b)
-        vertex_pairs.append((elem_a, elem_b, ca, cb))
-        if na - ca != nb - cb and degree_ok:
-            degree_ok, degree_witness = False, (elem_a, elem_b, ca, cb)
+    elems_a, elems_b = _vertex_arrays(phi)
+    data_a, data_b = centralizer_data(g_a), centralizer_data(g_b)
+    ca, cb = data_a.sizes[elems_a], data_b.sizes[elems_b]
+    vertex_pairs = tuple(zip(elems_a.tolist(), elems_b.tolist(), ca.tolist(), cb.tolist()))
+
+    def first_pair(mask):
+        i = _first(mask)
+        return None if i is None else vertex_pairs[i]
+
+    degree_witness = first_pair(na - ca != nb - cb)
     items.append(AuditItem(
-        "degree_gaps", degree_ok, None, None, witness=degree_witness,
+        "degree_gaps", degree_witness is None, None, None, witness=degree_witness,
     ))
 
-    gap_ok, gap_witness = True, None
-    literal_matches = True
-    literal_compared = 0
-    graph_items_seen = {}
-    graph_ok, graph_witness = True, None
-    for elem_a, elem_b, ca, cb in vertex_pairs:
-        mem_a = centralizer(g_a, elem_a).sorted_members
-        mem_b = centralizer(g_b, elem_b).sorted_members
-        ab_a = _members_abelian(g_a, mem_a)
-        ab_b = _members_abelian(g_b, mem_b)
-        if ab_a and ab_b:
-            continue
-        z_ca = _members_center_size(g_a, mem_a)
-        z_cb = _members_center_size(g_b, mem_b)
-        if not ab_a and not ab_b:
-            if ca - z_ca != cb - z_cb and gap_ok:
-                gap_ok, gap_witness = False, (elem_a, elem_b, ca - z_ca, cb - z_cb)
-            literal_compared += 1
-            if ca - z_ca != nb - z_cb:
-                literal_matches = False
-        if not ab_a or not ab_b:
-            key = (mem_a, mem_b)
-            if key in graph_items_seen:
-                continue
-            if ab_a != ab_b:
-                graph_items_seen[key] = False
-                if graph_ok:
-                    graph_ok = False
-                    graph_witness = (elem_a, elem_b, "one centralizer abelian, one not")
-                continue
-            sub_a = induced_group(g_a, centralizer(g_a, elem_a))
-            sub_b = induced_group(g_b, centralizer(g_b, elem_b))
-            same = certificate(build_nc_graph(sub_a)) == certificate(build_nc_graph(sub_b))
-            graph_items_seen[key] = same
-            if not same and graph_ok:
-                graph_ok, graph_witness = False, (elem_a, elem_b)
+    ab_a, ab_b = data_a.abelian[elems_a], data_b.abelian[elems_b]
+    gap_a = ca - data_a.center_sizes[elems_a]
+    gap_b = cb - data_b.center_sizes[elems_b]
+    both = ~ab_a & ~ab_b
+    i = _first(both & (gap_a != gap_b))
+    gap_witness = None if i is None else (*vertex_pairs[i][:2], int(gap_a[i]), int(gap_b[i]))
     items.append(AuditItem(
-        "centralizer_center_gaps", gap_ok, None, None, witness=gap_witness,
+        "centralizer_center_gaps", gap_witness is None, None, None, witness=gap_witness,
     ))
+    literal_compared = int(both.sum())
     if literal_compared == 0:
         literal_note = "vacuous (no vertex has non-abelian centralizers on both sides)"
     else:
+        literal_matches = not (both & (gap_a != nb - data_b.center_sizes[elems_b])).any()
         literal_note = "matches" if literal_matches else "differs"
     items.append(AuditItem(
         "center_gap_vs_whole_order", None, literal_compared, None,
         witness=literal_note,
     ))
+
+    # one item per distinct pair of centralizers, decided at its first vertex
+    mixed = np.flatnonzero(~(ab_a & ab_b))
+    keys = np.stack([data_a.ids[elems_a[mixed]], data_b.ids[elems_b[mixed]]], axis=1)
+    _, where = np.unique(keys, axis=0, return_index=True)
+    firsts = mixed[np.sort(where)].tolist()
+    graph_same, graph_witness = 0, None
+    for i in firsts:
+        elem_a, elem_b = vertex_pairs[i][:2]
+        if ab_a[i] != ab_b[i]:
+            if graph_witness is None:
+                graph_witness = (elem_a, elem_b, "one centralizer abelian, one not")
+            continue
+        sub_a = induced_group(g_a, centralizer(g_a, elem_a))
+        sub_b = induced_group(g_b, centralizer(g_b, elem_b))
+        if certificate(build_nc_graph(sub_a)) == certificate(build_nc_graph(sub_b)):
+            graph_same += 1
+        elif graph_witness is None:
+            graph_witness = (elem_a, elem_b)
     items.append(AuditItem(
-        "centralizer_graphs_isomorphic", graph_ok,
-        sum(1 for v in graph_items_seen.values() if v), len(graph_items_seen),
-        witness=graph_witness,
+        "centralizer_graphs_isomorphic", graph_witness is None,
+        graph_same, len(firsts), witness=graph_witness,
     ))
 
     orders_equal = na == nb
     centers_equal = za == zb
-    bic_ok, bic_witness = centers_equal == orders_equal, None
-    if not bic_ok:
+    if centers_equal != orders_equal:
         bic_witness = (na, nb, za, zb)
-    for elem_a, elem_b, ca, cb in vertex_pairs:
-        if (ca == cb) != orders_equal:
-            if bic_ok:
-                bic_ok, bic_witness = False, (elem_a, elem_b, ca, cb)
+    else:
+        bic_witness = first_pair((ca == cb) != orders_equal)
     items.append(AuditItem(
-        "order_center_centralizer_biconditional", bic_ok,
+        "order_center_centralizer_biconditional", bic_witness is None,
         orders_equal, centers_equal, witness=bic_witness,
     ))
 
@@ -283,16 +274,15 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
     div_witness = next((r[:3] for r in div_rows if not r[3]), None)
     items.append(AuditItem("divisibility", div_ok, None, None, witness=div_witness))
 
-    graph_a, graph_b = phi.source, phi.target
     audit = PairAudit(
         descriptor_a=g_a.descriptor,
         descriptor_b=g_b.descriptor,
         order_a=na, order_b=nb, center_a=za, center_b=zb,
-        vertex_pairs=tuple(vertex_pairs),
+        vertex_pairs=vertex_pairs,
         items=tuple(items),
         divisibility=div_rows,
         both_nilpotent=is_nilpotent(g_a)[0] and is_nilpotent(g_b)[0],
-        both_irregular=not graph_a.is_regular and not graph_b.is_regular,
+        both_irregular=not phi.source.is_regular and not phi.target.is_regular,
         verdict=_verdict(items)[0],
         witness=_verdict(items)[1],
     )
@@ -354,15 +344,8 @@ def centralizer_chain(g: CayleyTable, picker=None) -> CentralizerChain:
     current = g
     max_steps = g.order.bit_length()
     while not is_ac_group(current):
-        comm = current.commuting
-        central = comm.all(axis=1)
-        candidates = []
-        for x in range(current.order):
-            if central[x]:
-                continue
-            mem = np.nonzero(comm[x])[0]
-            if not comm[np.ix_(mem, mem)].all():
-                candidates.append(x)
+        data = centralizer_data(current)
+        candidates = np.flatnonzero((data.sizes < current.order) & ~data.abelian).tolist()
         if not candidates:
             raise InternalInconsistency(
                 "group is not an AC-group yet no non-central element has a "
@@ -409,15 +392,10 @@ def large_centralizer_witness(g: CayleyTable):
     """
     if g.is_abelian:
         raise AbelianInput(f"{g.descriptor}: witness search needs a non-abelian group")
-    comm = g.commuting
-    central = comm.all(axis=1)
-    best_elem, best_size = None, -1
-    for x in range(g.order):
-        if central[x]:
-            continue
-        size = int(comm[x].sum())
-        if size > best_size:
-            best_elem, best_size = x, size
+    sizes = centralizer_data(g).sizes
+    # argmax keeps the lowest index among equal sizes
+    best_elem = int(np.argmax(np.where(sizes < g.order, sizes, -1)))
+    best_size = int(sizes[best_elem])
     bound = g.order * len(center(g))
     witness = None
     if best_size * best_size >= bound:
@@ -597,7 +575,7 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
             lhs_i = size_a * p ** (n - ae) * (p ** ae - 1)
             rhs_i = size_b * p ** (m - be) * (p ** be - 1)
             sample = next(c[0] for c in conjugacy_classes(g_a) if len(c) == p ** ae)
-            degree_direct = g_a.order - centralizer_size(g_a, sample)
+            degree_direct = g_a.order - int(centralizer_data(g_a).sizes[sample])
             if lhs_i != degree_direct:
                 raise InternalInconsistency(
                     "factored degree disagrees with the graph degree"
@@ -674,15 +652,8 @@ class TwoSylowAudit:
 
 def _abelian_centralizer_element(q: CayleyTable):
     """Smallest non-central element whose centralizer is abelian, or None."""
-    comm = q.commuting
-    central = comm.all(axis=1)
-    for x in range(q.order):
-        if central[x]:
-            continue
-        mem = np.nonzero(comm[x])[0]
-        if comm[np.ix_(mem, mem)].all():
-            return x
-    return None
+    data = centralizer_data(q)
+    return _first((data.sizes < q.order) & data.abelian)
 
 
 def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
@@ -730,17 +701,14 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
     h1 = int(q1.parent_map[local_1])
     h2 = int(q2.parent_map[local_2])
 
-    mem_h1 = centralizer(h, h1).sorted_members
-    mem_h2 = centralizer(h, h2).sorted_members
-    ch1, ch2 = len(mem_h1), len(mem_h2)
-    z_ch1 = _members_center_size(h, mem_h1)
-    z_ch2 = _members_center_size(h, mem_h2)
+    data_h = centralizer_data(h)
+    ch1, ch2 = int(data_h.sizes[h1]), int(data_h.sizes[h2])
+    z_ch1, z_ch2 = int(data_h.center_sizes[h1]), int(data_h.center_sizes[h2])
     zh = len(center(h))
 
-    zq1 = len(center(q1))
-    zq2 = len(center(q2))
-    cq1 = centralizer_size(q1, local_1)
-    cq2 = centralizer_size(q2, local_2)
+    zq1, zq2 = len(center(q1)), len(center(q2))
+    cq1 = int(centralizer_data(q1).sizes[local_1])
+    cq2 = int(centralizer_data(q2).sizes[local_2])
 
     items = [
         AuditItem(

@@ -354,15 +354,25 @@ def canonical_certificate(graph: NcGraph) -> CanonicalCertificate:
 def degree_profile(graph: NcGraph) -> tuple:
     """Cheap isomorphism invariant checked before any canonical labeling:
     vertex count, edge count, degree multiset, and the multiset of
-    (degree, sorted neighbour degrees) pairs."""
-    degs = graph.degrees()
-    local = tuple(
-        sorted(
-            (degs[i], tuple(sorted(degs[j] for j in graph.neighbors(i))))
-            for i in range(graph.num_vertices)
-        )
-    )
-    return (graph.num_vertices, graph.num_edges, tuple(sorted(degs)), local)
+    (degree, sorted neighbour degrees) pairs.  Neighbour degrees are counted
+    as ``adjacency @ onehot(degree)``; each distinct row becomes a tuple once,
+    built from the distinct degree ints.
+    """
+    mat = adjacency_matrix(graph)
+    degs = mat.sum(axis=1)
+    distinct, cls, counts = np.unique(degs, return_inverse=True, return_counts=True)
+    values = distinct.tolist()
+    onehot = (cls[:, None] == np.arange(len(values))).astype(np.int32)
+    rows = np.column_stack([cls, mat.astype(np.int32) @ onehot])
+    uniq, mult = np.unique(rows, axis=0, return_counts=True)
+
+    def spell(row):
+        return tuple(v for v, c in zip(values, row) for _ in range(c))
+
+    local = sorted(((values[row[0]], spell(row[1:])), m)
+                   for row, m in zip(uniq.tolist(), mult.tolist()))
+    return (graph.num_vertices, int(degs.sum()) // 2, spell(counts.tolist()),
+            tuple(item for item, m in local for _ in range(m)))
 
 
 @dataclass(frozen=True)
@@ -381,16 +391,16 @@ class Isomorphism:
             )
         if sorted(self.mapping) != list(range(n)):
             raise NotAnIsomorphism("mapping is not a bijection on vertex positions")
-        for i in range(n):
-            image = 0
-            for j in iter_bits(self.source.adj[i]):
-                image |= 1 << self.mapping[j]
-            if image != self.target.adj[self.mapping[i]]:
-                j = next(iter_bits(image ^ self.target.adj[self.mapping[i]]))
-                raise NotAnIsomorphism(
-                    f"adjacency not preserved at vertex {i}",
-                    witness=(i, j),
-                )
+        m = np.array(self.mapping, dtype=np.int64)
+        image = adjacency_matrix(self.source)[:, np.argsort(m)]  # row i: m(N(i))
+        bad = image != adjacency_matrix(self.target)[m]
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            i = int(rows[0])
+            raise NotAnIsomorphism(
+                f"adjacency not preserved at vertex {i}",
+                witness=(i, int(np.argmax(bad[i]))),
+            )
 
     def apply(self, i: int) -> int:
         return self.mapping[i]
@@ -409,9 +419,6 @@ def find_isomorphism(a: NcGraph, b: NcGraph):
     cert_b = certificate(b)
     if cert_a != cert_b:
         return None
-    order_a = canonical_order(a)
-    order_b = canonical_order(b)
-    mapping = [0] * a.num_vertices
-    for k in range(a.num_vertices):
-        mapping[order_a[k]] = order_b[k]
-    return Isomorphism(a, b, tuple(mapping))
+    mapping = np.empty(a.num_vertices, dtype=np.int64)
+    mapping[list(canonical_order(a))] = canonical_order(b)
+    return Isomorphism(a, b, tuple(mapping.tolist()))

@@ -11,7 +11,6 @@ construction, so concurrent reads are safe.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -265,7 +264,45 @@ def centralizer(g: CayleyTable, x: int) -> ElementSet:
 def centralizer_size(g: CayleyTable, x: int) -> int:
     if not 0 <= x < g.order:
         raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
-    return int(g.commuting[x].sum())
+    return int(centralizer_data(g).sizes[x])
+
+
+@dataclass(frozen=True)
+class CentralizerData:
+    """Read-only per-element arrays: |C(x)|, |Z(C(x))|, whether C(x) is
+    abelian, and an id that is equal exactly for equal centralizers."""
+
+    sizes: np.ndarray
+    center_sizes: np.ndarray
+    abelian: np.ndarray
+    ids: np.ndarray
+
+
+def centralizer_data(g: CayleyTable) -> CentralizerData:
+    """Centralizer sizes, centre sizes and identities, memoised on the table.
+
+    Elements with equal rows of the commuting matrix have the same
+    centralizer, so the packed rows are deduplicated first and the centre of
+    each distinct centralizer is counted once: y in C(x) lies in Z(C(x))
+    exactly when y's packed row contains x's.
+    """
+    data = g._memo.get("cdata")
+    if data is None:
+        comm = g.commuting
+        packed = np.packbits(comm, axis=1)
+        _, first, ids = np.unique(packed, axis=0,
+                                  return_index=True, return_inverse=True)
+        zsizes = np.empty(len(first), dtype=np.int64)
+        for k, x in enumerate(first):
+            zsizes[k] = ((packed[comm[x]] & packed[x]) == packed[x]).all(axis=1).sum()
+        ids = ids.reshape(-1)
+        sizes = comm.sum(axis=1)
+        center_sizes = zsizes[ids]
+        data = CentralizerData(sizes, center_sizes, center_sizes == sizes, ids)
+        for arr in (sizes, center_sizes, data.abelian, ids):
+            arr.flags.writeable = False
+        g._memo["cdata"] = data
+    return data
 
 
 def conjugacy_classes(g: CayleyTable) -> tuple:
@@ -302,17 +339,20 @@ def conjugacy_classes(g: CayleyTable) -> tuple:
 
 
 def element_orders(g: CayleyTable) -> np.ndarray:
+    """Order of every element: all powers x^k advance together, and each
+    element drops out when its power reaches the identity."""
     orders = g._memo.get("orders")
     if orders is None:
-        n = g.order
         t = g.table
-        orders = np.ones(n, dtype=np.int64)
-        for x in range(1, n):
-            k, y = 1, x
-            while y != 0:
-                y = int(t[y, x])
-                k += 1
-            orders[x] = k
+        orders = np.ones(g.order, dtype=np.int64)
+        todo = power = np.arange(1, g.order)
+        k = 1
+        while todo.size:
+            power = t[power, todo]
+            k += 1
+            done = power == 0
+            orders[todo[done]] = k
+            todo, power = todo[~done], power[~done]
         orders.flags.writeable = False
         g._memo["orders"] = orders
     return orders
@@ -324,34 +364,30 @@ def upper_central_series(g: CayleyTable) -> list:
     """Ascending central series Z_0 = {e} <= Z_1 <= ...; stops at a stall or at G.
 
     Membership step: x lies in the next level iff every commutator
-    x^-1 y^-1 x y lands in the current level, tested as y^-1 x y in x*Z_i.
+    x^-1 (y^-1 x y) lands in the current level.  The n-by-n matrix of these
+    commutators is built once, in int32; each level is then one gather of the
+    current membership mask and a row-wise ``all``.
     """
     cached = g._memo.get("ucs")
     if cached is not None:
         return list(cached)
     n = g.order
-    t = g.table
-    inv = g.inverses
-    idx = np.arange(n)
-    levels = []
+    flat = g.table.ravel()
+    inv = g.inverses.astype(np.int32)
+    commutators = g.table[inv].T * np.int32(n)  # [x, y] -> (y^-1 * x) * n
+    commutators += np.arange(n, dtype=np.int32)
+    commutators = flat[commutators]             # [x, y] -> y^-1 * x * y
+    commutators += (inv * np.int32(n))[:, None]
+    commutators = flat[commutators]             # [x, y] -> x^-1 * y^-1 * x * y
     current = np.zeros(n, dtype=bool)
     current[0] = True
-    levels.append(current.copy())
+    levels = [current]
     while not current.all():
-        nxt = np.zeros(n, dtype=bool)
-        members = np.nonzero(current)[0]
-        for x in range(n):
-            if current[x]:
-                nxt[x] = True
-                continue
-            conj = t[t[inv, x], idx]
-            allowed = np.zeros(n, dtype=bool)
-            allowed[t[x, members]] = True
-            nxt[x] = bool(allowed[conj].all())
-        if (nxt == current).all():
+        nxt = current[commutators].all(axis=1)
+        if np.array_equal(nxt, current):
             break
         current = nxt
-        levels.append(current.copy())
+        levels.append(current)
     sets = [
         ElementSet(g, frozenset(int(i) for i in np.nonzero(m)[0]), True)
         for m in levels
@@ -456,25 +492,12 @@ def generate_subgroup(g: CayleyTable, seed) -> ElementSet:
 # --- structure tests ------------------------------------------------------------
 
 def is_ac_group(g: CayleyTable) -> bool:
-    """Whether every centralizer of a non-central element is abelian."""
+    """Whether every centralizer of a non-central element is abelian (read
+    from ``centralizer_data``)."""
     if g.is_abelian:
         raise AbelianInput("AC is only defined for non-abelian groups")
-    cached = g._memo.get("ac")
-    if cached is not None:
-        return cached
-    comm = g.commuting
-    central = comm.all(axis=1)
-    result = True
-    for cls in conjugacy_classes(g):
-        x = cls[0]
-        if central[x]:
-            continue
-        mem = np.nonzero(comm[x])[0]
-        if not comm[np.ix_(mem, mem)].all():
-            result = False
-            break
-    g._memo["ac"] = result
-    return result
+    data = centralizer_data(g)
+    return bool(data.abelian[data.sizes < g.order].all())
 
 
 def has_uniform_class_sizes(g: CayleyTable):
@@ -552,16 +575,13 @@ def sylow_decomposition(g: CayleyTable) -> list:
         eset = ElementSet(g, frozenset(members), True)
         factors.append(SylowFactor(p, eset, abelian))
         member_lists.append(members)
-    t = g.table
-    seen = np.zeros(n, dtype=bool)
-    for combo in itertools.product(*member_lists):
-        y = combo[0]
-        for z in combo[1:]:
-            y = int(t[y, z])
-        if seen[y]:
-            raise InternalInconsistency("Sylow product map is not injective")
-        seen[y] = True
-    if not seen.all():
+    products = np.zeros(1, dtype=np.int64)   # every product x_1 * x_2 * ... in turn
+    for members in member_lists:
+        products = g.table[np.ix_(products, members)].ravel()
+    hits = np.bincount(products, minlength=n)
+    if (hits > 1).any():
+        raise InternalInconsistency("Sylow product map is not injective")
+    if not hits.all():
         raise InternalInconsistency("Sylow product map is not surjective")
     g._memo["sylow"] = tuple(factors)
     return factors

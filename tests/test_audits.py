@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import ncgraph as ng
@@ -94,6 +95,131 @@ class TestPairAudit:
         assert "noncentral_counts" in text
 
 
+def unchecked_bijection(source, target, mapping):
+    """An Isomorphism object whose edge check was skipped, so that the audits
+    can be driven into every failing branch."""
+    phi = object.__new__(ng.Isomorphism)
+    for name, value in (("source", source), ("target", target), ("mapping", tuple(mapping))):
+        object.__setattr__(phi, name, value)
+    return phi
+
+
+def old_pair_audit(g_a, g_b, phi):
+    """The per-vertex loops that audit_isomorphic_pair replaced, reading the
+    commuting matrices directly.  Returns (vertex_pairs, items, divisibility)."""
+    comm_a, comm_b = g_a.commuting, g_b.commuting
+    na, nb = g_a.order, g_b.order
+    za, zb = len(ng.center(g_a)), len(ng.center(g_b))
+    items = [ng.AuditItem(
+        "noncentral_counts", na - za == nb - zb, na - za, nb - zb,
+        witness=None if na - za == nb - zb else (na, za, nb, zb),
+    )]
+    vertex_pairs = []
+    degree_ok, degree_witness = True, None
+    for i, elem_a in enumerate(phi.source.vertices):
+        elem_b = phi.target.vertices[phi.mapping[i]]
+        ca, cb = int(comm_a[elem_a].sum()), int(comm_b[elem_b].sum())
+        vertex_pairs.append((elem_a, elem_b, ca, cb))
+        if na - ca != nb - cb and degree_ok:
+            degree_ok, degree_witness = False, (elem_a, elem_b, ca, cb)
+    items.append(ng.AuditItem("degree_gaps", degree_ok, None, None, witness=degree_witness))
+    gap_ok, gap_witness = True, None
+    literal_matches, literal_compared = True, 0
+    seen = {}
+    graph_ok, graph_witness = True, None
+    for elem_a, elem_b, ca, cb in vertex_pairs:
+        mem_a = ng.centralizer(g_a, elem_a).sorted_members
+        mem_b = ng.centralizer(g_b, elem_b).sorted_members
+        sub_a = comm_a[np.ix_(mem_a, mem_a)]
+        sub_b = comm_b[np.ix_(mem_b, mem_b)]
+        ab_a, ab_b = bool(sub_a.all()), bool(sub_b.all())
+        if ab_a and ab_b:
+            continue
+        z_ca, z_cb = int(sub_a.all(axis=1).sum()), int(sub_b.all(axis=1).sum())
+        if not ab_a and not ab_b:
+            if ca - z_ca != cb - z_cb and gap_ok:
+                gap_ok, gap_witness = False, (elem_a, elem_b, ca - z_ca, cb - z_cb)
+            literal_compared += 1
+            if ca - z_ca != nb - z_cb:
+                literal_matches = False
+        key = (mem_a, mem_b)
+        if key in seen:
+            continue
+        if ab_a != ab_b:
+            seen[key] = False
+            if graph_ok:
+                graph_ok, graph_witness = False, (elem_a, elem_b, "one centralizer abelian, one not")
+            continue
+        cert_a = ng.certificate(ng.build_nc_graph(ng.induced_group(g_a, ng.centralizer(g_a, elem_a))))
+        cert_b = ng.certificate(ng.build_nc_graph(ng.induced_group(g_b, ng.centralizer(g_b, elem_b))))
+        seen[key] = cert_a == cert_b
+        if not seen[key] and graph_ok:
+            graph_ok, graph_witness = False, (elem_a, elem_b)
+    items.append(ng.AuditItem("centralizer_center_gaps", gap_ok, None, None, witness=gap_witness))
+    if literal_compared == 0:
+        note = "vacuous (no vertex has non-abelian centralizers on both sides)"
+    else:
+        note = "matches" if literal_matches else "differs"
+    items.append(ng.AuditItem("center_gap_vs_whole_order", None, literal_compared, None,
+                              witness=note))
+    items.append(ng.AuditItem("centralizer_graphs_isomorphic", graph_ok,
+                              sum(1 for v in seen.values() if v), len(seen),
+                              witness=graph_witness))
+    orders_equal, centers_equal = na == nb, za == zb
+    bic_ok, bic_witness = centers_equal == orders_equal, None
+    if not bic_ok:
+        bic_witness = (na, nb, za, zb)
+    for elem_a, elem_b, ca, cb in vertex_pairs:
+        if (ca == cb) != orders_equal and bic_ok:
+            bic_ok, bic_witness = False, (elem_a, elem_b, ca, cb)
+    items.append(ng.AuditItem("order_center_centralizer_biconditional", bic_ok,
+                              orders_equal, centers_equal, witness=bic_witness))
+    rows = []
+    for elem_a, elem_b, ca, cb in vertex_pairs:
+        dividend = (na // ca - 1) * (za - zb)
+        rows.append((elem_a, cb, dividend, dividend % cb == 0))
+    div_witness = next((r[:3] for r in rows if not r[3]), None)
+    items.append(ng.AuditItem("divisibility", div_witness is None, None, None,
+                              witness=div_witness))
+    return tuple(vertex_pairs), tuple(items), tuple(rows)
+
+
+class TestPairAuditOracle:
+    """audit_isomorphic_pair against the per-vertex loops it replaced, on
+    verified isomorphisms and on seeded bijections that are not ones."""
+
+    PAIRS = [
+        ("dihedral(8)", "dicyclic(4)"),
+        ("product(dihedral(4),heisenberg(3,1))", "product(dicyclic(2),heisenberg(3,1))"),
+        ("heisenberg(3,1)", "product(dihedral(4),cyclic(4))"),   # 27 vs 32, 24 vertices each
+        ("dihedral(12)", "dicyclic(6)"),
+    ]
+
+    def test_items_and_witnesses_match_the_loops(self):
+        rng = np.random.default_rng(17)
+        failed = set()
+        for name_a, name_b in self.PAIRS:
+            g_a, g_b = ng.construct(name_a), ng.construct(name_b)
+            source, target = ng.build_nc_graph(g_a), ng.build_nc_graph(g_b)
+            assert source.num_vertices == target.num_vertices
+            mappings = [rng.permutation(source.num_vertices).tolist() for _ in range(4)]
+            phi = ng.find_isomorphism(source, target)
+            if phi is not None:
+                mappings.append(phi.mapping)
+            for mapping in mappings:
+                bij = unchecked_bijection(source, target, mapping)
+                audit = ng.audit_isomorphic_pair(g_a, g_b, bij, strict=False)
+                pairs, items, rows = old_pair_audit(g_a, g_b, bij)
+                assert audit.vertex_pairs == pairs
+                assert [i.to_dict() for i in audit.items] == [i.to_dict() for i in items]
+                assert audit.divisibility == rows == ng.divisibility_check(g_a, g_b, bij)
+                assert all(type(v) is int for p in audit.vertex_pairs for v in p)
+                failed |= {i.name for i in audit.items if i.passed is False}
+        assert failed == {"degree_gaps", "centralizer_center_gaps",
+                          "centralizer_graphs_isomorphic",
+                          "order_center_centralizer_biconditional", "divisibility"}
+
+
 class TestCentralizerChain:
     def test_ac_group_has_zero_steps(self):
         chain = ng.centralizer_chain(ng.construct("dihedral(8)"))
@@ -140,6 +266,28 @@ class TestCentralizerChain:
         b = ng.centralizer_chain(g)
         assert a.chosen == b.chosen and a.orders == b.orders
 
+    def test_candidates_match_the_element_loop(self):
+        def loop_candidates(group):
+            comm = group.commuting
+            out = []
+            for x in range(group.order):
+                mem = np.flatnonzero(comm[x])
+                if len(mem) < group.order and not comm[np.ix_(mem, mem)].all():
+                    out.append(x)
+            return out
+
+        seen = []
+
+        def recording(group, candidates):
+            assert candidates == loop_candidates(group)
+            seen.append(group.order)
+            return candidates[-1]
+
+        for desc in ("heisenberg(3,2)", "product(dicyclic(2),heisenberg(3,1))",
+                     "product(heisenberg(2,2),cyclic(3))"):
+            ng.centralizer_chain(ng.construct(desc), picker=recording)
+        assert seen
+
 
 class TestLargeCentralizerWitness:
     def test_two_sylow_product_is_strict(self):
@@ -153,6 +301,22 @@ class TestLargeCentralizerWitness:
     def test_small_dihedral(self):
         wit = ng.large_centralizer_witness(ng.construct("dihedral(3)"))
         assert (wit.centralizer_order, wit.square, wit.bound) == (3, 9, 6)
+
+    def test_first_largest_centralizer_is_chosen(self):
+        for desc in ("dihedral(3)", "dihedral(8)", "heisenberg(3,2)",
+                     "product(dicyclic(2),heisenberg(3,1))", "dicyclic(6)"):
+            g = ng.construct(desc)
+            comm = g.commuting
+            best_elem, best_size = None, -1
+            for x in range(g.order):
+                size = int(comm[x].sum())
+                if size < g.order and size > best_size:
+                    best_elem, best_size = x, size
+            wit = ng.large_centralizer_witness(g)
+            if best_size * best_size >= g.order * len(ng.center(g)):
+                assert (wit.element, wit.centralizer_order) == (best_elem, best_size)
+            else:
+                assert wit is None
 
     def test_abelian_rejected(self):
         with pytest.raises(ng.AbelianInput):

@@ -3,6 +3,7 @@ import pytest
 
 import ncgraph as ng
 from ncgraph import canon
+from ncgraph.graphs import iter_bits
 
 networkx = pytest.importorskip("networkx")
 
@@ -220,6 +221,81 @@ class TestContraction:
         search._verify_automorphism((2, 1, 0))
         with pytest.raises(ng.InternalInconsistency, match="adjacency"):
             search._verify_automorphism((1, 0, 2))
+
+
+def old_degree_profile(graph):
+    """The per-vertex comprehension that degree_profile replaced."""
+    degs = graph.degrees()
+    local = tuple(
+        sorted(
+            (degs[i], tuple(sorted(degs[j] for j in graph.neighbors(i))))
+            for i in range(graph.num_vertices)
+        )
+    )
+    return (graph.num_vertices, graph.num_edges, tuple(sorted(degs)), local)
+
+
+def old_isomorphism_witness(source, target, mapping):
+    """The bit loop that Isomorphism used to check edges with: the first
+    failing source vertex and the lowest differing target position."""
+    for i in range(source.num_vertices):
+        image = 0
+        for j in iter_bits(source.adj[i]):
+            image |= 1 << mapping[j]
+        diff = image ^ target.adj[mapping[i]]
+        if diff:
+            return i, next(iter_bits(diff))
+    return None
+
+
+class TestArrayOracles:
+    """degree_profile and the Isomorphism edge check against the loops they
+    replaced."""
+
+    def test_degree_profile_on_catalog_graphs(self, catalog_groups):
+        for g in catalog_groups.values():
+            graph = ng.build_nc_graph(g)
+            assert ng.degree_profile(graph) == old_degree_profile(graph), g.descriptor
+
+    def test_degree_profile_with_degrees_above_256(self):
+        graph = ng.build_nc_graph(ng.construct("heisenberg(7,1)"))
+        assert max(graph.degrees()) > 256
+        assert ng.degree_profile(graph) == old_degree_profile(graph)
+
+    def test_degree_profile_on_random_graphs(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 41):
+            for _ in range(3):
+                graph = random_graph(rng, n) if n > 1 else to_ncgraph(np.zeros((1, 1), bool))
+                assert ng.degree_profile(graph) == old_degree_profile(graph)
+
+    def test_isomorphism_witness_matches_the_bit_loop(self):
+        rng = np.random.default_rng(43)
+        cases = []
+        for a, b in [("dihedral(8)", "dicyclic(4)"), ("heisenberg(3,1)", "heisenberg(3,1)"),
+                     ("product(dihedral(4),cyclic(3))", "product(dicyclic(2),cyclic(3))")]:
+            phi = ng.find_isomorphism(ng.build_nc_graph(ng.construct(a)),
+                                      ng.build_nc_graph(ng.construct(b)))
+            cases.append((phi.source, phi.target, phi.mapping))
+        for n in (5, 12, 30):
+            graph = random_graph(rng, n)
+            cases.append((graph, graph, tuple(range(n))))
+        outcomes = set()
+        for source, target, mapping in cases:
+            for _ in range(12):
+                bad = list(mapping)
+                u, v = rng.choice(len(bad), size=2, replace=False)
+                bad[u], bad[v] = bad[v], bad[u]
+                expected = old_isomorphism_witness(source, target, bad)
+                outcomes.add(expected is None)
+                if expected is None:
+                    ng.Isomorphism(source, target, tuple(bad))
+                    continue
+                with pytest.raises(ng.NotAnIsomorphism) as exc:
+                    ng.Isomorphism(source, target, tuple(bad))
+                assert exc.value.witness == expected
+        # some swaps stay isomorphisms (twins), most do not
+        assert outcomes == {True, False}
 
 
 class TestIsomorphism:

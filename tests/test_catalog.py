@@ -242,6 +242,11 @@ class TestScan:
     def test_report_is_deterministic(self):
         assert ng.scan_pairs(SMALL).to_json() == ng.scan_pairs(SMALL).to_json()
 
+    def test_default_report_bytes_are_pinned(self, default_report):
+        # every entry, class, pair audit and witness of the default scan
+        digest = hashlib.sha256(default_report.to_json().encode()).hexdigest()
+        assert digest == "afdc1eacefec0653f58ae6ae066600e8fe20e3e3ed23e8aafe1d7b6773006531"
+
     def test_report_schema(self):
         data = json.loads(ng.scan_pairs(SMALL).to_json())
         assert data["schema"] == 1

@@ -192,6 +192,9 @@ class TestStructure:
         d4 = ng.construct("dihedral(4)")
         with pytest.raises(ng.IndexOutOfRange):
             ng.centralizer(d4, 8)
+        for x in (8, -1):
+            with pytest.raises(ng.IndexOutOfRange):
+                ng.centralizer_size(d4, x)
 
     def test_conjugacy_classes_dihedral_8(self):
         d4 = ng.construct("dihedral(4)")
@@ -277,6 +280,93 @@ class TestStructure:
         assert ng.has_uniform_class_sizes(ng.construct("dihedral(8)")) == (False, None)
         with pytest.raises(ng.AbelianInput):
             ng.has_uniform_class_sizes(ng.construct("cyclic(6)"))
+
+
+def old_upper_central_series(g):
+    """The per-element loop that upper_central_series replaced, as the
+    member sets of each level."""
+    n = g.order
+    t = g.table
+    inv = g.inverses
+    idx = np.arange(n)
+    current = np.zeros(n, dtype=bool)
+    current[0] = True
+    levels = [current.copy()]
+    while not current.all():
+        nxt = np.zeros(n, dtype=bool)
+        members = np.nonzero(current)[0]
+        for x in range(n):
+            if current[x]:
+                nxt[x] = True
+                continue
+            conj = t[t[inv, x], idx]
+            allowed = np.zeros(n, dtype=bool)
+            allowed[t[x, members]] = True
+            nxt[x] = bool(allowed[conj].all())
+        if (nxt == current).all():
+            break
+        current = nxt
+        levels.append(current.copy())
+    return [frozenset(np.flatnonzero(m).tolist()) for m in levels]
+
+
+def old_element_orders(g):
+    """The per-element power walk that element_orders replaced."""
+    t = g.table.tolist()
+    orders = [1] * g.order
+    for x in range(1, g.order):
+        k, y = 1, x
+        while y != 0:
+            y = t[y][x]
+            k += 1
+        orders[x] = k
+    return orders
+
+
+def relabeled_import(desc, seed):
+    """``desc`` imported from .cay text with its elements relabeled."""
+    t = relabel(ng.construct(desc).table, np.random.default_rng(seed))
+    return ng.parse_group(f"{len(t)}\n" + "\n".join(" ".join(map(str, row)) for row in t))
+
+
+ORACLE_GROUPS = ["dihedral(24)", "heisenberg(3,2)", "product(dihedral(4),cyclic(3))"]
+
+
+class TestArrayOracles:
+    """The array versions against the per-element loops they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("desc", ORACLE_GROUPS)
+    def test_series_and_orders_match_the_loops(self, desc, seed):
+        g = relabeled_import(desc, seed)
+        assert [s.members for s in ng.upper_central_series(g)] == old_upper_central_series(g)
+        assert ng.element_orders(g).tolist() == old_element_orders(g)
+
+    def test_non_nilpotent_series_matches_the_loop(self):
+        g = relabeled_import("dihedral(12)", 3)
+        series = ng.upper_central_series(g)
+        assert [s.members for s in series] == old_upper_central_series(g)
+        assert len(series[-1]) < g.order
+
+    @pytest.mark.parametrize("desc", ORACLE_GROUPS + [
+        "product(dicyclic(2),heisenberg(3,1))", "dihedral(5)", "cyclic(6)"])
+    def test_centralizer_data_matches_brute_force(self, desc):
+        g = relabeled_import(desc, 11)
+        data = ng.centralizer_data(g)
+        ids = {}
+        for x in range(g.order):
+            c = ng.centralizer(g, x)
+            sub = ng.induced_group(g, c)
+            assert data.sizes[x] == len(c) == ng.centralizer_size(g, x)
+            assert data.center_sizes[x] == len(ng.center(sub))
+            assert data.abelian[x] == sub.is_abelian
+            # equal ids exactly for equal centralizers
+            assert ids.setdefault(int(data.ids[x]), c.members) == c.members
+        assert len(set(ids.values())) == len(ids)
+        if not g.is_abelian:
+            noncentral = [x for x in range(g.order) if len(ng.centralizer(g, x)) < g.order]
+            assert ng.is_ac_group(g) == all(
+                ng.induced_group(g, ng.centralizer(g, x)).is_abelian for x in noncentral)
 
 
 class TestProductsAndSylow:
