@@ -169,6 +169,26 @@ def _check_associative(arr, identity, name) -> None:
         _right_closure(arr, covered, np.nonzero(covered)[0], gens)
 
 
+def _index_entries(arr, name) -> np.ndarray:
+    """An int64 copy of a table that is not an integer array, or
+    ``NotClosed`` at the first entry (row-major) that is not an integer in
+    0..n-1, such as 0.5 or 10**30."""
+    n = arr.shape[0]
+    out = np.empty(arr.shape, dtype=np.int64)
+    for (i, j), v in np.ndenumerate(arr):
+        if isinstance(v, np.generic):
+            v = v.item()
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise NotClosed(
+                f"{name}: entry {v!r} at ({i}, {j}) is not an index in 0..{n - 1}",
+                witness=(i, j, v),
+            )
+        out[i, j] = v
+    return out
+
+
 def validate(raw, descriptor=None) -> CayleyTable:
     """Check the group axioms on a raw table and return a normalized group.
 
@@ -178,13 +198,20 @@ def validate(raw, descriptor=None) -> CayleyTable:
     ``NotAssociative`` with a triple ``(x, a, y)`` such that
     ``(x*a)*y != x*(a*y)``.  If the identity is not at index 0, elements are
     relabeled so that it is.
+
+    Every entry must be an integer in 0..n-1; the first one that is not
+    (row-major) raises ``NotClosed`` with witness ``(i, j, value)``.  An
+    integer array is read as it is; any other table (fractions, integers
+    beyond int64) is walked entry by entry, so 0.5 is never truncated.
     """
-    arr = np.array(raw, dtype=np.int64)
+    arr = np.asarray(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError("expected a square table of order >= 1")
     n = arr.shape[0]
     name = descriptor if descriptor is not None else f"table(order={n})"
 
+    if arr.dtype.kind not in "iu":
+        arr = _index_entries(arr, name)
     bad = (arr < 0) | (arr >= n)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])

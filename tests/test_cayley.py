@@ -73,6 +73,40 @@ class TestValidate:
         g = ng.validate(t)
         assert g.order == n
 
+    @pytest.mark.parametrize("bad", [0.5, 10**30, -(10**30), float("nan")])
+    def test_rejects_entries_that_are_not_indices(self, bad):
+        # a fraction is not truncated and a huge integer is not an
+        # OverflowError: both are NotClosed at the first bad entry
+        t = [[0, 1, 2], [1, 2, bad], [2, 0, bad]]
+        with pytest.raises(ng.NotClosed) as exc:
+            ng.validate(t)
+        assert repr(exc.value.witness) == repr((1, 2, bad))
+
+    def test_integral_floats_are_indices(self):
+        t = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        g = ng.validate(np.array(t, dtype=float))
+        assert np.array_equal(g.table, np.array(t))
+
+    def test_first_bad_entry_is_row_major(self):
+        # an out-of-range integer before a fraction is the witness
+        t = [[0, 1, 2], [1, 7, 0.5], [2, 0, 1]]
+        with pytest.raises(ng.NotClosed) as exc:
+            ng.validate(t)
+        assert exc.value.witness == (1, 1, 7)
+
+    def test_integer_tables_skip_the_entry_walk(self, monkeypatch):
+        # construct validates every scan entry: integer arrays and lists of
+        # ints must not pay the per-entry walk
+        def walk(arr, name):
+            raise AssertionError("entry walk on an integer table")
+
+        monkeypatch.setattr(cayley, "_index_entries", walk)
+        t = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        for raw in (t, np.array(t), np.array(t, dtype=np.int32),
+                    np.array(t, dtype=np.uint8)):
+            assert ng.validate(raw).order == 5
+        assert ng.construct("dihedral(6)").order == 12
+
 
 def has_failing_triple(t):
     """Brute-force associativity oracle over all n^3 triples."""

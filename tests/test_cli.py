@@ -116,6 +116,16 @@ class TestChain:
         assert out["orders"] == [12]
         assert out["steps"] == 0
 
+    def test_chain_overlong_token(self, capsys, tmp_path):
+        # an entry too long for int64 is a parse error, not a traceback
+        path = tmp_path / "long.cay"
+        path.write_text("2\n0 1\n1 99999999999999999999999\n")
+        code, stdout, stderr = run(capsys, "chain", "--group", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert stderr.startswith("ncgraph chain: line 3: entry 1 ")
+
     def test_chain_abelian_root(self, capsys, tmp_path):
         path = tmp_path / "c6.cay"
         ng.export_group(ng.construct("cyclic(6)"), str(path))
