@@ -46,12 +46,11 @@ already explored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotAnIsomorphism
-from .graphs import NcGraph, adjacency_matrix, iter_bits
+from .graphs import NcGraph, adjacency_matrix, iter_bits, unpack_masks
 
 # Bumped whenever the certificate bytes of some graph change; stores of
 # certificates key on it so that they never hand back bytes of another version.
@@ -162,6 +161,7 @@ class _QuotientSearch:
 
     def __init__(self, qadj, colors):
         self.adj = qadj
+        self.mat = unpack_masks(qadj)
         self.colors = colors
         self.n = len(qadj)
         self.color_codes = [len(c).to_bytes(4, "big") + c for c in colors]
@@ -281,44 +281,45 @@ class _QuotientSearch:
         return None
 
     def _verify_automorphism(self, gamma):
-        for v in range(self.n):
-            if self.colors[gamma[v]] != self.colors[v]:
-                raise InternalInconsistency(
-                    "leaf-derived map does not preserve quotient colours"
-                )
-            image = 0
-            for j in iter_bits(self.adj[v]):
-                image |= 1 << gamma[j]
-            if image != self.adj[gamma[v]]:
-                raise InternalInconsistency(
-                    "leaf-derived map does not preserve quotient adjacency"
-                )
+        """Raise unless ``gamma`` preserves colours and adjacency; the message
+        names the check that fails at the lowest vertex, colours first."""
+        recoloured = next((v for v in range(self.n)
+                           if self.colors[gamma[v]] != self.colors[v]), self.n)
+        g = np.asarray(gamma)
+        rewired = np.flatnonzero((self.mat[np.ix_(g, g)] != self.mat).any(axis=1))
+        if recoloured <= (rewired[0] if rewired.size else self.n - 1):
+            raise InternalInconsistency(
+                "leaf-derived map does not preserve quotient colours"
+            )
+        if rewired.size:
+            raise InternalInconsistency(
+                "leaf-derived map does not preserve quotient adjacency"
+            )
 
     def _encode(self, pi):
         head = b"".join(self.color_codes[v] for v in pi)
-        bits = 0
-        npairs = 0
-        for i in range(self.n):
-            ai = self.adj[pi[i]]
-            for j in range(i + 1, self.n):
-                bits = bits << 1 | (ai >> pi[j] & 1)
-                npairs += 1
-        nbytes = (npairs + 7) // 8
-        bits <<= nbytes * 8 - npairs
-        return head + bits.to_bytes(nbytes, "big")
+        return head + _upper_bits(self.mat, pi)
 
 
-@lru_cache(maxsize=256)
+def _upper_bits(mat, order) -> bytes:
+    """The strict upper triangle of ``mat`` with rows and columns taken in
+    ``order``, row by row, packed big-endian and zero-padded to whole bytes."""
+    p = np.asarray(order, dtype=np.intp)
+    iu, ju = np.triu_indices(len(p), k=1)
+    return np.packbits(mat[p[iu], p[ju]]).tobytes()
+
+
 def _canon(graph: NcGraph):
-    qadj, colors, expansion = _contract_to_fixpoint(graph.adj)
-    q_pi = _QuotientSearch(qadj, colors).run()
-    order = tuple(v for q in q_pi for v in expansion[q])
-    n = graph.num_vertices
-    perm = np.array(order, dtype=np.int64)
-    mat = adjacency_matrix(graph)[np.ix_(perm, perm)]
-    iu, ju = np.triu_indices(n, k=1)
-    cert = n.to_bytes(4, "big") + np.packbits(mat[iu, ju]).tobytes()
-    return order, cert
+    """(canonical order, certificate) of the graph, memoised on it."""
+    form = graph._memo.get("canon")
+    if form is None:
+        qadj, colors, expansion = _contract_to_fixpoint(graph.adj)
+        q_pi = _QuotientSearch(qadj, colors).run()
+        order = tuple(v for q in q_pi for v in expansion[q])
+        n = graph.num_vertices
+        form = order, n.to_bytes(4, "big") + _upper_bits(adjacency_matrix(graph), order)
+        graph._memo["canon"] = form
+    return form
 
 
 def canonical_order(graph: NcGraph) -> tuple:
@@ -356,8 +357,15 @@ def degree_profile(graph: NcGraph) -> tuple:
     vertex count, edge count, degree multiset, and the multiset of
     (degree, sorted neighbour degrees) pairs.  Neighbour degrees are counted
     as ``adjacency @ onehot(degree)``; each distinct row becomes a tuple once,
-    built from the distinct degree ints.
+    built from the distinct degree ints.  Memoised on the graph.
     """
+    profile = graph._memo.get("degree_profile")
+    if profile is None:
+        profile = graph._memo["degree_profile"] = _degree_profile(graph)
+    return profile
+
+
+def _degree_profile(graph: NcGraph) -> tuple:
     mat = adjacency_matrix(graph)
     degs = mat.sum(axis=1)
     distinct, cls, counts = np.unique(degs, return_inverse=True, return_counts=True)

@@ -3,11 +3,15 @@
 The graph of a non-abelian group has the non-central elements as vertices and
 an edge between two elements exactly when they do not commute.  Adjacency is
 stored as one arbitrary-size integer bitmask per vertex, which makes
-neighbourhood intersections during refinement single `&` operations.
+neighbourhood intersections during refinement single `&` operations.  Each
+graph also holds those masks unpacked once into a read-only n-by-n boolean
+matrix, which the whole-graph operations (relabeling, the multipartite test,
+certificates and isomorphism checks) work on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +28,32 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def adjacency_matrix(graph: NcGraph) -> np.ndarray:
-    """The adjacency masks unpacked to an n-by-n boolean matrix.
+def unpack_masks(masks) -> np.ndarray:
+    """Bitmasks over positions 0..n-1 unpacked to an n-by-n boolean matrix.
 
     Bits at positions n and above are dropped; ``NcGraph`` rejects them
     before it unpacks its own masks.
     """
-    n = len(graph.adj)
+    n = len(masks)
     width = (n + 7) // 8
-    raw = b"".join(mask.to_bytes(width, "little") for mask in graph.adj)
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :n].astype(bool)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
+def pack_rows(mat: np.ndarray) -> tuple:
+    """The rows of a boolean matrix as bitmasks, bit j for column j."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def adjacency_matrix(graph: NcGraph) -> np.ndarray:
+    """The graph's read-only n-by-n boolean adjacency matrix.
+
+    It is unpacked once, when the graph is constructed, and shared by every
+    caller; copy it before writing.
+    """
+    return graph._matrix
 
 
 @dataclass(frozen=True)
@@ -43,7 +62,11 @@ class NcGraph:
 
     ``vertices[i]`` is the parent element index of local vertex i (ascending);
     ``adj[i]`` is a bitmask over local vertex positions.  Construction checks
-    symmetry and irreflexivity.
+    symmetry and irreflexivity, and keeps the unpacked adjacency matrix for
+    ``adjacency_matrix``.  Derived forms (the canonical labeling, the degree
+    profile) are memoised on the graph and freed with it; like the matrix,
+    they sit outside the dataclass fields, so equality and hashing see only
+    the fields.
     """
 
     vertices: tuple
@@ -59,7 +82,7 @@ class NcGraph:
         for i, mask in enumerate(self.adj):
             if mask >> n:
                 raise ValueError(f"vertex {i} has neighbour bits outside 0..{n - 1}")
-        mat = adjacency_matrix(self)
+        mat = unpack_masks(self.adj)
         loops = np.flatnonzero(mat.diagonal())
         if loops.size:
             raise ValueError(f"vertex {loops[0]} has a self-loop")
@@ -67,6 +90,9 @@ class NcGraph:
         if one_way.size:
             i, j = one_way[0]
             raise ValueError(f"edge {i}-{j} is not symmetric")
+        mat.flags.writeable = False
+        object.__setattr__(self, "_matrix", mat)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def num_vertices(self) -> int:
@@ -96,41 +122,44 @@ class NcGraph:
                 for j in iter_bits(mask >> (i + 1) << (i + 1))]
 
     def complement_components(self) -> list:
-        """Connected components of the complement graph, as sorted tuples."""
-        n = len(self.vertices)
-        full = (1 << n) - 1
-        unseen = full
+        """Connected components of the complement graph, as sorted tuples,
+        ordered by least member.
+
+        Breadth-first over the non-adjacency matrix: each vertex enters the
+        frontier once, so the whole walk reads each matrix row once.
+        """
+        nonadj = ~self._matrix
+        unseen = np.ones(len(self.vertices), dtype=bool)
         comps = []
-        while unseen:
-            start = (unseen & -unseen).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            unseen &= ~comp
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nonadj = ~self.adj[v] & full & ~(1 << v)
-                new = nonadj & unseen
-                comp |= new
-                frontier |= new
-                unseen &= ~new
-            comps.append(tuple(iter_bits(comp)))
+        for start in range(len(self.vertices)):
+            if not unseen[start]:
+                continue
+            unseen[start] = False
+            frontier = np.zeros_like(unseen)
+            frontier[start] = True
+            comp = frontier.copy()
+            while frontier.any():
+                frontier = nonadj[frontier].any(axis=0) & unseen
+                unseen &= ~frontier
+                comp |= frontier
+            comps.append(tuple(np.flatnonzero(comp).tolist()))
         return comps
 
     def multipartite_parts(self):
         """Part sizes (descending) if the graph is complete multipartite, else None.
 
-        A graph is complete multipartite exactly when every connected
-        component of its complement is an independent set of this graph:
-        those components are then the parts.
+        A graph is complete multipartite exactly when "equal or non-adjacent"
+        is an equivalence relation; its classes are then the parts.  That
+        relation is reflexive and symmetric, so it is an equivalence exactly
+        when its distinct rows are disjoint, that is, when their sizes add
+        up to n.  The multiplicity of each distinct row is then its part size.
+        The rows are the complemented masks, so no matrix is needed.
         """
-        comps = self.complement_components()
-        for comp in comps:
-            for idx, i in enumerate(comp):
-                for j in comp[idx + 1:]:
-                    if self.adj[i] >> j & 1:
-                        return None
-        return tuple(sorted((len(c) for c in comps), reverse=True))
+        full = (1 << len(self.adj)) - 1
+        rows = Counter(~mask & full for mask in self.adj)
+        if sum(row.bit_count() for row in rows) != len(self.adj):
+            return None
+        return tuple(sorted(rows.values(), reverse=True))
 
 
 def build_nc_graph(g: CayleyTable) -> NcGraph:
@@ -153,8 +182,7 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
     verts = tuple(int(v) for v in np.nonzero(~central)[0])
     sub = ~comm[np.ix_(verts, verts)]
     np.fill_diagonal(sub, False)
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    adj = pack_rows(sub)
     graph = NcGraph(
         vertices=verts,
         adj=adj,
@@ -180,22 +208,20 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
 def relabeled(graph: NcGraph, perm) -> NcGraph:
     """The same abstract graph with local vertices renamed by ``perm``.
 
-    ``perm[i]`` is the new position of old vertex i.  Parent metadata is kept;
-    the parent-element list is permuted alongside the vertices, so vertex
-    ``perm[i]`` still refers to the same group element.
+    ``perm[i]`` is the new position of old vertex i; ``perm`` must be a
+    permutation of ``range(n)``.  Parent metadata is kept; the parent-element
+    list is permuted alongside the vertices, so vertex ``perm[i]`` still
+    refers to the same group element.
     """
-    n = len(graph.vertices)
-    new_vertices = [0] * n
-    new_adj = [0] * n
-    for i in range(n):
-        new_vertices[perm[i]] = graph.vertices[i]
-        mask = 0
-        for j in iter_bits(graph.adj[i]):
-            mask |= 1 << perm[j]
-        new_adj[perm[i]] = mask
+    n = graph.num_vertices
+    p = np.asarray(perm)
+    if (p.shape != (n,) or (n and p.dtype.kind not in "iu")
+            or not np.array_equal(np.sort(p), np.arange(n))):
+        raise ValueError(f"perm is not a permutation of range({n})")
+    old = np.argsort(p)  # old[k] is the vertex that moves to position k
     return NcGraph(
-        vertices=tuple(new_vertices),
-        adj=tuple(new_adj),
+        vertices=tuple(graph.vertices[k] for k in old.tolist()),
+        adj=pack_rows(adjacency_matrix(graph)[np.ix_(old, old)]),
         parent_descriptor=graph.parent_descriptor,
         parent_order=graph.parent_order,
         parent_center_size=graph.parent_center_size,

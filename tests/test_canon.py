@@ -298,6 +298,125 @@ class TestArrayOracles:
         assert outcomes == {True, False}
 
 
+def old_encode(adj, colors, pi):
+    """The double loop that _QuotientSearch._encode used: colour head, then
+    the permuted upper triangle shifted bit by bit into one big int."""
+    head = b"".join(len(colors[v]).to_bytes(4, "big") + colors[v] for v in pi)
+    n = len(adj)
+    bits = 0
+    npairs = 0
+    for i in range(n):
+        ai = adj[pi[i]]
+        for j in range(i + 1, n):
+            bits = bits << 1 | (ai >> pi[j] & 1)
+            npairs += 1
+    nbytes = (npairs + 7) // 8
+    bits <<= nbytes * 8 - npairs
+    return head + bits.to_bytes(nbytes, "big")
+
+
+def old_automorphism_failure(adj, colors, gamma):
+    """The per-vertex loop that _verify_automorphism used: the message it
+    raised first, or None for an automorphism."""
+    for v in range(len(adj)):
+        if colors[gamma[v]] != colors[v]:
+            return "colours"
+        image = 0
+        for j in iter_bits(adj[v]):
+            image |= 1 << gamma[j]
+        if image != adj[gamma[v]]:
+            return "adjacency"
+    return None
+
+
+def random_quotient(rng, n):
+    """Seeded coloured graph on n vertices: masks of a random symmetric
+    matrix and colours drawn from nested (size, kind) records."""
+    m = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+    adj = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for row in m | m.T)
+    records = [b"", (2).to_bytes(4, "big") + b"\x01",
+               (3).to_bytes(4, "big") + b"\x02" + (2).to_bytes(4, "big") + b"\x01"]
+    colors = tuple(records[k] for k in rng.integers(0, int(rng.integers(1, 4)), n))
+    return adj, colors
+
+
+class TestSearchOracles:
+    """_QuotientSearch's leaf encoding and automorphism check against the
+    loops they replaced."""
+
+    def test_encode_matches_the_double_loop(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 41):
+            for _ in range(3):
+                adj, colors = random_quotient(rng, n)
+                search = canon._QuotientSearch(adj, colors)
+                for _ in range(2):
+                    pi = tuple(rng.permutation(n).tolist())
+                    assert search._encode(pi) == old_encode(adj, colors, pi), n
+
+    def test_planted_maps_are_rejected(self):
+        # 0 - 1 - 2 with 0 and 2 coloured apart: swapping them keeps every
+        # edge but breaks colours; swapping 0 and 1 keeps colours but not edges
+        path = (0b010, 0b101, 0b010)
+        search = canon._QuotientSearch(path, (b"a", b"b", b"b"))
+        with pytest.raises(ng.InternalInconsistency, match="quotient colours"):
+            search._verify_automorphism((2, 1, 0))
+        search = canon._QuotientSearch(path, (b"a",) * 3)
+        search._verify_automorphism((2, 1, 0))
+        with pytest.raises(ng.InternalInconsistency, match="quotient adjacency"):
+            search._verify_automorphism((1, 0, 2))
+
+    def test_verify_automorphism_matches_the_loop(self):
+        rng = np.random.default_rng(67)
+        outcomes = set()
+        for n in range(1, 25):
+            for _ in range(6):
+                adj, colors = random_quotient(rng, n)
+                search = canon._QuotientSearch(adj, colors)
+                maps = [tuple(range(n)), tuple(rng.permutation(n).tolist())]
+                if n > 1:  # one transposition: often breaks one check only
+                    u, v = rng.choice(n, size=2, replace=False)
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    maps.append(tuple(int(x) for x in swap))
+                for gamma in maps:
+                    expected = old_automorphism_failure(adj, colors, gamma)
+                    outcomes.add(expected)
+                    if expected is None:
+                        search._verify_automorphism(gamma)
+                        continue
+                    with pytest.raises(ng.InternalInconsistency,
+                                       match=f"quotient {expected}"):
+                        search._verify_automorphism(gamma)
+        assert outcomes == {None, "colours", "adjacency"}
+
+
+class TestHeldForms:
+    def test_canonical_form_and_profile_are_computed_once(self, monkeypatch):
+        graph = ng.build_nc_graph(ng.construct("dihedral(9)"))
+        cert, profile = ng.certificate(graph), ng.degree_profile(graph)
+
+        def recomputed(*args):
+            pytest.fail("a held form was computed again")
+
+        monkeypatch.setattr(canon, "_contract_to_fixpoint", recomputed)
+        monkeypatch.setattr(canon, "_degree_profile", recomputed)
+        for _ in range(3):
+            assert ng.certificate(graph) is cert
+            assert ng.degree_profile(graph) is profile
+            assert ng.canonical_order(graph) == ng.canonical_certificate(graph).order
+            assert ng.find_isomorphism(graph, graph) is not None
+
+    def test_each_graph_holds_its_own_form(self):
+        graph = ng.build_nc_graph(ng.construct("dicyclic(6)"))
+        moved = ng.relabeled(graph, range(graph.num_vertices - 1, -1, -1))
+        assert ng.certificate(moved) == ng.certificate(graph)
+        assert ng.canonical_order(moved) != ng.canonical_order(graph)
+        phi = ng.find_isomorphism(graph, moved)
+        assert phi.mapping != tuple(range(graph.num_vertices))
+
+
 class TestIsomorphism:
     def test_find_isomorphism_verified(self):
         a = ng.build_nc_graph(ng.construct("dihedral(8)"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
-from ncgraph.graphs import adjacency_matrix, iter_bits
+from ncgraph.graphs import adjacency_matrix, iter_bits, pack_rows
 
 
 def masks_from_edges(n, edges):
@@ -176,3 +176,143 @@ class TestOperations:
         graph = ng.build_nc_graph(ng.construct("dihedral(3)"))
         same = ng.relabeled(graph, list(range(graph.num_vertices)))
         assert same == graph
+
+    def test_relabeled_rejects_non_permutations(self):
+        graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
+        assert graph.num_vertices == 6
+        for bad in ([0, 0, 1, 2, 3, 4], list(range(7)), list(range(5)),
+                    [5, 4, 3, 2, 1, 6], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                    [[0, 1, 2], [3, 4, 5]]):
+            with pytest.raises(ValueError, match=r"not a permutation of range\(6\)"):
+                ng.relabeled(graph, bad)
+        reversed_graph = ng.relabeled(graph, range(5, -1, -1))
+        assert reversed_graph.vertices == graph.vertices[::-1]
+        assert ng.relabeled(graph, np.arange(6)) == graph
+
+    def test_adjacency_matrix_is_held_and_read_only(self):
+        graph = ng.build_nc_graph(ng.construct("dihedral(5)"))
+        mat = adjacency_matrix(graph)
+        assert adjacency_matrix(graph) is mat
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 1] = not mat[0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            mat.fill(False)
+
+    def test_held_forms_stay_outside_equality_and_hash(self):
+        a = ng.build_nc_graph(ng.construct("dihedral(6)"))
+        ng.certificate(a)
+        ng.degree_profile(a)
+        b = ng.relabeled(a, range(a.num_vertices))
+        assert a == b and hash(a) == hash(b)
+        assert "_matrix" not in repr(a) and "_memo" not in repr(a)
+
+
+def old_relabeled(graph, perm):
+    """The bit loop that relabeled used before it permuted the matrix."""
+    n = len(graph.vertices)
+    new_vertices = [0] * n
+    new_adj = [0] * n
+    for i in range(n):
+        new_vertices[perm[i]] = graph.vertices[i]
+        mask = 0
+        for j in iter_bits(graph.adj[i]):
+            mask |= 1 << perm[j]
+        new_adj[perm[i]] = mask
+    return tuple(new_vertices), tuple(new_adj)
+
+
+def old_complement_components(graph):
+    """The bitmask walk that complement_components used before the matrix."""
+    n = len(graph.vertices)
+    full = (1 << n) - 1
+    unseen = full
+    comps = []
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        comp = 1 << start
+        frontier = comp
+        unseen &= ~comp
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = ~graph.adj[v] & full & ~(1 << v) & unseen
+            comp |= new
+            frontier |= new
+            unseen &= ~new
+        comps.append(tuple(iter_bits(comp)))
+    return comps
+
+
+def old_multipartite_parts(graph):
+    """The walk that multipartite_parts used: every complement component must
+    be an independent set."""
+    comps = old_complement_components(graph)
+    for comp in comps:
+        for idx, i in enumerate(comp):
+            for j in comp[idx + 1:]:
+                if graph.adj[i] >> j & 1:
+                    return None
+    return tuple(sorted((len(c) for c in comps), reverse=True))
+
+
+def matrix_graph(adjm):
+    n = len(adjm)
+    return ng.NcGraph(vertices=tuple(range(n)), adj=pack_rows(adjm),
+                      parent_descriptor="handmade", parent_order=n + 1,
+                      parent_center_size=1)
+
+
+def multipartite_with_flip(rng):
+    """A seeded complete multipartite graph, and a copy with one vertex pair
+    flipped (an edge removed between parts, or added inside one)."""
+    sizes = rng.integers(1, 6, size=rng.integers(1, 7))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    adjm = owner[:, None] != owner[None, :]
+    n = len(owner)
+    flipped = adjm.copy()
+    if n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        flipped[i, j] = flipped[j, i] = not adjm[i, j]
+    return matrix_graph(adjm), matrix_graph(flipped)
+
+
+class TestMatrixOracles:
+    """relabeled, complement_components and multipartite_parts against the
+    bitmask loops they replaced."""
+
+    def test_relabeled_on_catalog_graphs(self, catalog_groups):
+        for index, g in enumerate(catalog_groups.values()):
+            graph = ng.build_nc_graph(g)
+            rng = np.random.default_rng([51, index])
+            for _ in range(2):
+                perm = rng.permutation(graph.num_vertices).tolist()
+                moved = ng.relabeled(graph, perm)
+                assert (moved.vertices, moved.adj) == old_relabeled(graph, perm), g.descriptor
+
+    def test_multipartite_parts_on_catalog_graphs(self, catalog_groups):
+        shapes = set()
+        for g in catalog_groups.values():
+            graph = ng.build_nc_graph(g)
+            parts = graph.multipartite_parts()
+            assert parts == old_multipartite_parts(graph), g.descriptor
+            assert graph.complement_components() == old_complement_components(graph)
+            shapes.add(parts is None)
+        assert shapes == {True, False}
+
+    def test_multipartite_parts_on_seeded_flips(self):
+        rng = np.random.default_rng(53)
+        outcomes = set()
+        for _ in range(200):
+            for graph in multipartite_with_flip(rng):
+                parts = graph.multipartite_parts()
+                assert parts == old_multipartite_parts(graph)
+                assert graph.complement_components() == old_complement_components(graph)
+                outcomes.add(parts is None)
+        assert outcomes == {True, False}
+
+    def test_empty_graph(self):
+        graph = ng.NcGraph(vertices=(), adj=(), parent_descriptor="x",
+                           parent_order=1, parent_center_size=1)
+        assert graph.multipartite_parts() == old_multipartite_parts(graph) == ()
+        assert graph.complement_components() == []
+        assert ng.relabeled(graph, []) == graph
