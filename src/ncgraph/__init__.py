@@ -59,10 +59,8 @@ from .graphs import (
     relabeled,
 )
 from .canon import (
-    CanonicalCertificate,
     Isomorphism,
     TwinClass,
-    canonical_certificate,
     canonical_order,
     certificate,
     degree_profile,
@@ -138,8 +136,7 @@ __all__ = [
     "NcGraph", "build_nc_graph", "relabeled",
     # canonical labeling
     "TwinClass", "twin_partition", "canonical_order", "certificate",
-    "CanonicalCertificate", "canonical_certificate", "degree_profile",
-    "Isomorphism", "find_isomorphism",
+    "degree_profile", "Isomorphism", "find_isomorphism",
     # audits
     "AuditItem", "PairAudit", "audit_isomorphic_pair", "divisibility_check",
     "CentralizerChain", "centralizer_chain", "seeded_picker",

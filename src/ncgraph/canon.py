@@ -10,11 +10,12 @@ The pipeline:
    isomorphism maps twin classes onto twin classes of the same size, kind
    and colour, and all adjacency between two distinct classes is
    all-or-nothing.
-2. Contract each class to one vertex of a coloured quotient graph, verifying
-   the all-or-nothing block property and each class interior.  A class of
-   two or more vertices gets the colour (class size, class kind, member
-   colour); a singleton keeps its colour.  Repeat steps 1 and 2 on the
-   quotient until no twin class is left.
+2. Contract each class to its least member, and verify the quotient by
+   blowing it back up (a loop on each closed-twin class, the diagonal
+   cleared): it must equal the graph's matrix.  A class of two or more
+   vertices gets the colour (class size, class kind, member colour); a
+   singleton keeps its colour.  Repeat steps 1 and 2 on the quotient until
+   no twin class is left.
 3. Canonically label the final quotient by individualization-refinement:
    equitable refinement of the colour partition, branching on the first
    smallest non-singleton cell, keeping the lexicographically least leaf
@@ -41,6 +42,9 @@ isomorphism (the matrices are equal entry for entry).  The least encoding
 does not depend on the labeling, because pruning drops only subtrees whose
 leaves are images, under a verified automorphism, of leaves in a subtree
 already explored.
+
+Every step reads the boolean adjacency matrix, except the refinement in
+step 3, which intersects bitmask rows packed from the final quotient.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency, NotAnIsomorphism
-from .graphs import NcGraph, adjacency_matrix, iter_bits, unpack_masks
+from .graphs import NcGraph, adjacency_matrix, pack_rows
 
 # Bumped whenever the certificate bytes of some graph change; stores of
 # certificates key on it so that they never hand back bytes of another version.
@@ -66,11 +70,16 @@ class TwinClass:
     kind: int
 
 
-def _twin_classes(adj, colors) -> list:
+def _rows(mat) -> list:
+    """Each row of a boolean matrix packed to bytes, as a hashable key."""
+    return list(map(bytes, np.packbits(mat, axis=1)))
+
+
+def _twin_classes(mat, colors) -> list:
     """Coloured twin classes, members ascending, ordered by least member."""
     open_groups = {}
-    for v in range(len(adj)):
-        open_groups.setdefault((colors[v], adj[v]), []).append(v)
+    for v, row in enumerate(_rows(mat)):
+        open_groups.setdefault((colors[v], row), []).append(v)
     classes = []
     leftovers = []
     for vs in open_groups.values():
@@ -78,9 +87,11 @@ def _twin_classes(adj, colors) -> list:
             classes.append(TwinClass(tuple(vs), 1))
         else:
             leftovers.append(vs[0])
+    closed = mat[leftovers]
+    closed[np.arange(len(leftovers)), leftovers] = True
     closed_groups = {}
-    for v in leftovers:
-        closed_groups.setdefault((colors[v], adj[v] | 1 << v), []).append(v)
+    for v, row in zip(leftovers, _rows(closed)):
+        closed_groups.setdefault((colors[v], row), []).append(v)
     for vs in closed_groups.values():
         classes.append(TwinClass(tuple(vs), 2 if len(vs) >= 2 else 0))
     classes.sort(key=lambda c: c.members[0])
@@ -89,69 +100,56 @@ def _twin_classes(adj, colors) -> list:
 
 def twin_partition(graph: NcGraph) -> tuple:
     """Partition local vertices into twin classes, ordered by least member."""
-    return tuple(_twin_classes(graph.adj, (b"",) * graph.num_vertices))
+    return tuple(_twin_classes(adjacency_matrix(graph), (b"",) * graph.num_vertices))
 
 
-def _contract(adj, colors, classes):
-    """Coloured quotient adjacency; verifies every inter-class block is constant
-    and every class interior matches its kind."""
-    owner = [0] * len(adj)
-    cmasks = [0] * len(classes)
-    for a, c in enumerate(classes):
-        for v in c.members:
-            owner[v] = a
-            cmasks[a] |= 1 << v
-    qadj = []
+def _contract(mat, colors, classes):
+    """Coloured quotient matrix of the twin classes, verified against its
+    blow-up; the first mismatch in row-major order names the failing check."""
+    reps = [c.members[0] for c in classes]
+    owner = np.empty(len(mat), dtype=np.intp)
+    owner[[v for c in classes for v in c.members]] = np.repeat(
+        np.arange(len(classes)), [len(c.members) for c in classes])
+    qmat = mat[np.ix_(reps, reps)]
+    looped = qmat.copy()
+    np.fill_diagonal(looped, [c.kind == 2 for c in classes])
+    expected = looped[np.ix_(owner, owner)]
+    np.fill_diagonal(expected, False)
+    bad = np.flatnonzero(expected != mat)
+    if bad.size:
+        u, w = divmod(int(bad[0]), len(mat))
+        a, b = int(owner[u]), int(owner[w])
+        if a != b:
+            raise InternalInconsistency(
+                f"block between twin classes {a} and {b} is not constant"
+            )
+        if classes[a].kind == 2:
+            raise InternalInconsistency(f"closed-twin class {a} is not a clique")
+        raise InternalInconsistency(f"open-twin class {a} contains an edge")
     qcolors = []
-    for a, c in enumerate(classes):
-        members, kind = c.members, c.kind
-        cmask = cmasks[a]
-        outside = adj[members[0]] & ~cmask
-        for u in members:
-            stray = (adj[u] & ~cmask) ^ outside
-            if stray:
-                b = owner[next(iter_bits(stray))]
-                raise InternalInconsistency(
-                    f"block between twin classes {a} and {b} is not constant"
-                )
-            inter = adj[u] & cmask
-            if kind == 1 and inter:
-                raise InternalInconsistency(f"open-twin class {a} contains an edge")
-            if kind == 2 and inter != cmask & ~(1 << u):
-                raise InternalInconsistency(f"closed-twin class {a} is not a clique")
-        row = 0
-        rest = outside
-        while rest:
-            b = owner[(rest & -rest).bit_length() - 1]
-            if outside & cmasks[b] != cmasks[b]:
-                raise InternalInconsistency(
-                    f"block between twin classes {a} and {b} is not constant"
-                )
-            row |= 1 << b
-            rest &= ~cmasks[b]
-        qadj.append(row)
-        color = colors[members[0]]
-        if kind:
-            color = len(members).to_bytes(4, "big") + bytes([kind]) + color
+    for c in classes:
+        color = colors[c.members[0]]
+        if c.kind:
+            color = len(c.members).to_bytes(4, "big") + bytes([c.kind]) + color
         qcolors.append(color)
-    return tuple(qadj), tuple(qcolors)
+    return qmat, tuple(qcolors)
 
 
-def _contract_to_fixpoint(adj):
+def _contract_to_fixpoint(mat):
     """Contract coloured twin classes until none is left.
 
-    Returns the final quotient's adjacency masks and colours, and for each
+    Returns the final quotient's adjacency matrix and colours, and for each
     quotient vertex the graph vertices it stands for, in expansion order.  A
     colour is a byte string: the base colour is empty, and a contracted class
     prepends a (size: 4 bytes, kind: 1 byte) record to its members' colour.
     """
-    colors = (b"",) * len(adj)
-    expansion = [(v,) for v in range(len(adj))]
+    colors = (b"",) * len(mat)
+    expansion = [(v,) for v in range(len(mat))]
     while True:
-        classes = _twin_classes(adj, colors)
-        if len(classes) == len(adj):
-            return adj, colors, expansion
-        adj, colors = _contract(adj, colors, classes)
+        classes = _twin_classes(mat, colors)
+        if len(classes) == len(mat):
+            return mat, colors, expansion
+        mat, colors = _contract(mat, colors, classes)
         expansion = [tuple(v for m in c.members for v in expansion[m])
                      for c in classes]
 
@@ -159,11 +157,11 @@ def _contract_to_fixpoint(adj):
 class _QuotientSearch:
     """Individualization-refinement canonical labeling of a coloured graph."""
 
-    def __init__(self, qadj, colors):
-        self.adj = qadj
-        self.mat = unpack_masks(qadj)
+    def __init__(self, qmat, colors):
+        self.mat = qmat
+        self.adj = pack_rows(qmat)  # bitmask rows, for _refine's intersections
         self.colors = colors
-        self.n = len(qadj)
+        self.n = len(qmat)
         self.color_codes = [len(c).to_bytes(4, "big") + c for c in colors]
         self.first = None  # (encoding, leaf, path) of the first leaf
         self.best = None  # (encoding, leaf, path) of the least leaf so far
@@ -237,9 +235,7 @@ class _QuotientSearch:
     def _orbits(self, base):
         """Orbit representative of each vertex under the stored automorphisms
         that fix every vertex of ``base``."""
-        bmask = 0
-        for b in base:
-            bmask |= 1 << b
+        base = list(base)
         rep = list(range(self.n))
 
         def find(x):
@@ -249,7 +245,7 @@ class _QuotientSearch:
             return x
 
         for gamma, fixed in self.auts:
-            if fixed & bmask != bmask:
+            if not fixed[base].all():
                 continue
             for x in range(self.n):
                 rx, ry = find(x), find(gamma[x])
@@ -269,11 +265,7 @@ class _QuotientSearch:
             for k in range(self.n):
                 gamma[ref_pi[k]] = pi[k]
             self._verify_automorphism(gamma)
-            fixed = 0
-            for v in range(self.n):
-                if gamma[v] == v:
-                    fixed |= 1 << v
-            self.auts.append((tuple(gamma), fixed))
+            self.auts.append((tuple(gamma), np.asarray(gamma) == np.arange(self.n)))
             # two distinct leaves' paths differ before either one ends
             return next(i for i, (x, y) in enumerate(zip(path, ref_path)) if x != y)
         if enc < self.best[0]:
@@ -313,8 +305,8 @@ def _canon(graph: NcGraph):
     """(canonical order, certificate) of the graph, memoised on it."""
     form = graph._memo.get("canon")
     if form is None:
-        qadj, colors, expansion = _contract_to_fixpoint(graph.adj)
-        q_pi = _QuotientSearch(qadj, colors).run()
+        qmat, colors, expansion = _contract_to_fixpoint(adjacency_matrix(graph))
+        q_pi = _QuotientSearch(qmat, colors).run()
         order = tuple(v for q in q_pi for v in expansion[q])
         n = graph.num_vertices
         form = order, n.to_bytes(4, "big") + _upper_bits(adjacency_matrix(graph), order)
@@ -333,28 +325,9 @@ def certificate(graph: NcGraph) -> bytes:
     return _canon(graph)[1]
 
 
-@dataclass(frozen=True)
-class CanonicalCertificate:
-    """A graph's canonical form together with the vertex order realising it.
-
-    ``encoding`` is the byte string compared across graphs; ``order[k]`` is the
-    local vertex placed at canonical position k, so two graphs with equal
-    encodings are matched by sending ``a.order[k]`` to ``b.order[k]``.
-    """
-
-    encoding: bytes
-    order: tuple
-
-
-def canonical_certificate(graph: NcGraph) -> CanonicalCertificate:
-    """Certificate and realising vertex order in one call."""
-    order, encoding = _canon(graph)
-    return CanonicalCertificate(encoding=encoding, order=order)
-
-
 def degree_profile(graph: NcGraph) -> tuple:
-    """Cheap isomorphism invariant checked before any canonical labeling:
-    vertex count, edge count, degree multiset, and the multiset of
+    """Cheap isomorphism invariant, for rejecting a pair before any canonical
+    labeling: vertex count, edge count, degree multiset, and the multiset of
     (degree, sorted neighbour degrees) pairs.  Neighbour degrees are counted
     as ``adjacency @ onehot(degree)``; each distinct row becomes a tuple once,
     built from the distinct degree ints.  Memoised on the graph.
@@ -417,15 +390,11 @@ class Isomorphism:
 def find_isomorphism(a: NcGraph, b: NcGraph):
     """An explicit verified isomorphism between the graphs, or None.
 
-    Cheap invariants first, then certificate comparison; on a match the two
-    canonical orders are composed into a concrete bijection, which the
+    Certificates are compared with no invariant checked first; on a match the
+    two canonical orders are composed into a concrete bijection, which the
     Isomorphism constructor re-verifies edge by edge.
     """
-    if degree_profile(a) != degree_profile(b):
-        return None
-    cert_a = certificate(a)
-    cert_b = certificate(b)
-    if cert_a != cert_b:
+    if certificate(a) != certificate(b):
         return None
     mapping = np.empty(a.num_vertices, dtype=np.int64)
     mapping[list(canonical_order(a))] = canonical_order(b)

@@ -77,15 +77,32 @@ class CatalogConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CatalogConfig":
-        known = {"families", "max_order", "cofactor_max", "coprime_cofactors",
-                 "cache_dir"}
-        unknown = set(data) - known
+        """Config from parsed JSON; a key of the wrong type is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(data) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            expected, ok = _CONFIG_TYPES[key]
+            if not ok(value):
+                raise ValueError(f"config {key!r} must be {expected}, got {value!r}")
         kwargs = dict(data)
         if "families" in kwargs:
             kwargs["families"] = tuple(kwargs["families"])
         return cls(**kwargs)
+
+
+# each config key's JSON type: its name in messages, and a test (bools are
+# ints in Python, so they are kept out of the integer keys explicitly)
+_CONFIG_TYPES = {
+    "families": ("a list of strings", lambda v: isinstance(v, list)
+                 and all(isinstance(f, str) for f in v)),
+    "max_order": ("an integer", lambda v: type(v) is int),
+    "cofactor_max": ("an integer", lambda v: type(v) is int),
+    "coprime_cofactors": ("true or false", lambda v: type(v) is bool),
+    "cache_dir": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
 
 
 class CertificateCache:

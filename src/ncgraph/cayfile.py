@@ -32,7 +32,7 @@ import numpy as np
 from .cayley import CayleyTable, validate
 from .canon import canonical_order
 from .errors import CayParseError, InternalInconsistency
-from .graphs import NcGraph
+from .graphs import NcGraph, adjacency_matrix
 
 # Text per kernel block, in bytes; every temporary scales with it.
 _BLOCK_BYTES = 1 << 20
@@ -183,14 +183,11 @@ def import_group(path: str) -> CayleyTable:
 
 
 def _canonical_edges(graph: NcGraph):
-    """The canonical vertex order and the edges as sorted position pairs."""
+    """The canonical vertex order and the edges as position pairs [u, v],
+    u < v, sorted: the upper triangle of the canonically ordered matrix."""
     order = canonical_order(graph)
-    position = {v: k for k, v in enumerate(order)}
-    edges = sorted(
-        tuple(sorted((position[i], position[j])))
-        for i, j in graph.edges()
-    )
-    return order, edges
+    mat = adjacency_matrix(graph)[np.ix_(order, order)]
+    return order, np.argwhere(np.triu(mat, 1)).tolist()
 
 
 def graph_to_text(graph: NcGraph) -> str:
@@ -213,5 +210,5 @@ def graph_to_json(graph: NcGraph) -> dict:
         "parent_order": graph.parent_order,
         "parent_center_size": graph.parent_center_size,
         "vertices": [graph.vertices[v] for v in order],
-        "edges": [list(e) for e in edges],
+        "edges": edges,
     }

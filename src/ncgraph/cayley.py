@@ -233,8 +233,11 @@ def validate(raw, descriptor=None) -> CayleyTable:
     if identity is None:
         raise NoIdentity(f"{name}: no two-sided identity element")
 
-    sorted_rows = np.sort(arr, axis=1)
-    bad_rows = np.nonzero((sorted_rows != idx).any(axis=1))[0]
+    # row i holds every value exactly when all n flags seen[i, arr[i, :]] are
+    # set; the same scatter with seen[j, arr[:, j]] checks the columns
+    seen = np.zeros(n * n, dtype=bool)
+    seen[(idx[:, None] * n + arr).reshape(-1)] = True
+    bad_rows = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
     if bad_rows.size:
         i = int(bad_rows[0])
         counts = np.bincount(arr[i], minlength=n)
@@ -244,8 +247,9 @@ def validate(raw, descriptor=None) -> CayleyTable:
             f"{name}: row {i} repeats value {v} at columns {j1} and {j2}",
             witness=(i, j1, j2),
         )
-    sorted_cols = np.sort(np.ascontiguousarray(arr.T), axis=1)
-    bad_cols = np.nonzero((sorted_cols != idx).any(axis=1))[0]
+    seen[:] = False
+    seen[(idx * n + arr).reshape(-1)] = True
+    bad_cols = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
     if bad_cols.size:
         j = int(bad_cols[0])
         counts = np.bincount(arr[:, j], minlength=n)

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import ncgraph as ng
 from ncgraph import canon
-from ncgraph.graphs import iter_bits
+from ncgraph.graphs import adjacency_matrix, iter_bits, pack_rows, unpack_masks
 
 networkx = pytest.importorskip("networkx")
 
@@ -84,12 +86,6 @@ class TestCertificate:
         graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
         n = graph.num_vertices
         assert len(ng.certificate(graph)) == 4 + (n * (n - 1) // 2 + 7) // 8
-
-    def test_canonical_certificate_bundle(self):
-        graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
-        cc = ng.canonical_certificate(graph)
-        assert cc.encoding == ng.certificate(graph)
-        assert cc.order == ng.canonical_order(graph)
 
     def test_invariance_under_relabeling(self):
         rng = np.random.default_rng(11)
@@ -189,9 +185,10 @@ class TestContraction:
                  + [f"dicyclic({k})" for k in range(2, 21)])
         for name in names:
             graph = ng.build_nc_graph(ng.construct(name))
-            qadj, colors, expansion = canon._contract_to_fixpoint(graph.adj)
-            assert len(qadj) <= 3, name
-            assert len(colors) == len(qadj)
+            qmat, colors, expansion = canon._contract_to_fixpoint(
+                adjacency_matrix(graph))
+            assert len(qmat) <= 3, name
+            assert len(colors) == len(qmat)
             flat = sorted(v for vs in expansion for v in vs)
             assert flat == list(range(graph.num_vertices)), name
 
@@ -202,20 +199,20 @@ class TestContraction:
         outer = record(2, 2)
         encodings = set()
         for inner in (record(3, 1), record(3, 2), record(4, 1), b""):
-            search = canon._QuotientSearch((0b10, 0b01), (outer + inner,) * 2)
+            search = canon._QuotientSearch(unpack_masks((0b10, 0b01)), (outer + inner,) * 2)
             encodings.add(search._encode((0, 1)))
         assert len(encodings) == 4
 
     def test_contraction_and_automorphism_checks_fire(self):
-        path = (0b010, 0b101, 0b010)  # 0 - 1 - 2: only 0 and 2 are twins
+        path = unpack_masks((0b010, 0b101, 0b010))  # 0 - 1 - 2: only 0 and 2 are twins
         plain = (b"",) * 3
         one = ng.TwinClass((1,), 0)
         with pytest.raises(ng.InternalInconsistency, match="not constant"):
             canon._contract(path, plain, [ng.TwinClass((0, 1), 2), ng.TwinClass((2,), 0)])
         with pytest.raises(ng.InternalInconsistency, match="not a clique"):
             canon._contract(path, plain, [ng.TwinClass((0, 2), 2), one])
-        qadj, colors = canon._contract(path, plain, [ng.TwinClass((0, 2), 1), one])
-        assert qadj == (0b10, 0b01)
+        qmat, colors = canon._contract(path, plain, [ng.TwinClass((0, 2), 1), one])
+        assert pack_rows(qmat) == (0b10, 0b01)
         assert colors == ((2).to_bytes(4, "big") + b"\x01", b"")
         search = canon._QuotientSearch(path, plain)
         search._verify_automorphism((2, 1, 0))
@@ -350,7 +347,7 @@ class TestSearchOracles:
         for n in range(1, 41):
             for _ in range(3):
                 adj, colors = random_quotient(rng, n)
-                search = canon._QuotientSearch(adj, colors)
+                search = canon._QuotientSearch(unpack_masks(adj), colors)
                 for _ in range(2):
                     pi = tuple(rng.permutation(n).tolist())
                     assert search._encode(pi) == old_encode(adj, colors, pi), n
@@ -358,7 +355,7 @@ class TestSearchOracles:
     def test_planted_maps_are_rejected(self):
         # 0 - 1 - 2 with 0 and 2 coloured apart: swapping them keeps every
         # edge but breaks colours; swapping 0 and 1 keeps colours but not edges
-        path = (0b010, 0b101, 0b010)
+        path = unpack_masks((0b010, 0b101, 0b010))
         search = canon._QuotientSearch(path, (b"a", b"b", b"b"))
         with pytest.raises(ng.InternalInconsistency, match="quotient colours"):
             search._verify_automorphism((2, 1, 0))
@@ -373,7 +370,7 @@ class TestSearchOracles:
         for n in range(1, 25):
             for _ in range(6):
                 adj, colors = random_quotient(rng, n)
-                search = canon._QuotientSearch(adj, colors)
+                search = canon._QuotientSearch(unpack_masks(adj), colors)
                 maps = [tuple(range(n)), tuple(rng.permutation(n).tolist())]
                 if n > 1:  # one transposition: often breaks one check only
                     u, v = rng.choice(n, size=2, replace=False)
@@ -392,10 +389,232 @@ class TestSearchOracles:
         assert outcomes == {None, "colours", "adjacency"}
 
 
+def old_twin_classes(adj, colors):
+    """The bitmask grouping that _twin_classes ran before it read matrix rows."""
+    open_groups = {}
+    for v in range(len(adj)):
+        open_groups.setdefault((colors[v], adj[v]), []).append(v)
+    classes = []
+    leftovers = []
+    for vs in open_groups.values():
+        if len(vs) >= 2:
+            classes.append(ng.TwinClass(tuple(vs), 1))
+        else:
+            leftovers.append(vs[0])
+    closed_groups = {}
+    for v in leftovers:
+        closed_groups.setdefault((colors[v], adj[v] | 1 << v), []).append(v)
+    for vs in closed_groups.values():
+        classes.append(ng.TwinClass(tuple(vs), 2 if len(vs) >= 2 else 0))
+    classes.sort(key=lambda c: c.members[0])
+    return classes
+
+
+def old_contract(adj, colors, classes):
+    """The bitmask walk that _contract ran before the blow-up comparison:
+    quotient masks and colours, raising at the first member that fails."""
+    owner = [0] * len(adj)
+    cmasks = [0] * len(classes)
+    for a, c in enumerate(classes):
+        for v in c.members:
+            owner[v] = a
+            cmasks[a] |= 1 << v
+    qadj = []
+    qcolors = []
+    for a, c in enumerate(classes):
+        members, kind = c.members, c.kind
+        cmask = cmasks[a]
+        outside = adj[members[0]] & ~cmask
+        for u in members:
+            stray = (adj[u] & ~cmask) ^ outside
+            if stray:
+                b = owner[next(iter_bits(stray))]
+                raise ng.InternalInconsistency(
+                    f"block between twin classes {a} and {b} is not constant")
+            inter = adj[u] & cmask
+            if kind == 1 and inter:
+                raise ng.InternalInconsistency(f"open-twin class {a} contains an edge")
+            if kind == 2 and inter != cmask & ~(1 << u):
+                raise ng.InternalInconsistency(f"closed-twin class {a} is not a clique")
+        row = 0
+        rest = outside
+        while rest:
+            b = owner[(rest & -rest).bit_length() - 1]
+            if outside & cmasks[b] != cmasks[b]:
+                raise ng.InternalInconsistency(
+                    f"block between twin classes {a} and {b} is not constant")
+            row |= 1 << b
+            rest &= ~cmasks[b]
+        qadj.append(row)
+        color = colors[members[0]]
+        if kind:
+            color = len(members).to_bytes(4, "big") + bytes([kind]) + color
+        qcolors.append(color)
+    return tuple(qadj), tuple(qcolors)
+
+
+def assert_contraction_matches(mat, colors):
+    """Contract to the fixpoint beside the mask references, comparing the
+    classes, the quotient and its colours at every level; returns the
+    number of levels."""
+    levels = 0
+    while True:
+        adj = pack_rows(mat)
+        classes = canon._twin_classes(mat, colors)
+        assert classes == old_twin_classes(adj, colors)
+        if len(classes) == len(mat):
+            return levels
+        mat, qcolors = canon._contract(mat, colors, classes)
+        assert (pack_rows(mat), qcolors) == old_contract(adj, colors, classes)
+        colors = qcolors
+        levels += 1
+
+
+def random_coloured_twins(rng):
+    """A seeded small graph blown up into twin classes, relabeled, with
+    colours from a few records so that some twins are split apart."""
+    n = int(rng.integers(1, 7))
+    m = np.triu(rng.random((n, n)) < 0.5, 1)
+    big = blow_up(m | m.T, rng.integers(1, 4, n), rng.random(n) < 0.5)
+    q = rng.permutation(len(big))
+    records = [b"", b"x", (2).to_bytes(4, "big") + b"\x02"]
+    colors = tuple(records[k] for k in rng.integers(0, int(rng.integers(1, 4)), len(big)))
+    return big[np.ix_(q, q)], colors
+
+
+class TestContractionOracles:
+    """_twin_classes and _contract on the matrix against the mask walks
+    they replaced."""
+
+    def test_catalog_graphs(self, catalog_groups):
+        for g in catalog_groups.values():
+            graph = ng.build_nc_graph(g)
+            assert_contraction_matches(adjacency_matrix(graph), (b"",) * graph.num_vertices)
+
+    def test_nested_twin_blow_ups(self):
+        rng = np.random.default_rng(5)
+        levels = []
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            m = np.triu(rng.random((n, n)) < 0.5, 1)
+            mid = blow_up(m | m.T, rng.integers(1, 4, n), rng.random(n) < 0.5)
+            big = blow_up(mid, rng.integers(2, 4, len(mid)), rng.random(len(mid)) < 0.5)
+            q = rng.permutation(len(big))
+            levels.append(assert_contraction_matches(big[np.ix_(q, q)], (b"",) * len(big)))
+        assert max(levels) == 2
+
+    def test_random_coloured_graphs(self):
+        rng = np.random.default_rng(79)
+        for _ in range(200):
+            assert_contraction_matches(*random_coloured_twins(rng))
+
+    def test_planted_class_lists_raise_each_message(self):
+        # 0 and 1 are closed twins, 2 and 4 open twins; 3 has no twin
+        mat = np.zeros((5, 5), bool)
+        for u, v in [(0, 1), (0, 2), (1, 2), (0, 4), (1, 4), (2, 3), (3, 4)]:
+            mat[u, v] = mat[v, u] = True
+        plain = (b"",) * 5
+        one = [ng.TwinClass((3,), 0)]
+        assert canon._twin_classes(mat, plain) == [
+            ng.TwinClass((0, 1), 2), ng.TwinClass((2, 4), 1), *one]
+        cases = [
+            ([ng.TwinClass((0, 1), 1), ng.TwinClass((2, 4), 1), *one],
+             "open-twin class 0 contains an edge"),
+            ([ng.TwinClass((0, 1), 2), ng.TwinClass((2, 4), 2), *one],
+             "closed-twin class 1 is not a clique"),
+            ([ng.TwinClass((0, 1), 2), ng.TwinClass((2, 3), 1), ng.TwinClass((4,), 0)],
+             "block between twin classes 0 and 1 is not constant"),
+        ]
+        for classes, message in cases:
+            for contract in (canon._contract, old_contract):
+                adj = mat if contract is canon._contract else pack_rows(mat)
+                with pytest.raises(ng.InternalInconsistency) as exc:
+                    contract(adj, plain, classes)
+                assert str(exc.value) == message
+
+    def test_flipped_kinds_raise_as_the_mask_walk(self):
+        # a contractible class of the wrong kind fails its interior check
+        # only, so both versions name the same class
+        rng = np.random.default_rng(83)
+        seen = set()
+        for _ in range(100):
+            mat, colors = random_coloured_twins(rng)
+            classes = canon._twin_classes(mat, colors)
+            big = [a for a, c in enumerate(classes) if c.kind]
+            if not big:
+                continue
+            a = big[int(rng.integers(len(big)))]
+            wrong = list(classes)
+            wrong[a] = ng.TwinClass(classes[a].members, 3 - classes[a].kind)
+            with pytest.raises(ng.InternalInconsistency) as old:
+                old_contract(pack_rows(mat), colors, wrong)
+            with pytest.raises(ng.InternalInconsistency) as new:
+                canon._contract(mat, colors, wrong)
+            assert str(new.value) == str(old.value)
+            seen.add(str(old.value).split()[0])
+        assert seen == {"open-twin", "closed-twin"}
+
+    def test_moved_members_are_rejected(self):
+        # a vertex moved into another class breaks the class it joins
+        rng = np.random.default_rng(89)
+        rejected = 0
+        for _ in range(100):
+            mat, colors = random_coloured_twins(rng)
+            classes = canon._twin_classes(mat, colors)
+            if len(classes) < 2:
+                continue
+            a, b = (int(x) for x in rng.choice(len(classes), size=2, replace=False))
+            members = classes[a].members
+            v = members[int(rng.integers(len(members)))]
+            target = classes[b]
+            wrong = list(classes)
+            wrong[b] = ng.TwinClass(tuple(sorted(target.members + (v,))), target.kind or 1)
+            rest = tuple(u for u in members if u != v)
+            if rest:
+                wrong[a] = ng.TwinClass(rest, classes[a].kind if len(rest) > 1 else 0)
+            else:
+                del wrong[a]
+            wrong.sort(key=lambda c: c.members[0])
+            try:
+                expected = old_contract(pack_rows(mat), colors, wrong)
+            except ng.InternalInconsistency:
+                with pytest.raises(ng.InternalInconsistency):
+                    canon._contract(mat, colors, wrong)
+                rejected += 1
+            else:
+                qmat, qcolors = canon._contract(mat, colors, wrong)
+                assert (pack_rows(qmat), qcolors) == expected
+        assert rejected > 50, rejected
+
+
+# Certificates of the bare families up to order 128, each followed by two
+# seeded relabelings, hashed in order; computed before the contraction moved
+# from bitmasks onto the adjacency matrix.
+PINNED_FAMILY_DIGEST = "8e1df1ddb584498bf525fe41606a154eff265f91e25d42fa66ae509d7dd6227d"
+
+
+def test_bare_family_certificates_are_pinned():
+    names = ([f"dihedral({k})" for k in range(3, 65)]
+             + [f"dicyclic({k})" for k in range(2, 33)]
+             + ["heisenberg(2,1)", "heisenberg(2,2)", "heisenberg(2,3)",
+                "heisenberg(3,1)", "heisenberg(5,1)"])
+    rng = np.random.default_rng(8128)
+    digest = hashlib.sha256()
+    for name in names:
+        graph = ng.build_nc_graph(ng.construct(name))
+        digest.update(ng.certificate(graph))
+        for _ in range(2):
+            perm = rng.permutation(graph.num_vertices)
+            digest.update(ng.certificate(ng.relabeled(graph, perm)))
+    assert canon.CERT_VERSION == 2
+    assert digest.hexdigest() == PINNED_FAMILY_DIGEST
+
+
 class TestHeldForms:
     def test_canonical_form_and_profile_are_computed_once(self, monkeypatch):
         graph = ng.build_nc_graph(ng.construct("dihedral(9)"))
         cert, profile = ng.certificate(graph), ng.degree_profile(graph)
+        order = ng.canonical_order(graph)
 
         def recomputed(*args):
             pytest.fail("a held form was computed again")
@@ -405,8 +624,22 @@ class TestHeldForms:
         for _ in range(3):
             assert ng.certificate(graph) is cert
             assert ng.degree_profile(graph) is profile
-            assert ng.canonical_order(graph) == ng.canonical_certificate(graph).order
+            assert ng.canonical_order(graph) is order
             assert ng.find_isomorphism(graph, graph) is not None
+
+    def test_find_isomorphism_computes_no_degree_profile(self, monkeypatch):
+        def profiled(*args):
+            pytest.fail("find_isomorphism computed a degree profile")
+
+        monkeypatch.setattr(canon, "_degree_profile", profiled)
+        d8 = ng.build_nc_graph(ng.construct("dihedral(8)"))
+        q8 = ng.build_nc_graph(ng.construct("dicyclic(4)"))
+        rng = np.random.default_rng(97)
+        fresh = [ng.relabeled(g, rng.permutation(g.num_vertices)) for g in (d8, q8, d8)]
+        assert ng.find_isomorphism(fresh[0], fresh[1]) is not None
+        assert ng.find_isomorphism(fresh[2], q8) is not None
+        d9 = ng.build_nc_graph(ng.construct("dihedral(9)"))
+        assert ng.find_isomorphism(ng.relabeled(d9, range(d9.num_vertices)), fresh[0]) is None
 
     def test_each_graph_holds_its_own_form(self):
         graph = ng.build_nc_graph(ng.construct("dicyclic(6)"))

@@ -25,6 +25,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ng.CatalogConfig.from_dict({"max_order": 64, "bogus": 1})
 
+    @pytest.mark.parametrize("data", [
+        {"families": "dihedral(3..4)"}, {"families": ["dihedral(4)", 5]},
+        {"families": ("dihedral(4)",)}, {"max_order": "64"}, {"max_order": 64.0},
+        {"max_order": True}, {"cofactor_max": None}, {"coprime_cofactors": 1},
+        {"cache_dir": 3}, ["max_order"], 64,
+    ])
+    def test_wrong_types_rejected(self, data):
+        with pytest.raises(ValueError, match="config"):
+            ng.CatalogConfig.from_dict(data)
+
+    def test_null_cache_dir_accepted(self):
+        cfg = ng.CatalogConfig.from_dict({"cache_dir": None, "max_order": 64})
+        assert cfg == ng.CatalogConfig(max_order=64)
+
     def test_defaults(self):
         cfg = ng.CatalogConfig()
         assert cfg.families == ng.DEFAULT_FAMILIES

@@ -114,6 +114,31 @@ class TestGraphSerialization:
         assert ng.graph_to_text(moved) == ng.graph_to_text(graph)
 
 
+def old_canonical_edges(graph):
+    """The position-dict walk that _canonical_edges ran before it read the
+    canonically ordered matrix: the order and the sorted edge pairs."""
+    order = ng.canonical_order(graph)
+    position = {v: k for k, v in enumerate(order)}
+    edges = sorted(
+        tuple(sorted((position[i], position[j])))
+        for i, j in graph.edges()
+    )
+    return order, edges
+
+
+class TestSerializationOracle:
+    def test_writers_match_the_position_walk(self, catalog_groups):
+        for g in catalog_groups.values():
+            graph = ng.build_nc_graph(g)
+            order, edges = old_canonical_edges(graph)
+            lines = [f"{graph.num_vertices} {graph.num_edges}"]
+            lines += [f"{u} {v}" for u, v in edges]
+            assert ng.graph_to_text(graph) == "\n".join(lines) + "\n", g.descriptor
+            data = ng.graph_to_json(graph)
+            assert data["vertices"] == [graph.vertices[v] for v in order]
+            assert data["edges"] == [list(e) for e in edges]
+
+
 def reference_rows(text):
     """The token loop that parse_group ran before its numpy kernel, kept as
     the oracle: the rows of Python ints, or the CayParseError it raised."""

@@ -366,6 +366,42 @@ def relabeled_import(desc, seed):
 ORACLE_GROUPS = ["dihedral(24)", "heisenberg(3,2)", "product(dihedral(4),cyclic(3))"]
 
 
+def old_latin_failure(t):
+    """The two sorts validate checked the Latin property with: the NotLatin
+    message and witness of the first failure, or None."""
+    arr = np.asarray(t)
+    n = len(arr)
+    idx = np.arange(n)
+    for name, lines in (("row", arr), ("column", arr.T)):
+        bad = np.nonzero((np.sort(lines, axis=1) != idx).any(axis=1))[0]
+        if bad.size:
+            i = int(bad[0])
+            v = int(np.nonzero(np.bincount(lines[i], minlength=n) > 1)[0][0])
+            k1, k2 = map(int, np.nonzero(lines[i] == v)[0][:2])
+            other = "columns" if name == "row" else "rows"
+            message = (f"table(order={n}): {name} {i} repeats value {v} "
+                       f"at {other} {k1} and {k2}")
+            return message, (i, k1, k2) if name == "row" else (k1, k2, i)
+    return None
+
+
+def plant_latin_faults(t, rng):
+    """One to three faults off the identity's row and column: an entry set
+    to another value (a row repeat) or two entries of a row swapped (a
+    column repeat only)."""
+    bad = np.array(t)
+    n = len(bad)
+    e = int(np.nonzero((bad == np.arange(n)).all(axis=1))[0][0])
+    free = [k for k in range(n) if k != e]
+    for _ in range(int(rng.integers(1, 4))):
+        i, j, j2 = (int(x) for x in rng.choice(free, size=3, replace=False))
+        if rng.random() < 0.5:
+            bad[i, j] = bad[i, j2]
+        else:
+            bad[i, [j, j2]] = bad[i, [j2, j]]
+    return bad.tolist()
+
+
 class TestArrayOracles:
     """The array versions against the per-element loops they replaced."""
 
@@ -375,6 +411,24 @@ class TestArrayOracles:
         g = relabeled_import(desc, seed)
         assert [s.members for s in ng.upper_central_series(g)] == old_upper_central_series(g)
         assert ng.element_orders(g).tolist() == old_element_orders(g)
+
+    def test_latin_check_matches_the_sorts(self):
+        rng = np.random.default_rng(73)
+        outcomes = set()
+        for desc in ["dihedral(12)", "heisenberg(3,1)", "dicyclic(5)",
+                     "product(dihedral(4),cyclic(3))"]:
+            for _ in range(10):
+                t = relabel(ng.construct(desc).table, rng)
+                assert old_latin_failure(t) is None
+                ng.validate(t)
+                bad = plant_latin_faults(t, rng)
+                message, witness = old_latin_failure(bad)
+                outcomes.add(message.split()[1])
+                with pytest.raises(ng.NotLatin) as exc:
+                    ng.validate(bad)
+                assert str(exc.value) == message
+                assert exc.value.witness == witness
+        assert outcomes == {"row", "column"}
 
     def test_non_nilpotent_series_matches_the_loop(self):
         g = relabeled_import("dihedral(12)", 3)

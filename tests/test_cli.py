@@ -167,6 +167,19 @@ class TestScan:
         assert code == 1
         assert "bogus" in stderr
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"max_order": "64"}, "config 'max_order' must be an integer, got '64'"),
+        ({"families": "dihedral(3..4)"},
+         "config 'families' must be a list of strings, got 'dihedral(3..4)'"),
+    ])
+    def test_scan_config_of_wrong_type(self, capsys, tmp_path, cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, stderr = run(capsys, "scan", "--config", str(cfg_path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"ncgraph scan: {message}\n"
+
     def test_scan_malformed_json(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
