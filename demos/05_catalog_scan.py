@@ -35,7 +35,7 @@ def main():
             flags.append("irregular")
         print(f"  orders {set(cls.orders)}: {', '.join(cls.members)}")
         print(f"    [{' + '.join(flags) or 'mixed'}] "
-              f"equal-orders verdict: {cls.equal_orders_verdict}")
+              f"equal-orders verdict: {cls.nilpotent_irregular_equal_orders}")
         for audit in cls.pair_audits:
             print(f"    pair audit {audit.descriptor_a} / "
                   f"{audit.descriptor_b}: {audit.verdict}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,8 +61,33 @@ def _valuation(value: int, p: int):
     return v
 
 
+# --- report records --------------------------------------------------------------
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class Record:
+    """Base of the report dataclasses: ``to_dict`` is the JSON form of the
+    fields in declaration order, leaving out fields declared ``repr=False``."""
+
+    def to_dict(self):
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _plain(value):
+    """JSON form of a field value: records by their ``to_dict``, tuples and
+    lists as lists, dicts value by value, scalars as they are."""
+    if isinstance(value, (tuple, list)):
+        return [v if type(v) in _SCALARS else _plain(v) for v in value]
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
-class AuditItem:
+class AuditItem(Record):
     """One checked identity; passed None marks a recorded-only observation."""
 
     name: str
@@ -70,15 +95,6 @@ class AuditItem:
     lhs: object
     rhs: object
     witness: object = None
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "witness": list(self.witness) if isinstance(self.witness, tuple) else self.witness,
-        }
 
 
 def _verdict(items) -> tuple:
@@ -101,7 +117,7 @@ def _raise_on_violation(items, context: str):
 # --- pair audit -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PairAudit:
+class PairAudit(Record):
     """All per-pair identities evaluated on one (G, H, bijection) instance."""
 
     descriptor_a: str
@@ -117,23 +133,6 @@ class PairAudit:
     both_irregular: bool
     verdict: str
     witness: object
-
-    def to_dict(self):
-        return {
-            "descriptor_a": self.descriptor_a,
-            "descriptor_b": self.descriptor_b,
-            "order_a": self.order_a,
-            "order_b": self.order_b,
-            "center_a": self.center_a,
-            "center_b": self.center_b,
-            "vertex_pairs": [list(p) for p in self.vertex_pairs],
-            "items": [i.to_dict() for i in self.items],
-            "divisibility": [list(d) for d in self.divisibility],
-            "both_nilpotent": self.both_nilpotent,
-            "both_irregular": self.both_irregular,
-            "verdict": self.verdict,
-            "witness": list(self.witness) if isinstance(self.witness, tuple) else self.witness,
-        }
 
 
 def _check_graph_fit(g: CayleyTable, graph: NcGraph, side: str):
@@ -274,6 +273,7 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
     div_witness = next((r[:3] for r in div_rows if not r[3]), None)
     items.append(AuditItem("divisibility", div_ok, None, None, witness=div_witness))
 
+    verdict, witness = _verdict(items)
     audit = PairAudit(
         descriptor_a=g_a.descriptor,
         descriptor_b=g_b.descriptor,
@@ -283,8 +283,8 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
         divisibility=div_rows,
         both_nilpotent=is_nilpotent(g_a)[0] and is_nilpotent(g_b)[0],
         both_irregular=not phi.source.is_regular and not phi.target.is_regular,
-        verdict=_verdict(items)[0],
-        witness=_verdict(items)[1],
+        verdict=verdict,
+        witness=witness,
     )
     if strict:
         _raise_on_violation(items, f"pair audit {g_a.descriptor} / {g_b.descriptor}")
@@ -472,7 +472,7 @@ def split_one_nonabelian_sylow(g: CayleyTable) -> PrimePowerSplit:
 
 
 @dataclass(frozen=True)
-class SamePrimeAudit:
+class SamePrimeAudit(Record):
     """Identities tying two (p-group x abelian) shapes with isomorphic graphs."""
 
     prime: int
@@ -487,22 +487,6 @@ class SamePrimeAudit:
     items: tuple
     verdict: str
     witness: object
-
-    def to_dict(self):
-        return {
-            "prime": self.prime,
-            "order_exp_a": self.order_exp_a,
-            "center_exp_a": self.center_exp_a,
-            "order_exp_b": self.order_exp_b,
-            "center_exp_b": self.center_exp_b,
-            "cofactor_a": self.cofactor_a,
-            "cofactor_b": self.cofactor_b,
-            "class_exps_a": list(self.class_exps_a),
-            "class_exps_b": list(self.class_exps_b),
-            "items": [i.to_dict() for i in self.items],
-            "verdict": self.verdict,
-            "witness": list(self.witness) if isinstance(self.witness, tuple) else self.witness,
-        }
 
 
 def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
@@ -615,7 +599,7 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
 # --- two non-abelian Sylow factors ----------------------------------------------------
 
 @dataclass(frozen=True)
-class TwoSylowAudit:
+class TwoSylowAudit(Record):
     """Product identities inside H = Q1 x Q2 x B (two non-abelian Sylow parts)."""
 
     descriptor: str
@@ -631,23 +615,6 @@ class TwoSylowAudit:
     valuation_prime: int
     verdict: str
     witness: object
-
-    def to_dict(self):
-        return {
-            "descriptor": self.descriptor,
-            "prime_1": self.prime_1,
-            "prime_2": self.prime_2,
-            "order_q1": self.order_q1,
-            "order_q2": self.order_q2,
-            "cofactor": self.cofactor,
-            "element_1": self.element_1,
-            "element_2": self.element_2,
-            "items": [i.to_dict() for i in self.items],
-            "valuations": [list(v) for v in self.valuations],
-            "valuation_prime": self.valuation_prime,
-            "verdict": self.verdict,
-            "witness": list(self.witness) if isinstance(self.witness, tuple) else self.witness,
-        }
 
 
 def _abelian_centralizer_element(q: CayleyTable):
@@ -750,7 +717,7 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
 # --- cross-prime parameter scan ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class CrossPrimeScan:
+class CrossPrimeScan(Record):
     """Transcript of the exhaustive cross-prime parameter scan.
 
     A "candidate" is a parameter tuple (p, q, n, r, |A|, m, s, |B|) with
@@ -774,22 +741,6 @@ class CrossPrimeScan:
     repunit_coincidences: tuple  # (base1, L1, base2, L2, value)
     uniqueness_rows: tuple       # (base1, base2, pairs found) over coincidence bases
     verdict: str
-
-    def to_dict(self):
-        return {
-            "max_prime": self.max_prime,
-            "max_exp": self.max_exp,
-            "max_cofactor": self.max_cofactor,
-            "prime_pairs": [list(p) for p in self.prime_pairs],
-            "configs_per_side": [list(c) for c in self.configs_per_side],
-            "candidates": self.candidates,
-            "candidates_with_pairs": self.candidates_with_pairs,
-            "pairs_analyzed": self.pairs_analyzed,
-            "survivors": [list(s) for s in self.survivors],
-            "repunit_coincidences": [list(c) for c in self.repunit_coincidences],
-            "uniqueness_rows": [list(u) for u in self.uniqueness_rows],
-            "verdict": self.verdict,
-        }
 
 
 def cross_prime_scan(max_prime: int = 7, max_exp: int = 8,

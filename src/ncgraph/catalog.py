@@ -18,7 +18,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 
-from .audits import audit_isomorphic_pair, same_prime_audit
+from .audits import Record, audit_isomorphic_pair, same_prime_audit
 from .canon import CERT_VERSION, certificate, find_isomorphism
 from .cayley import (
     center,
@@ -57,7 +57,7 @@ _RANGE_RE = re.compile(r"(dihedral|dicyclic)\((\d+)\.\.(\d+)\)")
 
 
 @dataclass(frozen=True)
-class CatalogConfig:
+class CatalogConfig(Record):
     """What to enumerate: base families, order cap, and abelian cofactors."""
 
     families: tuple = DEFAULT_FAMILIES
@@ -66,18 +66,10 @@ class CatalogConfig:
     coprime_cofactors: bool = True
     cache_dir: str = None
 
-    def to_dict(self):
-        return {
-            "families": list(self.families),
-            "max_order": self.max_order,
-            "cofactor_max": self.cofactor_max,
-            "coprime_cofactors": self.coprime_cofactors,
-            "cache_dir": self.cache_dir,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CatalogConfig":
-        """Config from parsed JSON; a key of the wrong type is a ValueError."""
+        """Config from parsed JSON; a key of the wrong type, or a count below
+        1, is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(data) - set(_CONFIG_TYPES)
@@ -87,6 +79,8 @@ class CatalogConfig:
             expected, ok = _CONFIG_TYPES[key]
             if not ok(value):
                 raise ValueError(f"config {key!r} must be {expected}, got {value!r}")
+            if key in _COUNT_KEYS and value < 1:
+                raise ValueError(f"config {key!r} must be a positive integer, got {value!r}")
         kwargs = dict(data)
         if "families" in kwargs:
             kwargs["families"] = tuple(kwargs["families"])
@@ -103,6 +97,8 @@ _CONFIG_TYPES = {
     "coprime_cofactors": ("true or false", lambda v: type(v) is bool),
     "cache_dir": ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
+# integer keys that bound a range, so at least 1 (cofactor_max 1: no cofactors)
+_COUNT_KEYS = ("max_order", "cofactor_max")
 
 
 class CertificateCache:
@@ -215,7 +211,7 @@ def _cofactor_descriptors(max_cofactor: int) -> list:
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """Everything the scan needs to know about one group, recomputable from
     the descriptor alone; the certificate bytes ride along in memory."""
 
@@ -233,24 +229,6 @@ class CatalogEntry:
     nonabelian_sylow_prime: object
     certificate: bytes = field(repr=False, compare=False)
     certificate_sha256: str = ""
-
-    def to_dict(self):
-        return {
-            "descriptor": self.descriptor,
-            "order": self.order,
-            "center_size": self.center_size,
-            "nilpotent": self.nilpotent,
-            "nilpotency_class": self.nilpotency_class,
-            "regular": self.regular,
-            "degree_profile": [list(p) for p in self.degree_profile],
-            "class_profile": [list(p) for p in self.class_profile],
-            "multipartite_parts": (list(self.multipartite_parts)
-                                   if self.multipartite_parts is not None else None),
-            "ac": self.ac,
-            "nonabelian_sylow_count": self.nonabelian_sylow_count,
-            "nonabelian_sylow_prime": self.nonabelian_sylow_prime,
-            "certificate_sha256": self.certificate_sha256,
-        }
 
 
 def _rle(values) -> tuple:
@@ -337,7 +315,7 @@ def enumerate_catalog(config: CatalogConfig = None) -> list:
 
 
 @dataclass(frozen=True)
-class IsoClass:
+class IsoClass(Record):
     """Catalog entries sharing one graph certificate, with pair evidence."""
 
     certificate_sha256: str
@@ -345,27 +323,14 @@ class IsoClass:
     orders: tuple
     all_nilpotent: bool
     all_irregular: bool
-    equal_orders_verdict: str  # pass / violation / not-applicable
+    nilpotent_irregular_equal_orders: str  # pass / violation / not-applicable
     pair_audits: tuple
     same_prime_audits: tuple
     same_prime_skips: tuple    # (descriptor_a, descriptor_b, reason)
 
-    def to_dict(self):
-        return {
-            "certificate_sha256": self.certificate_sha256,
-            "members": list(self.members),
-            "orders": list(self.orders),
-            "all_nilpotent": self.all_nilpotent,
-            "all_irregular": self.all_irregular,
-            "nilpotent_irregular_equal_orders": self.equal_orders_verdict,
-            "pair_audits": [a.to_dict() for a in self.pair_audits],
-            "same_prime_audits": [a.to_dict() for a in self.same_prime_audits],
-            "same_prime_skips": [list(s) for s in self.same_prime_skips],
-        }
-
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Full scan output; to_json() is deterministic byte-for-byte."""
 
     config: CatalogConfig
@@ -376,18 +341,15 @@ class ScanReport:
     violations: int
 
     def to_dict(self):
+        """The fields, with the schema number and both counts around them."""
+        body = super().to_dict()
         return {
             "schema": 1,
-            "config": self.config.to_dict(),
+            "config": body.pop("config"),
             "entry_count": len(self.entries),
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": body.pop("entries"),
             "class_count": len(self.classes),
-            "classes": [c.to_dict() for c in self.classes],
-            "regular_cross_order_candidates": [
-                list(c) for c in self.regular_cross_order_candidates
-            ],
-            "cache_spot_check": self.cache_spot_check,
-            "violations": self.violations,
+            **body,
         }
 
     def to_json(self) -> str:
@@ -477,7 +439,7 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
             orders=orders,
             all_nilpotent=all_nilpotent,
             all_irregular=all_irregular,
-            equal_orders_verdict=verdict,
+            nilpotent_irregular_equal_orders=verdict,
             pair_audits=tuple(pair_audits),
             same_prime_audits=tuple(sp_audits),
             same_prime_skips=tuple(sp_skips),

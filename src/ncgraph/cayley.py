@@ -336,35 +336,42 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
     return data
 
 
+def _conjugates(g: CayleyTable) -> np.ndarray:
+    """The n-by-n int32 matrix [x, y] -> y^-1 * x * y, gathered from the flat
+    table at (y^-1 * x) * n + y; those indices stay below n^2, so int32 holds
+    them.  Not memoised: callers reduce it and let it go."""
+    n = g.order
+    idx = g.table[g.inverses].T * np.int32(n)   # [x, y] -> (y^-1 * x) * n
+    idx += np.arange(n, dtype=np.int32)
+    return g.table.ravel()[idx]
+
+
 def conjugacy_classes(g: CayleyTable) -> tuple:
     """Partition of the elements into conjugacy classes, by smallest member.
 
-    Each class is cross-checked against the orbit-stabiliser count
-    |class| * |centralizer| = |G|.
+    Row x of the conjugation matrix lists x's conjugates, so its minimum is
+    the least member of x's class.  Each class is cross-checked against the
+    orbit-stabiliser count |class| * |centralizer| = |G| at that member.
     """
     classes = g._memo.get("classes")
     if classes is not None:
         return classes
     n = g.order
-    t = g.table
-    inv = g.inverses
-    idx = np.arange(n)
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        conj = t[t[inv, x], idx]           # y -> (y^-1 * x) * y
-        members = np.unique(conj)
-        seen[members] = True
-        csize = int(g.commuting[x].sum())
-        if len(members) * csize != n:
-            raise InternalInconsistency(
-                f"orbit-stabiliser mismatch at element {x}: "
-                f"{len(members)} * {csize} != {n}"
-            )
-        out.append(tuple(int(m) for m in members))
-    classes = tuple(out)
+    least = _conjugates(g).min(axis=1)
+    counts = np.bincount(least, minlength=n)
+    leaders = np.flatnonzero(counts)
+    sizes = counts[leaders]
+    csizes = g.commuting[leaders].sum(axis=1)
+    bad = np.flatnonzero(sizes * csizes != n)
+    if bad.size:
+        k = bad[0]
+        raise InternalInconsistency(
+            f"orbit-stabiliser mismatch at element {leaders[k]}: "
+            f"{sizes[k]} * {csizes[k]} != {n}"
+        )
+    members = np.argsort(least, kind="stable").tolist()
+    ends = np.cumsum(sizes).tolist()
+    classes = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
     g._memo["classes"] = classes
     return classes
 
@@ -403,13 +410,9 @@ def upper_central_series(g: CayleyTable) -> list:
     if cached is not None:
         return list(cached)
     n = g.order
-    flat = g.table.ravel()
-    inv = g.inverses.astype(np.int32)
-    commutators = g.table[inv].T * np.int32(n)  # [x, y] -> (y^-1 * x) * n
-    commutators += np.arange(n, dtype=np.int32)
-    commutators = flat[commutators]             # [x, y] -> y^-1 * x * y
-    commutators += (inv * np.int32(n))[:, None]
-    commutators = flat[commutators]             # [x, y] -> x^-1 * y^-1 * x * y
+    commutators = _conjugates(g)
+    commutators += (g.inverses.astype(np.int32) * np.int32(n))[:, None]
+    commutators = g.table.ravel()[commutators]  # [x, y] -> x^-1 * y^-1 * x * y
     current = np.zeros(n, dtype=bool)
     current[0] = True
     levels = [current]

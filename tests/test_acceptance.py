@@ -44,14 +44,14 @@ def test_01_default_scan_nilpotent_irregular_classes_share_orders(
                   if c.all_nilpotent and c.all_irregular and len(c.members) >= 2]
     assert len(qualifying) >= 1
     for cls in qualifying:
-        assert cls.equal_orders_verdict == "pass"
+        assert cls.nilpotent_irregular_equal_orders == "pass"
         assert len(set(cls.orders)) == 1
     by_members = {c.members: c for c in default_report.classes}
     base = by_members[("dicyclic(4)", "dihedral(8)")]
-    assert base.equal_orders_verdict == "pass" and base.orders == (16, 16)
+    assert base.nilpotent_irregular_equal_orders == "pass" and base.orders == (16, 16)
     variant = by_members[("product(dicyclic(4),abelian(3))",
                           "product(dihedral(8),abelian(3))")]
-    assert variant.equal_orders_verdict == "pass" and variant.orders == (48, 48)
+    assert variant.nilpotent_irregular_equal_orders == "pass" and variant.orders == (48, 48)
     assert default_scan_seconds < 300
 
 

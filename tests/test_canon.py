@@ -364,6 +364,17 @@ class TestSearchOracles:
         with pytest.raises(ng.InternalInconsistency, match="quotient adjacency"):
             search._verify_automorphism((1, 0, 2))
 
+    def test_orbits_use_only_automorphisms_fixing_the_base(self):
+        # on four isolated vertices, (0 1) moves the base vertex 0 and (2 3)
+        # fixes it: below the base (0,) only the second may merge orbits
+        search = canon._QuotientSearch(unpack_masks((0,) * 4), (b"a",) * 4)
+        for gamma in ((1, 0, 2, 3), (0, 1, 3, 2)):
+            search._verify_automorphism(gamma)
+            search.auts.append((gamma, np.asarray(gamma) == np.arange(4)))
+        assert search._orbits((0,)) == [0, 1, 2, 2]
+        assert search._orbits((2,)) == [0, 0, 2, 3]
+        assert search._orbits(()) == [0, 0, 2, 2]
+
     def test_verify_automorphism_matches_the_loop(self):
         rng = np.random.default_rng(67)
         outcomes = set()

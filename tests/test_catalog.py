@@ -29,11 +29,15 @@ class TestConfig:
         {"families": "dihedral(3..4)"}, {"families": ["dihedral(4)", 5]},
         {"families": ("dihedral(4)",)}, {"max_order": "64"}, {"max_order": 64.0},
         {"max_order": True}, {"cofactor_max": None}, {"coprime_cofactors": 1},
-        {"cache_dir": 3}, ["max_order"], 64,
+        {"cache_dir": 3}, ["max_order"], 64, {"max_order": 0}, {"cofactor_max": 0},
     ])
     def test_wrong_types_rejected(self, data):
         with pytest.raises(ValueError, match="config"):
             ng.CatalogConfig.from_dict(data)
+
+    def test_single_cofactor_bound_accepted(self):
+        cfg = ng.CatalogConfig.from_dict({"max_order": 1, "cofactor_max": 1})
+        assert (cfg.max_order, cfg.cofactor_max) == (1, 1)
 
     def test_null_cache_dir_accepted(self):
         cfg = ng.CatalogConfig.from_dict({"cache_dir": None, "max_order": 64})
@@ -243,15 +247,15 @@ class TestScan:
         classes = {c.members: c for c in report.classes}
         pair16 = classes[("dicyclic(4)", "dihedral(8)")]
         assert pair16.all_nilpotent and pair16.all_irregular
-        assert pair16.equal_orders_verdict == "pass"
+        assert pair16.nilpotent_irregular_equal_orders == "pass"
         assert len(pair16.pair_audits) == 1
         assert len(pair16.same_prime_audits) == 1
         pair12 = classes[("dicyclic(3)", "dihedral(6)")]
         assert not pair12.all_nilpotent
-        assert pair12.equal_orders_verdict == "not-applicable"
+        assert pair12.nilpotent_irregular_equal_orders == "not-applicable"
         pair8 = classes[("dicyclic(2)", "dihedral(4)")]
         assert not pair8.all_irregular
-        assert pair8.equal_orders_verdict == "not-applicable"
+        assert pair8.nilpotent_irregular_equal_orders == "not-applicable"
 
     def test_report_is_deterministic(self):
         assert ng.scan_pairs(SMALL).to_json() == ng.scan_pairs(SMALL).to_json()

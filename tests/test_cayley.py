@@ -234,6 +234,16 @@ class TestStructure:
         d4 = ng.construct("dihedral(4)")
         assert sorted(len(c) for c in ng.conjugacy_classes(d4)) == [1, 1, 2, 2, 2]
 
+    def test_orbit_stabiliser_mismatch_names_the_least_member(self):
+        d4 = ng.construct("dihedral(4)")
+        leader = next(c[0] for c in ng.conjugacy_classes(d4) if len(c) == 2)
+        comm = d4.commuting.copy()
+        comm[leader, leader] = False   # one commuting element fewer
+        d4._memo = {"comm": comm}
+        with pytest.raises(ng.InternalInconsistency,
+                           match=f"mismatch at element {leader}: 2 \\* 3 != 8$"):
+            ng.conjugacy_classes(d4)
+
     def test_class_sizes_divide_order(self):
         for name in ("dihedral(6)", "dicyclic(3)", "heisenberg(3,1)"):
             g = ng.construct(name)
@@ -357,6 +367,24 @@ def old_element_orders(g):
     return orders
 
 
+def old_conjugacy_classes(g):
+    """The per-element loop that conjugacy_classes replaced: one conjugation
+    row and one np.unique per class."""
+    n = g.order
+    t = g.table
+    idx = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        members = np.unique(t[t[g.inverses, x], idx])
+        seen[members] = True
+        assert len(members) * int(g.commuting[x].sum()) == n
+        out.append(tuple(int(m) for m in members))
+    return tuple(out)
+
+
 def relabeled_import(desc, seed):
     """``desc`` imported from .cay text with its elements relabeled."""
     t = relabel(ng.construct(desc).table, np.random.default_rng(seed))
@@ -411,6 +439,15 @@ class TestArrayOracles:
         g = relabeled_import(desc, seed)
         assert [s.members for s in ng.upper_central_series(g)] == old_upper_central_series(g)
         assert ng.element_orders(g).tolist() == old_element_orders(g)
+
+    @pytest.mark.parametrize("desc", ORACLE_GROUPS + [
+        "dicyclic(16)", "heisenberg(2,3)", "product(dicyclic(2),heisenberg(3,1))",
+        "dihedral(5)", "cyclic(6)", "cyclic(1)"])
+    def test_conjugacy_classes_match_the_loop(self, desc):
+        g = relabeled_import(desc, 5)
+        classes = ng.conjugacy_classes(g)
+        assert classes == old_conjugacy_classes(g)
+        assert all(type(x) is int for c in classes for x in c)
 
     def test_latin_check_matches_the_sorts(self):
         rng = np.random.default_rng(73)

@@ -171,6 +171,9 @@ class TestScan:
         ({"max_order": "64"}, "config 'max_order' must be an integer, got '64'"),
         ({"families": "dihedral(3..4)"},
          "config 'families' must be a list of strings, got 'dihedral(3..4)'"),
+        ({"max_order": -5, "families": ["dihedral(3..4)"]},
+         "config 'max_order' must be a positive integer, got -5"),
+        ({"cofactor_max": -3}, "config 'cofactor_max' must be a positive integer, got -3"),
     ])
     def test_scan_config_of_wrong_type(self, capsys, tmp_path, cfg, message):
         cfg_path = tmp_path / "cfg.json"
