@@ -7,6 +7,10 @@ import pytest
 import ncgraph as ng
 from ncgraph import catalog
 
+# sha256 of each default-scan class as [members, equal-orders verdict], in
+# report order; the certificate bytes do not enter it
+PINNED_CLASSES = "b042df3484bd13d9cac3dba393843da572f7d7119e45fb40734b35296384a772"
+
 SMALL = ng.CatalogConfig(
     families=("dihedral(3..8)", "dicyclic(2..4)"),
     max_order=64,
@@ -264,6 +268,24 @@ class TestScan:
         # every entry, class, pair audit and witness of the default scan
         digest = hashlib.sha256(default_report.to_json().encode()).hexdigest()
         assert digest == "afdc1eacefec0653f58ae6ae066600e8fe20e3e3ed23e8aafe1d7b6773006531"
+
+    def test_default_report_without_certificates_is_pinned(self, default_report):
+        # the report with every certificate_sha256 removed, serialised as the
+        # benchmark's scan gate serialises it: a change of certificate bytes
+        # alone leaves this digest where it is
+        doc = json.loads(default_report.to_json())
+        for part in doc["entries"] + doc["classes"]:
+            part.pop("certificate_sha256")
+        digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+        assert digest == "13b21b80e3b0540da093d5b479df44df586bd4ecc48fe982f58a958bf893bb1d"
+
+    def test_default_classes_and_verdicts_are_pinned(self, default_report):
+        classes = [[list(c.members), c.nilpotent_irregular_equal_orders]
+                   for c in default_report.classes]
+        assert (len(default_report.entries), len(classes), default_report.violations) == (
+            110, 61, 0)
+        digest = hashlib.sha256(json.dumps(classes).encode()).hexdigest()
+        assert digest == PINNED_CLASSES
 
     def test_report_schema(self):
         data = json.loads(ng.scan_pairs(SMALL).to_json())
