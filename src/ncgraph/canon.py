@@ -19,7 +19,11 @@ The pipeline:
 3. Canonically label the final quotient by individualization-refinement:
    equitable refinement of the colour partition, branching on the first
    smallest non-singleton cell, keeping the lexicographically least leaf
-   encoding.  Each leaf is compared with the first leaf and the best leaf
+   encoding.  Refinement splits cells by neighbour counts into splitter
+   cells taken from a queue: every cell at the root, and below it only the
+   cell of the vertex just individualized, since the cells around it were
+   equitable.  A split cell queues all its pieces if it was still waiting,
+   and otherwise all but its first largest piece (Hopcroft's rule).  Each leaf is compared with the first leaf and the best leaf
    found so far, and with no other.  An equal encoding yields an
    automorphism, which is verified and stored; the search then jumps back to
    the node where the current path leaves that leaf's path, and at every
@@ -49,6 +53,7 @@ step 3, which intersects bitmask rows packed from the final quotient.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +63,7 @@ from .graphs import NcGraph, adjacency_matrix, pack_rows
 
 # Bumped whenever the certificate bytes of some graph change; stores of
 # certificates key on it so that they never hand back bytes of another version.
-CERT_VERSION = 2
+CERT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -175,47 +180,91 @@ class _QuotientSearch:
         self._search(cells, ())
         return self.best[1]
 
-    def _refine(self, cells):
-        """Equitable refinement: split cells by neighbour count into each
-        splitter cell, restarting the splitter pass after any split."""
-        while True:
-            split = False
-            for splitter in cells:
-                smask = 0
-                for v in splitter:
-                    smask |= 1 << v
-                new_cells = []
-                for cell in cells:
-                    if len(cell) == 1:
-                        new_cells.append(cell)
+    def _refine(self, cells, queue=None):
+        """Equitable refinement driven by a queue of splitter cells.
+
+        ``queue`` holds the start positions of the cells to split by, first
+        in first out; None queues every cell, as at the root.  A splitter
+        splits each cell by neighbour count into it, the pieces taking the
+        cell's place in increasing count order.  If the split cell was
+        still waiting, every piece waits; otherwise every piece but the
+        first largest one is queued (Hopcroft's rule: counts into that
+        piece are counts into the old cell minus counts into the others).
+        The queue and the cells are walked by position only, so the result
+        does not depend on the labeling.  A one-vertex splitter, the usual
+        kind below the root, splits a cell by one ``&`` of the cell's
+        bitmask with the vertex's row.
+        """
+        cell_at = [None] * self.n  # each cell at its start position
+        mask_at = [0] * self.n  # its vertex bitmask, or 0 until needed
+        pos = 0
+        for cell in cells:
+            cell_at[pos] = cell
+            pos += len(cell)
+        if queue is None:
+            queue = [s for s in range(self.n) if cell_at[s]]
+        waiting = [False] * self.n
+        for s in queue:
+            waiting[s] = True
+        queue = deque(queue)
+        open_starts = [s for s in range(self.n) if cell_at[s] and len(cell_at[s]) > 1]
+        adj = self.adj
+        while queue and open_starts:
+            s = queue.popleft()
+            waiting[s] = False
+            splitter = cell_at[s]
+            smask = sum(1 << v for v in splitter)
+            still_open = []
+            for t in open_starts:
+                cell = cell_at[t]
+                if len(splitter) == 1:  # counts are 0 or 1: compare masks
+                    mask = mask_at[t] or sum(1 << v for v in cell)
+                    hit = mask & adj[splitter[0]]
+                    if not hit or hit == mask:
+                        mask_at[t] = mask
+                        still_open.append(t)
                         continue
+                    pieces = [tuple(v for v in cell if not hit >> v & 1),
+                              tuple(v for v in cell if hit >> v & 1)]
+                    masks = [mask ^ hit, hit]
+                else:
                     groups = {}
                     for v in cell:
-                        groups.setdefault((self.adj[v] & smask).bit_count(), []).append(v)
+                        groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
                     if len(groups) == 1:
-                        new_cells.append(cell)
-                    else:
-                        split = True
-                        for count in sorted(groups):
-                            new_cells.append(tuple(groups[count]))
-                if split:
-                    cells = new_cells
-                    break
-            if not split:
-                return cells
+                        still_open.append(t)
+                        continue
+                    pieces = [tuple(groups[count]) for count in sorted(groups)]
+                    masks = [0] * len(pieces)
+                # a waiting cell's entry now stands for its first piece
+                sizes = [len(p) for p in pieces]
+                skip = 0 if waiting[t] else sizes.index(max(sizes))
+                for k, (piece, mask) in enumerate(zip(pieces, masks)):
+                    cell_at[t] = piece
+                    mask_at[t] = mask
+                    if k != skip:
+                        queue.append(t)
+                        waiting[t] = True
+                    if len(piece) > 1:
+                        still_open.append(t)
+                    t += len(piece)
+            open_starts = still_open
+        return [c for c in cell_at if c]
 
-    def _search(self, cells, base):
-        """Explore the subtree below the individualized sequence ``base``.
+    def _search(self, cells, base, queue=None):
+        """Explore the subtree below the individualized sequence ``base``,
+        refining ``cells`` by the splitters in ``queue`` first.
 
         Returns the depth to jump back to when a leaf below turned out to be
         equivalent to the first or the best leaf, else None.
         """
-        cells = self._refine(cells)
+        cells = self._refine(cells, queue)
         if all(len(c) == 1 for c in cells):
             return self._leaf(tuple(c[0] for c in cells), base)
         size = min(len(c) for c in cells if len(c) > 1)
         ti = next(i for i, c in enumerate(cells) if len(c) == size)
         target = cells[ti]
+        start = sum(len(c) for c in cells[:ti])
         depth = len(base)
         explored = []
         orbits, known = None, -1
@@ -226,7 +275,9 @@ class _QuotientSearch:
                 if orbits[v] in {orbits[u] for u in explored}:
                     continue
             rest = tuple(u for u in target if u != v)
-            jump = self._search(cells[:ti] + [(v,), rest] + cells[ti + 1:], base + (v,))
+            # the cells were equitable, so only (v,) can split them
+            jump = self._search(cells[:ti] + [(v,), rest] + cells[ti + 1:], base + (v,),
+                                [start])
             explored.append(v)
             if jump is not None and jump < depth:
                 return jump
@@ -297,8 +348,8 @@ def _upper_bits(mat, order) -> bytes:
     """The strict upper triangle of ``mat`` with rows and columns taken in
     ``order``, row by row, packed big-endian and zero-padded to whole bytes."""
     p = np.asarray(order, dtype=np.intp)
-    iu, ju = np.triu_indices(len(p), k=1)
-    return np.packbits(mat[p[iu], p[ju]]).tobytes()
+    r = np.arange(len(p))
+    return np.packbits(mat[np.ix_(p, p)][r[:, None] < r]).tobytes()
 
 
 def _canon(graph: NcGraph):

@@ -400,6 +400,81 @@ class TestSearchOracles:
         assert outcomes == {None, "colours", "adjacency"}
 
 
+def old_refine(adj, cells):
+    """The restart loop _QuotientSearch._refine ran before the splitter
+    queue: split every cell by neighbour count into each cell in turn, and
+    start the pass over after any split."""
+    while True:
+        split = False
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            new_cells = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    split = True
+                    for count in sorted(groups):
+                        new_cells.append(tuple(groups[count]))
+            if split:
+                cells = new_cells
+                break
+        if not split:
+            return cells
+
+
+def assert_equitable_and_agrees(search, cells, queue):
+    """Refine by the queue; the result must be the restart loop's set
+    partition, and every cell must have uniform counts into every cell."""
+    got = search._refine(cells, queue)
+    assert sorted(v for c in got for v in c) == list(range(search.n))
+    assert sorted(map(sorted, got)) == sorted(map(sorted, old_refine(search.adj, cells)))
+    for splitter in got:
+        smask = sum(1 << v for v in splitter)
+        for cell in got:
+            assert len({(search.adj[v] & smask).bit_count() for v in cell}) == 1
+    return got
+
+
+def assert_refinements_agree(qmat, colors):
+    """The root refinement of the colour cells, then each single
+    individualization below it, queued the way _search queues it."""
+    search = canon._QuotientSearch(qmat, colors)
+    roots = [tuple(v for v in range(search.n) if colors[v] == c) for c in sorted(set(colors))]
+    cells = assert_equitable_and_agrees(search, roots, None)
+    start = 0
+    for ti, target in enumerate(cells):
+        for v in target if len(target) > 1 else ():
+            rest = tuple(u for u in target if u != v)
+            assert_equitable_and_agrees(
+                search, cells[:ti] + [(v,), rest] + cells[ti + 1:], [start])
+        start += len(target)
+
+
+class TestRefineOracle:
+    """The splitter-queue refinement against the restart loop it replaced."""
+
+    def test_catalog_quotients(self, catalog_groups):
+        for g in catalog_groups.values():
+            mat = adjacency_matrix(ng.build_nc_graph(g))
+            qmat, colors, _ = canon._contract_to_fixpoint(mat)
+            assert_refinements_agree(qmat, colors)
+
+    def test_random_coloured_graphs(self):
+        rng = np.random.default_rng(71)
+        for k in range(200):
+            adj, colors = random_quotient(rng, 1 + k % 40)
+            assert_refinements_agree(unpack_masks(adj), colors)
+
+
 def old_twin_classes(adj, colors):
     """The bitmask grouping that _twin_classes ran before it read matrix rows."""
     open_groups = {}
@@ -599,9 +674,9 @@ class TestContractionOracles:
 
 
 # Certificates of the bare families up to order 128, each followed by two
-# seeded relabelings, hashed in order; computed before the contraction moved
-# from bitmasks onto the adjacency matrix.
-PINNED_FAMILY_DIGEST = "8e1df1ddb584498bf525fe41606a154eff265f91e25d42fa66ae509d7dd6227d"
+# seeded relabelings, hashed in order.  Certificate version 3: the splitter
+# queue orders the refined cells differently from version 2.
+PINNED_FAMILY_DIGEST = "a7143d92b6ba7b6edc57e407824fffc8efacb5cc73c88b36f933cfce3db29c25"
 
 
 def test_bare_family_certificates_are_pinned():
@@ -617,8 +692,22 @@ def test_bare_family_certificates_are_pinned():
         for _ in range(2):
             perm = rng.permutation(graph.num_vertices)
             digest.update(ng.certificate(ng.relabeled(graph, perm)))
-    assert canon.CERT_VERSION == 2
+    assert canon.CERT_VERSION == 3
     assert digest.hexdigest() == PINNED_FAMILY_DIGEST
+
+
+def test_heisenberg_2_4_relabelings_share_one_certificate():
+    # 510 vertices whose twin quotient is 255 vertices of one colour: the
+    # size of search the splitter queue is there for
+    graph = ng.build_nc_graph(ng.construct("heisenberg(2,4)"))
+    qmat, colors, _ = canon._contract_to_fixpoint(adjacency_matrix(graph))
+    assert (len(qmat), len(set(colors))) == (255, 1)
+    rng = np.random.default_rng(2024)
+    for _ in range(2):
+        moved = ng.relabeled(graph, rng.permutation(graph.num_vertices))
+        assert ng.certificate(moved) == ng.certificate(graph)
+        phi = ng.find_isomorphism(graph, moved)  # verified edge by edge
+        assert sorted(phi.mapping) == list(range(graph.num_vertices))
 
 
 class TestHeldForms:

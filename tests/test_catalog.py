@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import ncgraph as ng
-from ncgraph import catalog
+from ncgraph import canon, catalog
 
 # sha256 of each default-scan class as [members, equal-orders verdict], in
 # report order; the certificate bytes do not enter it
@@ -267,7 +267,8 @@ class TestScan:
     def test_default_report_bytes_are_pinned(self, default_report):
         # every entry, class, pair audit and witness of the default scan
         digest = hashlib.sha256(default_report.to_json().encode()).hexdigest()
-        assert digest == "afdc1eacefec0653f58ae6ae066600e8fe20e3e3ed23e8aafe1d7b6773006531"
+        assert canon.CERT_VERSION == 3
+        assert digest == "7efc9b157a06e3f379c5d485bcd80dfa5678c9eb7e232064d0bdc996f10fbce7"
 
     def test_default_report_without_certificates_is_pinned(self, default_report):
         # the report with every certificate_sha256 removed, serialised as the
