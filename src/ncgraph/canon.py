@@ -23,12 +23,13 @@ The pipeline:
    cells taken from a queue: every cell at the root, and below it only the
    cell of the vertex just individualized, since the cells around it were
    equitable.  A split cell queues all its pieces if it was still waiting,
-   and otherwise all but its first largest piece (Hopcroft's rule).  Each leaf is compared with the first leaf and the best leaf
-   found so far, and with no other.  An equal encoding yields an
-   automorphism, which is verified and stored; the search then jumps back to
-   the node where the current path leaves that leaf's path, and at every
-   node skips the children in the orbit of an explored child under the
-   stored automorphisms that fix the node's base pointwise.
+   and otherwise all but its first largest piece (Hopcroft's rule).  Each
+   leaf is compared with the first leaf and the best leaf found so far, and
+   with no other.  An equal encoding yields an automorphism, which is
+   verified and stored; the search then jumps back to the node where the
+   current path leaves that leaf's path, and at every node skips the
+   children in the orbit of an explored child under the stored
+   automorphisms that fix the node's base pointwise.
 4. Expand the winning quotient order to a full-graph vertex order, each
    quotient vertex recursively into its class members (members ascending at
    every level), and emit the adjacency matrix under that order as the
@@ -115,10 +116,10 @@ def _contract(mat, colors, classes):
     owner = np.empty(len(mat), dtype=np.intp)
     owner[[v for c in classes for v in c.members]] = np.repeat(
         np.arange(len(classes)), [len(c.members) for c in classes])
-    qmat = mat[np.ix_(reps, reps)]
+    qmat = mat[reps][:, reps]
     looped = qmat.copy()
     np.fill_diagonal(looped, [c.kind == 2 for c in classes])
-    expected = looped[np.ix_(owner, owner)]
+    expected = looped[owner][:, owner]
     np.fill_diagonal(expected, False)
     bad = np.flatnonzero(expected != mat)
     if bad.size:
@@ -195,31 +196,35 @@ class _QuotientSearch:
         kind below the root, splits a cell by one ``&`` of the cell's
         bitmask with the vertex's row.
         """
-        cell_at = [None] * self.n  # each cell at its start position
-        mask_at = [0] * self.n  # its vertex bitmask, or 0 until needed
+        n = self.n
+        cell_at = [None] * n  # each cell at its start position
+        mask_at = [0] * n  # its vertex bitmask, or 0 until needed
+        waiting = [False] * n
+        open_starts = []  # starts of the cells with two or more vertices
         pos = 0
         for cell in cells:
             cell_at[pos] = cell
+            if len(cell) > 1:
+                open_starts.append(pos)
             pos += len(cell)
         if queue is None:
-            queue = [s for s in range(self.n) if cell_at[s]]
-        waiting = [False] * self.n
+            queue = [s for s in range(n) if cell_at[s]]
         for s in queue:
             waiting[s] = True
         queue = deque(queue)
-        open_starts = [s for s in range(self.n) if cell_at[s] and len(cell_at[s]) > 1]
         adj = self.adj
         while queue and open_starts:
             s = queue.popleft()
             waiting[s] = False
             splitter = cell_at[s]
+            row = adj[splitter[0]] if len(splitter) == 1 else None
             smask = sum(1 << v for v in splitter)
             still_open = []
             for t in open_starts:
                 cell = cell_at[t]
-                if len(splitter) == 1:  # counts are 0 or 1: compare masks
+                if row is not None:  # counts are 0 or 1: compare masks
                     mask = mask_at[t] or sum(1 << v for v in cell)
-                    hit = mask & adj[splitter[0]]
+                    hit = mask & row
                     if not hit or hit == mask:
                         mask_at[t] = mask
                         still_open.append(t)
@@ -329,7 +334,7 @@ class _QuotientSearch:
         recoloured = next((v for v in range(self.n)
                            if self.colors[gamma[v]] != self.colors[v]), self.n)
         g = np.asarray(gamma)
-        rewired = np.flatnonzero((self.mat[np.ix_(g, g)] != self.mat).any(axis=1))
+        rewired = np.flatnonzero((self.mat[g][:, g] != self.mat).any(axis=1))
         if recoloured <= (rewired[0] if rewired.size else self.n - 1):
             raise InternalInconsistency(
                 "leaf-derived map does not preserve quotient colours"
@@ -349,7 +354,7 @@ def _upper_bits(mat, order) -> bytes:
     ``order``, row by row, packed big-endian and zero-padded to whole bytes."""
     p = np.asarray(order, dtype=np.intp)
     r = np.arange(len(p))
-    return np.packbits(mat[np.ix_(p, p)][r[:, None] < r]).tobytes()
+    return np.packbits(mat[p][:, p][r[:, None] < r]).tobytes()
 
 
 def _canon(graph: NcGraph):
