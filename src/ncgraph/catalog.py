@@ -16,6 +16,7 @@ import math
 import os
 import re
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .audits import Record, audit_isomorphic_pair, same_prime_audit
@@ -142,14 +143,8 @@ def _family_instances(request: str, max_order: int) -> list:
     """
     request = request.strip()
     if request in ("dihedral", "dicyclic"):
-        start = 3 if request == "dihedral" else 2
-        per = 2 if request == "dihedral" else 4
-        out = []
-        k = start
-        while per * k <= max_order:
-            out.append(GroupDescriptor(request, (k,)))
-            k += 1
-        return out
+        start, per = (3, 2) if request == "dihedral" else (2, 4)
+        return [GroupDescriptor(request, (k,)) for k in range(start, max_order // per + 1)]
     if request == "heisenberg":
         out = []
         p = 2
@@ -180,34 +175,21 @@ def _family_instances(request: str, max_order: int) -> list:
     return [desc]
 
 
-def _abelian_chains(order: int) -> list:
+def _abelian_chains(order: int, limit: int = 0) -> list:
     """All invariant-factor chains (d1, d2, ...) with product = order and
-    each factor dividing the previous one."""
-    def rec(remaining, limit):
-        if remaining == 1:
-            return [()]
-        out = []
-        for d in range(2, min(remaining, limit) + 1):
-            if remaining % d == 0 and limit % d == 0:
-                for rest in rec(remaining // d, d):
-                    out.append((d,) + rest)
-        return out
-
-    # the first factor has no divisibility constraint from above
-    chains = []
-    for d in range(2, order + 1):
-        if order % d == 0:
-            for rest in rec(order // d, d):
-                chains.append((d,) + rest)
-    return chains
+    each factor dividing the previous one (the first dividing ``limit``, if
+    given)."""
+    if order == 1:
+        return [()]
+    limit = limit or order
+    return [(d,) + rest for d in range(2, min(order, limit) + 1)
+            if order % d == 0 and limit % d == 0
+            for rest in _abelian_chains(order // d, d)]
 
 
 def _cofactor_descriptors(max_cofactor: int) -> list:
-    out = []
-    for order in range(2, max_cofactor + 1):
-        for chain in _abelian_chains(order):
-            out.append((order, GroupDescriptor("abelian", chain)))
-    return out
+    return [(order, GroupDescriptor("abelian", chain))
+            for order in range(2, max_cofactor + 1) for chain in _abelian_chains(order)]
 
 
 @dataclass(frozen=True)
@@ -232,13 +214,7 @@ class CatalogEntry(Record):
 
 
 def _rle(values) -> tuple:
-    out = []
-    for v in sorted(values):
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return tuple((v, c) for v, c in out)
+    return tuple(sorted(Counter(values).items()))
 
 
 def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:

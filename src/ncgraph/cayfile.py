@@ -186,7 +186,8 @@ def _canonical_edges(graph: NcGraph):
     """The canonical vertex order and the edges as position pairs [u, v],
     u < v, sorted: the upper triangle of the canonically ordered matrix."""
     order = canonical_order(graph)
-    mat = adjacency_matrix(graph)[np.ix_(order, order)]
+    p = np.asarray(order, dtype=np.intp)
+    mat = adjacency_matrix(graph)[p][:, p]
     return order, np.argwhere(np.triu(mat, 1)).tolist()
 
 

@@ -4,7 +4,9 @@ A group of order n lives in an n-by-n table of element indices with the
 identity pinned at index 0.  Every table, whatever its source, passes the
 full group-axiom check in ``validate``; associativity is proved with Light's
 test over a generating set (O(n^2) per generator, at most log2(n)
-generators for a group).  Derived data (inverses, centre, conjugacy
+generators for a group).  Those generators stay on the table, and the
+central series, conjugacy classes and Sylow closure run on them instead of
+on n-by-n passes.  Derived data (inverses, centre, conjugacy
 classes, ...) is memoised on the table object; tables are immutable after
 construction, so concurrent reads are safe.
 """
@@ -63,12 +65,18 @@ class CayleyTable:
     def inverses(self) -> np.ndarray:
         inv = self._memo.get("inv")
         if inv is None:
-            rows, cols = np.nonzero(self.table == 0)
-            inv = np.empty(self.order, dtype=np.int64)
-            inv[rows] = cols
+            inv = self.table.argmin(axis=1)   # each row holds 0 once, at x^-1
             inv.flags.writeable = False
             self._memo["inv"] = inv
         return inv
+
+    @property
+    def generators(self) -> tuple:
+        """At most log2(n) elements whose right closure is the whole group:
+        the ones ``validate`` checked, else the same greedy cover on first use."""
+        if "gens" not in self._memo:
+            self._memo["gens"] = _cover(self.table, 0, np.ones(self.order, dtype=bool))
+        return self._memo["gens"]
 
     @property
     def commuting(self) -> np.ndarray:
@@ -120,19 +128,59 @@ class SylowFactor:
     abelian: bool
 
 
+def _orbit_roots(perms) -> np.ndarray:
+    """The least member of each point's orbit under the permutations in the
+    rows of ``perms``.  Every point points at a root, at first itself; each
+    round hooks the larger root of every pair (x, perm[x]) onto the smaller
+    and follows the pointers to the roots, until no pair has two roots."""
+    least = np.arange(perms.shape[1])
+    while True:
+        ends = least[perms]
+        lo, hi = np.minimum(ends, least), np.maximum(ends, least)
+        joined = lo != hi
+        if not joined.any():
+            return least
+        np.minimum.at(least, hi[joined], lo[joined])
+        while not np.array_equal(root := least[least], least):
+            least = root
+
+
 def _right_closure(arr, mask, frontier, gens) -> None:
-    """Grow the boolean ``mask`` in place until it is closed under right
-    multiplication by ``gens``; ``frontier`` lists the members whose products
-    are not yet taken."""
-    gens = np.asarray(gens, dtype=np.int64)
-    frontier = np.asarray(frontier, dtype=np.int64)
-    while frontier.size and gens.size:
-        prods = arr[np.ix_(frontier, gens)].ravel()
-        frontier = np.unique(prods[~mask[prods]])
-        mask[frontier] = True
+    """Add to ``mask``, in place, every element reachable from ``frontier`` by
+    right multiplication with ``gens``: the orbits meeting ``frontier`` under
+    the maps x -> x*s, which are permutations in a Latin square."""
+    gens = np.asarray(gens, dtype=np.intp)
+    if gens.size and len(frontier):
+        roots = _orbit_roots(arr[:, gens].T)
+        hit = np.zeros_like(mask)
+        hit[roots[np.asarray(frontier, dtype=np.intp)]] = True
+        mask |= hit[roots]
 
 
-def _check_associative(arr, identity, name) -> None:
+def _cover(arr, identity, within, check=None):
+    """Greedy generators of the element set ``within`` (a boolean mask), or
+    None as soon as the cover escapes it.  From {identity}, the smallest
+    uncovered member goes to ``check``, joins the generators, and the cover
+    grows by right closure.  In a group each cover is the subgroup spanned so
+    far and at least doubles, so a subgroup of order m takes at most log2(m)
+    generators, and ``within`` is a subgroup exactly when no cover escapes."""
+    covered = np.zeros(arr.shape[0], dtype=bool)
+    covered[identity] = True
+    gens = []
+    while True:
+        todo = np.flatnonzero(within & ~covered)
+        if not todo.size:
+            return tuple(gens)
+        a = int(todo[0])
+        if check is not None:
+            check(a)
+        gens.append(a)
+        _right_closure(arr, covered, [identity], gens)
+        if (covered & ~within).any():
+            return None
+
+
+def _check_associative(arr, identity, name) -> tuple:
     """Light's associativity test on a Latin square with a two-sided identity.
 
     Light's criterion: the table is associative iff (x*a)*y == x*(a*y) for
@@ -144,17 +192,13 @@ def _check_associative(arr, identity, name) -> None:
     subgroup the generators span, so at most log2(n) generators are checked,
     each with two n-by-n gathers.  The witness of a failure is the first
     ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, generators in index order and
-    ``(x, y)`` in row-major order.
+    ``(x, y)`` in row-major order.  Returns the generators.
     """
-    n = arr.shape[0]
-    covered = np.zeros(n, dtype=bool)
-    covered[identity] = True
-    gens = []
     # the two n-by-n buffers are reused by every generator
     left = np.empty_like(arr)
     right = np.empty_like(arr)
-    while not covered.all():
-        a = int(np.argmin(covered))
+
+    def light(a):
         # entries are range-checked already, so "clip" never clips; it
         # spares the extra buffer that the default mode uses with out=
         np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
@@ -165,8 +209,8 @@ def _check_associative(arr, identity, name) -> None:
                 f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
                 witness=(x, a, y),
             )
-        gens.append(a)
-        _right_closure(arr, covered, np.nonzero(covered)[0], gens)
+
+    return _cover(arr, identity, np.ones(arr.shape[0], dtype=bool), light)
 
 
 def _index_entries(arr, name) -> np.ndarray:
@@ -196,7 +240,8 @@ def validate(raw, descriptor=None) -> CayleyTable:
     are checked on every table.  Associativity is Light's test over a
     generating set (see ``_check_associative``); a failure raises
     ``NotAssociative`` with a triple ``(x, a, y)`` such that
-    ``(x*a)*y != x*(a*y)``.  If the identity is not at index 0, elements are
+    ``(x*a)*y != x*(a*y)``.  The generators it checked become the table's
+    ``generators``.  If the identity is not at index 0, elements are
     relabeled so that it is.
 
     Every entry must be an integer in 0..n-1; the first one that is not
@@ -260,16 +305,19 @@ def validate(raw, descriptor=None) -> CayleyTable:
             witness=(i1, i2, j),
         )
 
-    _check_associative(arr, identity, name)
+    gens = _check_associative(arr, identity, name)
 
     if identity != 0:
         sigma = idx.copy()
         sigma[0], sigma[identity] = identity, 0
         arr = sigma[arr[np.ix_(sigma, sigma)]]
+        gens = tuple(int(sigma[a]) for a in gens)
 
     table = np.ascontiguousarray(arr, dtype=np.int32)
     table.flags.writeable = False
-    return CayleyTable(n, table, name)
+    g = CayleyTable(n, table, name)
+    g._memo["gens"] = gens
+    return g
 
 
 # --- centre, centralizers, conjugacy -----------------------------------------
@@ -336,28 +384,19 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
     return data
 
 
-def _conjugates(g: CayleyTable) -> np.ndarray:
-    """The n-by-n int32 matrix [x, y] -> y^-1 * x * y, gathered from the flat
-    table at (y^-1 * x) * n + y; those indices stay below n^2, so int32 holds
-    them.  Not memoised: callers reduce it and let it go."""
-    n = g.order
-    idx = g.table[g.inverses].T * np.int32(n)   # [x, y] -> (y^-1 * x) * n
-    idx += np.arange(n, dtype=np.int32)
-    return g.table.ravel()[idx]
-
-
 def conjugacy_classes(g: CayleyTable) -> tuple:
     """Partition of the elements into conjugacy classes, by smallest member.
 
-    Row x of the conjugation matrix lists x's conjugates, so its minimum is
-    the least member of x's class.  Each class is cross-checked against the
-    orbit-stabiliser count |class| * |centralizer| = |G| at that member.
+    Classes are the orbits of conjugation by the generators,
+    x -> s^-1 * x * s.  Each class is cross-checked against the
+    orbit-stabiliser count |class| * |centralizer| = |G| at its least member.
     """
     classes = g._memo.get("classes")
     if classes is not None:
         return classes
-    n = g.order
-    least = _conjugates(g).min(axis=1)
+    n, t = g.order, g.table
+    gens = np.array(g.generators, dtype=np.intp)
+    least = _orbit_roots(t[t[g.inverses[gens]], gens[:, None]])   # [k, x] -> s_k^-1 x s_k
     counts = np.bincount(least, minlength=n)
     leaders = np.flatnonzero(counts)
     sizes = counts[leaders]
@@ -401,18 +440,20 @@ def element_orders(g: CayleyTable) -> np.ndarray:
 def upper_central_series(g: CayleyTable) -> list:
     """Ascending central series Z_0 = {e} <= Z_1 <= ...; stops at a stall or at G.
 
-    Membership step: x lies in the next level iff every commutator
-    x^-1 (y^-1 x y) lands in the current level.  The n-by-n matrix of these
-    commutators is built once, in int32; each level is then one gather of the
+    Membership step: x lies in the next level iff its commutator
+    x^-1 s^-1 x s with every generator s lands in the current level (the
+    images of a generating set generate G/Z_i).  The commutators are one
+    length-n gather per generator; each level is then one gather of the
     current membership mask and a row-wise ``all``.
     """
     cached = g._memo.get("ucs")
     if cached is not None:
         return list(cached)
     n = g.order
-    commutators = _conjugates(g)
-    commutators += (g.inverses.astype(np.int32) * np.int32(n))[:, None]
-    commutators = g.table.ravel()[commutators]  # [x, y] -> x^-1 * y^-1 * x * y
+    t, inv = g.table, g.inverses
+    gens = np.array(g.generators, dtype=np.intp)
+    # [x, k] -> (x^-1 * s_k^-1) * (x * s_k)
+    commutators = t[t[inv[:, None], inv[gens]], t[:, gens]]
     current = np.zeros(n, dtype=bool)
     current[0] = True
     levels = [current]
@@ -422,10 +463,8 @@ def upper_central_series(g: CayleyTable) -> list:
             break
         current = nxt
         levels.append(current)
-    sets = [
-        ElementSet(g, frozenset(int(i) for i in np.nonzero(m)[0]), True)
-        for m in levels
-    ]
+    sets = [ElementSet(g, frozenset(np.flatnonzero(m).tolist()), True)
+            for m in levels]
     g._memo["ucs"] = tuple(sets)
     return sets
 
@@ -464,11 +503,7 @@ def direct_product(g: CayleyTable, h: CayleyTable,
     table = np.ascontiguousarray(product_table(g.table, h.table), dtype=np.int32)
     table.flags.writeable = False
     out = CayleyTable(nm, table, f"product({g.descriptor},{h.descriptor})")
-    expected = {
-        a * h.order + b
-        for a in center(g).members
-        for b in center(h).members
-    }
+    expected = {a * h.order + b for a in center(g).members for b in center(h).members}
     if center(out).members != frozenset(expected):
         raise InternalInconsistency(
             "centre of a direct product is not the product of centres"
@@ -566,9 +601,11 @@ def prime_factorization(n: int) -> dict:
 def sylow_decomposition(g: CayleyTable) -> list:
     """Sylow subgroups of a nilpotent group as p-power-order element sets.
 
-    For each prime p dividing |G| the elements of p-power order are collected,
-    verified to form a subgroup of the right size, and the product map across
-    all factors is verified to be a bijection onto G.
+    For each prime power p^e exactly dividing |G|, the elements with
+    x^(p^e) = e are collected and verified to be a subgroup of that size: a
+    greedy cover (``_cover``) must never leave them, and the factor is
+    abelian exactly when the cover's generators commute.  The product map
+    across all factors is verified to be a bijection onto G.
     """
     nilp, _ = is_nilpotent(g)
     if not nilp:
@@ -579,35 +616,28 @@ def sylow_decomposition(g: CayleyTable) -> list:
     if cached is not None:
         return list(cached)
     n = g.order
-    if n == 1:
-        g._memo["sylow"] = ()
-        return []
-    orders = element_orders(g)
-    comm = g.commuting
+    t = g.table
     factors = []
     member_lists = []
     for p, e in sorted(prime_factorization(n).items()):
-        o = orders.copy()
-        while True:
-            div = o % p == 0
-            if not div.any():
-                break
-            o[div] //= p
-        members = tuple(int(i) for i in np.nonzero(o == 1)[0])
+        power, base, k = np.zeros(n, dtype=np.intp), np.arange(n), p ** e
+        while k:   # x^(p^e) for every x, by repeated squaring
+            power, base, k = t[power, base] if k & 1 else power, t[base, base], k >> 1
+        mask = power == 0
+        members = np.flatnonzero(mask).tolist()
         if len(members) != p ** e:
             raise InternalInconsistency(
                 f"p-power-order elements at p={p} number {len(members)}, "
                 f"expected {p ** e}"
             )
-        lookup = np.full(n, -1, dtype=np.int64)
-        lookup[list(members)] = np.arange(len(members))
-        if (lookup[g.table[np.ix_(members, members)]] < 0).any():
+        gens = g.generators if len(members) == n else _cover(t, 0, mask)
+        if gens is None:
             raise InternalInconsistency(
                 f"p-power-order elements at p={p} are not closed"
             )
-        abelian = bool(comm[np.ix_(members, members)].all())
+        sub = t[np.array(gens)][:, gens]
         eset = ElementSet(g, frozenset(members), True)
-        factors.append(SylowFactor(p, eset, abelian))
+        factors.append(SylowFactor(p, eset, bool((sub == sub.T).all())))
         member_lists.append(members)
     products = np.zeros(1, dtype=np.int64)   # every product x_1 * x_2 * ... in turn
     for members in member_lists:

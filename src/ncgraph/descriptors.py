@@ -151,34 +151,36 @@ def descriptor_order(desc: GroupDescriptor) -> int:
 
 # --- raw table builders ----------------------------------------------------------
 
+def _circulant(m: int, starts) -> np.ndarray:
+    """The int32 m-by-m block whose row i is starts[i], starts[i]+1, ... mod m."""
+    cycle = np.tile(np.arange(m, dtype=np.int32), 2)
+    return np.lib.stride_tricks.sliding_window_view(cycle, m)[starts]
+
+
 def _cyclic_table(k: int) -> np.ndarray:
-    i = np.arange(k)
-    return (i[:, None] + i[None, :]) % k
+    return _circulant(k, np.arange(k))
 
 
 def _dihedral_table(k: int) -> np.ndarray:
-    """Symmetries of the regular k-gon; index e*k + i encodes s^e r^i."""
-    n = 2 * k
-    idx = np.arange(n)
-    e, i = idx // k, idx % k
-    e1, e2 = e[:, None], e[None, :]
-    i1, i2 = i[:, None], i[None, :]
-    eps = e1 ^ e2
-    ii = np.where(e2 == 1, (i2 - i1) % k, (i1 + i2) % k)
-    return eps * k + ii
+    """Symmetries of the regular k-gon; index e*k + i encodes s^e r^i.
+
+    r^i r^j = r^(i+j) and r^i s r^j = s r^(j-i), so the table is two k-by-k
+    circulants, (i+j) mod k and (j-i) mod k, placed in four blocks.
+    """
+    plus, minus = _cyclic_table(k), _circulant(k, -np.arange(k) % k)
+    return np.block([[plus, minus + k], [plus + k, minus]])
 
 
 def _dicyclic_table(k: int) -> np.ndarray:
-    """Dicyclic group of order 4k; index e*2k + i encodes b^e a^i with b^2 = a^k."""
+    """Dicyclic group of order 4k; index e*2k + i encodes b^e a^i with b^2 = a^k.
+
+    With m = 2k the blocks are the m-by-m circulants (i+j) mod m and
+    (j-i) mod m, and (j-i+k) mod m where b^2 = a^k enters.
+    """
     m = 2 * k
-    n = 2 * m
-    idx = np.arange(n)
-    e, i = idx // m, idx % m
-    e1, e2 = e[:, None], e[None, :]
-    i1, i2 = i[:, None], i[None, :]
-    eps = e1 ^ e2
-    ii = np.where(e2 == 1, (i2 - i1 + k * e1) % m, (i1 + i2) % m)
-    return eps * m + ii
+    i = np.arange(m)
+    plus, minus = _cyclic_table(m), _circulant(m, -i % m)
+    return np.block([[plus, minus + m], [plus + m, _circulant(m, (k - i) % m)]])
 
 
 def _heisenberg_table(p: int, k: int) -> np.ndarray:
@@ -186,27 +188,18 @@ def _heisenberg_table(p: int, k: int) -> np.ndarray:
 
     The product is (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a . b')
     with everything mod p; the index packs the digits (a_1..a_k, b_1..b_k, c)
-    in base p, most significant first.
+    in base p, most significant first.  So the table is an (n/p)-by-(n/p)
+    block over the (a, b) part, digitwise addition mod p, with a p-by-p
+    inner block (c + c' + a . b') mod p at each entry.
     """
-    n = p ** (2 * k + 1)
-    idx = np.arange(n)
-    digits = np.empty((n, 2 * k + 1), dtype=np.int64)
-    rem = idx.copy()
-    for pos in range(2 * k, -1, -1):
-        digits[:, pos] = rem % p
-        rem //= p
-    a, b, c = digits[:, :k], digits[:, k:2 * k], digits[:, 2 * k]
-    aa = (a[:, None, :] + a[None, :, :]) % p
-    bb = (b[:, None, :] + b[None, :, :]) % p
-    dot = np.einsum("ik,jk->ij", a, b) % p
-    cc = (c[:, None] + c[None, :] + dot) % p
-    out = np.zeros((n, n), dtype=np.int64)
-    for pos in range(k):
-        out = out * p + aa[:, :, pos]
-    for pos in range(k):
-        out = out * p + bb[:, :, pos]
-    out = out * p + cc
-    return out
+    m = p ** (2 * k)
+    outer = reduce(product_table, [_cyclic_table(p)] * (2 * k))
+    digits = np.arange(m)[:, None] // p ** np.arange(2 * k - 1, -1, -1) % p
+    dot = digits[:, :k] @ digits[:, k:].T % p
+    c = np.arange(p, dtype=np.int32)
+    inner = (c[:, None, None] + c[:, None] + c) % p   # [d, c, c'] -> d + c + c'
+    out = (outer * p).astype(np.int32)[:, None, :, None] + inner[dot].transpose(0, 2, 1, 3)
+    return out.reshape(m * p, m * p)
 
 
 def _build_raw(desc: GroupDescriptor, max_order: int) -> np.ndarray:

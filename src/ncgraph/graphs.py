@@ -86,9 +86,8 @@ class NcGraph:
         loops = np.flatnonzero(mat.diagonal())
         if loops.size:
             raise ValueError(f"vertex {loops[0]} has a self-loop")
-        one_way = np.argwhere(mat & ~mat.T)
-        if one_way.size:
-            i, j = one_way[0]
+        if not np.array_equal(mat, mat.T):
+            i, j = np.argwhere(mat & ~mat.T)[0]
             raise ValueError(f"edge {i}-{j} is not symmetric")
         mat.flags.writeable = False
         object.__setattr__(self, "_matrix", mat)
@@ -179,8 +178,9 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
         return graph
     comm = g.commuting
     central = comm.all(axis=1)
-    verts = tuple(int(v) for v in np.nonzero(~central)[0])
-    sub = ~comm[np.ix_(verts, verts)]
+    v = np.flatnonzero(~central)
+    verts = tuple(v.tolist())
+    sub = ~comm[v][:, v]
     np.fill_diagonal(sub, False)
     adj = pack_rows(sub)
     graph = NcGraph(
@@ -221,7 +221,7 @@ def relabeled(graph: NcGraph, perm) -> NcGraph:
     old = np.argsort(p)  # old[k] is the vertex that moves to position k
     return NcGraph(
         vertices=tuple(graph.vertices[k] for k in old.tolist()),
-        adj=pack_rows(adjacency_matrix(graph)[np.ix_(old, old)]),
+        adj=pack_rows(adjacency_matrix(graph)[old][:, old]),
         parent_descriptor=graph.parent_descriptor,
         parent_order=graph.parent_order,
         parent_center_size=graph.parent_center_size,

@@ -387,7 +387,7 @@ def old_conjugacy_classes(g):
 
 def relabeled_import(desc, seed):
     """``desc`` imported from .cay text with its elements relabeled."""
-    t = relabel(ng.construct(desc).table, np.random.default_rng(seed))
+    t = relabel(ng.construct(desc, max_order=1024).table, np.random.default_rng(seed))
     return ng.parse_group(f"{len(t)}\n" + "\n".join(" ".join(map(str, row)) for row in t))
 
 
@@ -539,3 +539,177 @@ class TestProductsAndSylow:
         for f in ng.sylow_decomposition(g):
             sub = ng.induced_group(g, f.members)
             assert sub.order == len(f.members)
+
+
+# --- the n-by-n passes that the generator versions replaced ----------------------
+
+def n2_conjugates(g):
+    """[x, y] -> y^-1 * x * y, gathered from the flat table."""
+    n = g.order
+    idx = g.table[g.inverses].T * np.int32(n)   # [x, y] -> (y^-1 * x) * n
+    idx += np.arange(n, dtype=np.int32)
+    return g.table.ravel()[idx]
+
+
+def n2_upper_central_series(g):
+    """The series from the n-by-n commutator matrix, as member sets."""
+    n = g.order
+    commutators = n2_conjugates(g)
+    commutators += (g.inverses.astype(np.int32) * np.int32(n))[:, None]
+    commutators = g.table.ravel()[commutators]  # [x, y] -> x^-1 * y^-1 * x * y
+    current = np.zeros(n, dtype=bool)
+    current[0] = True
+    levels = [current]
+    while not current.all():
+        nxt = current[commutators].all(axis=1)
+        if np.array_equal(nxt, current):
+            break
+        current = nxt
+        levels.append(current)
+    return [frozenset(np.flatnonzero(m).tolist()) for m in levels]
+
+
+def n2_conjugacy_classes(g):
+    """Classes from the minimum of each row of the n-by-n conjugation matrix."""
+    least = n2_conjugates(g).min(axis=1)
+    counts = np.bincount(least, minlength=g.order)
+    leaders = np.flatnonzero(counts)
+    assert (counts[leaders] * g.commuting[leaders].sum(axis=1) == g.order).all()
+    members = np.argsort(least, kind="stable").tolist()
+    ends = np.cumsum(counts[leaders]).tolist()
+    return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def n2_sylow(g):
+    """(prime, members, abelian) per factor, from element orders, a closure
+    check over the members' n-by-n product block and the commuting block."""
+    orders = old_element_orders(g)
+    out = []
+    for p, e in sorted(ng.prime_factorization(g.order).items()):
+        members = [x for x in range(g.order) if (p ** e) % orders[x] == 0]
+        assert len(members) == p ** e
+        inside = np.zeros(g.order, dtype=bool)
+        inside[members] = True
+        assert inside[g.table[np.ix_(members, members)]].all()
+        abelian = bool(g.commuting[np.ix_(members, members)].all())
+        out.append((p, frozenset(members), abelian))
+    return out
+
+
+def assert_matches_n2(g):
+    assert [s.members for s in ng.upper_central_series(g)] == n2_upper_central_series(g)
+    assert ng.conjugacy_classes(g) == n2_conjugacy_classes(g)
+    if ng.is_nilpotent(g)[0]:
+        factors = ng.sylow_decomposition(g)
+        assert [(f.prime, f.members.members, f.abelian) for f in factors] == n2_sylow(g)
+    else:
+        with pytest.raises(ng.NotNilpotent):
+            ng.sylow_decomposition(g)
+
+
+def derived_tables():
+    """Tables built without validate: direct products and induced subgroups."""
+    d4, h3 = ng.construct("dihedral(4)"), ng.construct("heisenberg(3,1)")
+    d3, c4 = ng.construct("dihedral(3)"), ng.construct("cyclic(4)")
+    g = ng.direct_product(d4, h3)
+    h = relabeled_import("heisenberg(2,4)", 4)
+    x = next(x for x in range(h.order) if len(ng.centralizer(h, x)) < h.order)
+    d12 = ng.construct("dihedral(12)")
+    return {
+        "product(d4,h3)": g,
+        "product(d3,c4)": ng.direct_product(d3, c4),
+        "product(d4,d4)": ng.direct_product(d4, d4),
+        "sylow 3 of product(d4,h3)": ng.induced_group(g, ng.sylow_decomposition(g)[1].members),
+        "centralizer in heisenberg(2,4)": ng.induced_group(h, ng.centralizer(h, x)),
+        "centralizer in dihedral(12)": ng.induced_group(d12, ng.centralizer(d12, 12)),
+        "trivial": ng.induced_group(d3, ng.ElementSet(d3, frozenset({0}), True)),
+    }
+
+
+LARGE_IMPORTS = ["dihedral(512)", "heisenberg(2,4)", "dicyclic(64)"]
+
+
+class TestGeneratorOracles:
+    """Central series, classes and Sylow factors from the generators against
+    the n-by-n passes they replaced."""
+
+    def test_default_catalog(self, catalog_groups):
+        assert len(catalog_groups) == 110
+        for g in catalog_groups.values():
+            assert_matches_n2(g)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    @pytest.mark.parametrize("desc", LARGE_IMPORTS)
+    def test_relabeled_imports(self, desc, seed):
+        assert_matches_n2(relabeled_import(desc, seed))
+
+    def test_products_and_induced_tables(self):
+        for g in derived_tables().values():
+            assert_matches_n2(g)
+
+
+def assert_generates(g):
+    gens = g.generators
+    assert all(type(a) is int for a in gens)
+    # at most log2(n) generators, and their right closure is the whole group
+    assert len(gens) <= g.order.bit_length() - 1
+    assert len(ng.generate_subgroup(g, gens)) == g.order
+
+
+class TestGenerators:
+    def test_validated_tables(self, catalog_groups):
+        rng = np.random.default_rng(31)
+        for g in catalog_groups.values():
+            assert_generates(g)
+            h = ng.validate(relabel(g.table, rng))   # the identity moves
+            assert_generates(h)
+
+    @pytest.mark.parametrize("desc", LARGE_IMPORTS)
+    def test_parsed_tables(self, desc):
+        assert_generates(relabeled_import(desc, 23))
+
+    def test_products_and_induced_tables(self):
+        for g in derived_tables().values():
+            assert_generates(g)
+
+    def test_validate_keeps_the_generators_it_checked(self, monkeypatch):
+        checked = []
+        real = cayley._right_closure
+
+        def recording(arr, mask, frontier, gens):
+            checked[:] = list(gens)
+            return real(arr, mask, frontier, gens)
+
+        monkeypatch.setattr(cayley, "_right_closure", recording)
+        g = ng.validate(ng.construct("heisenberg(3,2)").table)
+        assert g.generators == tuple(checked)
+
+    @pytest.mark.parametrize("desc", ["product(dihedral(4),cyclic(3))",
+                                      "product(dicyclic(2),heisenberg(3,1))"])
+    def test_cover_reports_a_planted_escape(self, desc):
+        g = relabeled_import(desc, 8)
+        rng = np.random.default_rng(9)
+        for f in ng.sylow_decomposition(g):
+            mask = np.zeros(g.order, dtype=bool)
+            mask[list(f.members.members)] = True
+            gens = cayley._cover(g.table, 0, mask)
+            assert ng.generate_subgroup(g, gens).members == f.members.members
+            # one member other than the identity swapped for a non-member
+            bad = mask.copy()
+            bad[rng.choice(np.flatnonzero(mask)[1:])] = False
+            bad[rng.choice(np.flatnonzero(~mask))] = True
+            assert cayley._cover(g.table, 0, bad) is None
+
+    def test_sylow_closure_check_can_fail(self, monkeypatch):
+        g = ng.construct("product(dihedral(4),cyclic(3))")
+        real = cayley._cover
+
+        def swapped(arr, identity, within, check=None):
+            bad = within.copy()
+            bad[np.flatnonzero(within)[-1]] = False
+            bad[np.flatnonzero(~within)[0]] = True
+            return real(arr, identity, bad, check)
+
+        monkeypatch.setattr(cayley, "_cover", swapped)
+        with pytest.raises(ng.InternalInconsistency, match="p=2 are not closed"):
+            ng.sylow_decomposition(g)

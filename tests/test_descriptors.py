@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
+from ncgraph import descriptors
+from ncgraph.cayley import product_table
 
 # Frozen from independent models: dihedral(3) from composing the six
 # symmetries of a triangle as corner permutations; dicyclic(2) from unit
@@ -164,3 +166,94 @@ class TestFullValidation:
             ng.construct("dihedral(100)")
         i, j, k = exc.value.witness
         assert bad[bad[i, j], k] != bad[i, bad[j, k]]
+
+
+# --- the element-wise builders that the block builders replaced ----------------
+
+def old_cyclic_table(k):
+    i = np.arange(k)
+    return (i[:, None] + i[None, :]) % k
+
+
+def old_dihedral_table(k):
+    n = 2 * k
+    idx = np.arange(n)
+    e, i = idx // k, idx % k
+    e1, e2 = e[:, None], e[None, :]
+    i1, i2 = i[:, None], i[None, :]
+    ii = np.where(e2 == 1, (i2 - i1) % k, (i1 + i2) % k)
+    return (e1 ^ e2) * k + ii
+
+
+def old_dicyclic_table(k):
+    m = 2 * k
+    idx = np.arange(2 * m)
+    e, i = idx // m, idx % m
+    e1, e2 = e[:, None], e[None, :]
+    i1, i2 = i[:, None], i[None, :]
+    ii = np.where(e2 == 1, (i2 - i1 + k * e1) % m, (i1 + i2) % m)
+    return (e1 ^ e2) * m + ii
+
+
+def old_heisenberg_table(p, k):
+    n = p ** (2 * k + 1)
+    digits = np.empty((n, 2 * k + 1), dtype=np.int64)
+    rem = np.arange(n)
+    for pos in range(2 * k, -1, -1):
+        digits[:, pos] = rem % p
+        rem //= p
+    a, b, c = digits[:, :k], digits[:, k:2 * k], digits[:, 2 * k]
+    aa = (a[:, None, :] + a[None, :, :]) % p
+    bb = (b[:, None, :] + b[None, :, :]) % p
+    cc = (c[:, None] + c[None, :] + np.einsum("ik,jk->ij", a, b) % p) % p
+    out = np.zeros((n, n), dtype=np.int64)
+    for pos in range(k):
+        out = out * p + aa[:, :, pos]
+    for pos in range(k):
+        out = out * p + bb[:, :, pos]
+    return out * p + cc
+
+
+def old_build_raw(desc):
+    name, args = desc.name, desc.args
+    if name == "cyclic":
+        return old_cyclic_table(args[0])
+    if name == "abelian":
+        tables = [old_cyclic_table(a) for a in args]
+    elif name in ("dihedral", "dicyclic", "heisenberg"):
+        builder = {"dihedral": old_dihedral_table, "dicyclic": old_dicyclic_table,
+                   "heisenberg": old_heisenberg_table}[name]
+        return builder(*args)
+    else:
+        tables = [old_build_raw(a) for a in args]
+    out = tables[0]
+    for t in tables[1:]:
+        out = product_table(out, t)
+    return out
+
+
+def assert_same_raw_table(text, max_order=512):
+    desc = ng.parse_descriptor(text)
+    new = descriptors._build_raw(desc, max_order)
+    old = old_build_raw(desc)
+    assert new.shape == old.shape
+    assert np.array_equal(new, old), text
+
+
+class TestBuilderOracles:
+    """The block builders against the element-wise ones they replaced."""
+
+    def test_default_catalog(self, catalog_entries):
+        assert len(catalog_entries) == 110
+        for entry in catalog_entries:
+            assert_same_raw_table(entry.descriptor)
+
+    @pytest.mark.parametrize("text", [
+        "dihedral(3)", "dihedral(4)", "dihedral(255)", "dihedral(512)",
+        "dicyclic(2)", "dicyclic(3)", "dicyclic(63)", "dicyclic(256)",
+        "heisenberg(2,1)", "heisenberg(2,3)", "heisenberg(2,4)", "heisenberg(3,2)",
+        "heisenberg(3,1)", "heisenberg(5,1)", "heisenberg(7,1)",
+        "cyclic(1)", "abelian(4,2,2)", "product(heisenberg(2,2),dicyclic(3))",
+    ])
+    def test_families_up_to_order_1024(self, text):
+        assert_same_raw_table(text, max_order=1024)
