@@ -19,6 +19,7 @@ import numpy as np
 
 from .cayley import (
     CayleyTable,
+    _distinct_rows,
     center,
     centralizer,
     centralizer_data,
@@ -237,8 +238,7 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
     # one item per distinct pair of centralizers, decided at its first vertex
     mixed = np.flatnonzero(~(ab_a & ab_b))
     keys = np.stack([data_a.ids[elems_a[mixed]], data_b.ids[elems_b[mixed]]], axis=1)
-    _, where = np.unique(keys, axis=0, return_index=True)
-    firsts = mixed[np.sort(where)].tolist()
+    firsts = mixed[np.sort(_distinct_rows(keys)[0])].tolist()
     graph_same, graph_witness = 0, None
     for i in firsts:
         elem_a, elem_b = vertex_pairs[i][:2]

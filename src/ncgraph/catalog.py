@@ -6,21 +6,32 @@ groups catalog entries by graph certificate, verifies every same-certificate
 pair with an explicit bijection and the full pair audit, and renders the
 headline verdict: among nilpotent groups with irregular graphs, equal
 certificates must mean equal orders.
+
+Certificates may come from an on-disk ``CertificateCache``.  A hit is
+trusted only once its stored canonical order realises its bytes on the
+entry's graph, and it then seeds the graph's canonical form, so pair
+searches compose stored orders and a warm scan labels no catalog graph.
+Every enumeration then recomputes a cached certificate that fails the
+reversed-labeling spot check or that splits a degree profile; either is a
+logged reject, and its file is rewritten.  No reject raises out of a scan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
 import re
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .audits import Record, audit_isomorphic_pair, same_prime_audit
-from .canon import CERT_VERSION, certificate, find_isomorphism
+from .canon import CERT_VERSION, _upper_bits, canonical_order, certificate, find_isomorphism
 from .cayley import (
     center,
     conjugacy_classes,
@@ -43,7 +54,9 @@ from .errors import (
     RegularGraph,
     WrongShape,
 )
-from .graphs import build_nc_graph, relabeled
+from .graphs import NcGraph, adjacency_matrix, build_nc_graph, relabeled
+
+log = logging.getLogger("ncgraph")
 
 DEFAULT_FAMILIES = (
     "dihedral(3..16)",
@@ -103,8 +116,26 @@ _COUNT_KEYS = ("max_order", "cofactor_max")
 
 
 class CertificateCache:
-    """Content-addressed certificate store: one file per descriptor string
-    and certificate version, written via a temp file and an atomic rename."""
+    """Certificate store that proves each hit on the graph it is used for.
+
+    One file per descriptor string and certificate version, written via a
+    temp file and an atomic rename.  A file is one frame: magic, certificate
+    version, vertex count n, the canonical order (n big-endian uint32), the
+    certificate, and a sha256 of all that.  ``get`` trusts a frame only once
+    its digest, magic, version and n match and its order, a permutation,
+    realises the certificate on the graph: the graph's matrix under that
+    order is the certificate's matrix, the O(n^2) step certificates end
+    with.  A file that fails a check is a reject: it is logged on the
+    ``ncgraph`` logger, and the caller recomputes and rewrites it.
+
+    The limit of the guarantee: realisation does not prove that the bytes
+    are the canonical ones.  A forged, well-framed file whose order realises
+    its bytes can at most change the digest of an entry with a unique degree
+    profile.  It cannot merge two classes, since equal bytes realised on two
+    graphs define an isomorphism (and ``Isomorphism`` re-checks every edge),
+    and the catalog enumeration recomputes every cached certificate that
+    splits a degree profile, so it cannot split one either.
+    """
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -115,23 +146,65 @@ class CertificateCache:
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.directory, digest + ".cert")
 
-    def get(self, descriptor: str):
+    def get(self, descriptor: str, graph: NcGraph):
+        """The stored (canonical order, certificate) of ``graph``, proved on
+        it; None if no file is stored or the stored one is rejected."""
         try:
             with open(self._path(descriptor), "rb") as fh:
-                return fh.read()
+                frame = fh.read()
         except FileNotFoundError:
             return None
+        form = _read_frame(frame, graph)
+        if isinstance(form, str):
+            self.reject(descriptor, form)
+            return None
+        return form
 
-    def put(self, descriptor: str, cert: bytes) -> None:
+    def put(self, descriptor: str, order, cert: bytes) -> None:
+        body = (_MAGIC + CERT_VERSION.to_bytes(4, "big") + len(order).to_bytes(4, "big")
+                + np.asarray(order, dtype=">u4").tobytes() + cert)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(cert)
+                fh.write(body + hashlib.sha256(body).digest())
             os.replace(tmp, self._path(descriptor))
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def reject(self, descriptor: str, reason: str) -> None:
+        log.warning("certificate cache: rejected %s in %s (%s); it is recomputed "
+                    "and rewritten", descriptor, self.directory, reason)
+
+
+_MAGIC = b"NCGC"
+_HEAD = 12  # magic, version, n
+_DIGEST = 32
+
+
+def _read_frame(frame: bytes, graph: NcGraph):
+    """(order, certificate) from a frame proved on ``graph``, or the reason
+    the frame is rejected."""
+    body, digest = frame[:-_DIGEST], frame[-_DIGEST:]
+    if len(body) < _HEAD or hashlib.sha256(body).digest() != digest:
+        return "bad digest"
+    if body[:4] != _MAGIC:
+        return "bad magic"
+    version, n = int.from_bytes(body[4:8], "big"), int.from_bytes(body[8:12], "big")
+    if version != CERT_VERSION:
+        return f"certificate version {version}, not {CERT_VERSION}"
+    if n != graph.num_vertices:
+        return f"{n} vertices, the graph has {graph.num_vertices}"
+    if len(body) != _HEAD + 4 * n + 4 + (n * (n - 1) // 2 + 7) // 8:
+        return "bad frame length"
+    order = np.frombuffer(body, dtype=">u4", count=n, offset=_HEAD)
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        return "order is not a permutation"
+    cert = body[_HEAD + 4 * n:]
+    if cert != n.to_bytes(4, "big") + _upper_bits(adjacency_matrix(graph), order):
+        return "order does not realise the certificate"
+    return tuple(order.tolist()), cert
 
 
 def _family_instances(request: str, max_order: int) -> list:
@@ -218,6 +291,7 @@ def _rle(values) -> tuple:
 
 
 def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
+    """(group, entry, whether the certificate came from the cache)."""
     g = construct(desc, max_order=max_order)
     if g.is_abelian:
         raise BadDescriptor(
@@ -226,11 +300,14 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
         )
     graph = build_nc_graph(g)
     key = str(desc)
-    cert = cache.get(key) if cache is not None else None
-    if cert is None:
+    form = cache.get(key, graph) if cache is not None else None
+    if form is not None:
+        graph._memo["canon"] = form  # proved on this graph: no labeling needed
+        cert = form[1]
+    else:
         cert = certificate(graph)
         if cache is not None:
-            cache.put(key, cert)
+            cache.put(key, canonical_order(graph), cert)
     nilp, nclass = is_nilpotent(g)
     if nilp:
         factors = sylow_decomposition(g)
@@ -257,12 +334,11 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
         nonabelian_sylow_prime=na_prime,
         certificate=cert,
         certificate_sha256=hashlib.sha256(cert).hexdigest(),
-    )
+    ), form is not None
 
 
-def _enumerate(config: CatalogConfig) -> list:
-    """(group, entry) pairs for the catalog, sorted by descriptor."""
-    cache = CertificateCache(config.cache_dir) if config.cache_dir else None
+def _descriptors(config: CatalogConfig) -> list:
+    """The catalog's descriptors, sorted by their strings."""
     bases = []
     for request in config.families:
         bases.extend(_family_instances(request, config.max_order))
@@ -278,16 +354,76 @@ def _enumerate(config: CatalogConfig) -> list:
                 continue
             full = GroupDescriptor("product", (base, co_desc))
             descriptors[str(full)] = full
-    return [_build_entry(descriptors[key], config.max_order, cache)
-            for key in sorted(descriptors)]
+    return [descriptors[key] for key in sorted(descriptors)]
+
+
+def _enumerate(config: CatalogConfig) -> tuple:
+    """The catalog's groups keyed by descriptor, its entries sorted by
+    descriptor, and the descriptors the spot check sampled.
+
+    Two guards run on the entries.  For a deterministic sample of entries
+    the certificate is recomputed on the graph with its vertex order
+    reversed, which misses every cache: a mismatch on a cached certificate
+    is a reject and a recompute, and on a computed one an
+    ``InternalInconsistency`` (the certificate depends on the labeling).
+    Then entries with equal degree profiles (so equal vertex counts) but
+    different certificates have their cached certificates recomputed, and
+    any that differs is a reject: isomorphic graphs share a profile, so no
+    cached certificate can split a class.
+    """
+    cache = CertificateCache(config.cache_dir) if config.cache_dir else None
+    built = [_build_entry(desc, config.max_order, cache) for desc in _descriptors(config)]
+    groups = {entry.descriptor: g for g, entry, _ in built}
+    entries = [entry for _, entry, _ in built]
+    cached = [hit for _, _, hit in built]
+
+    def recompute(i, reason):
+        """Entry i's certificate from its graph; a cached one that differs
+        is rejected, replaced and rewritten."""
+        cached[i] = False
+        entry = entries[i]
+        graph = build_nc_graph(groups[entry.descriptor])
+        graph._memo.pop("canon", None)
+        cert = certificate(graph)
+        if cert != entry.certificate:
+            cache.reject(entry.descriptor, reason)
+            cache.put(entry.descriptor, canonical_order(graph), cert)
+            entries[i] = replace(entry, certificate=cert,
+                                 certificate_sha256=hashlib.sha256(cert).hexdigest())
+
+    sample_idx = sorted({0, len(entries) // 2, len(entries) - 1}) if entries else []
+    checked = []
+    for idx in sample_idx:
+        entry = entries[idx]
+        graph = build_nc_graph(groups[entry.descriptor])
+        fresh = certificate(relabeled(graph, range(graph.num_vertices - 1, -1, -1)))
+        if fresh != entry.certificate and cached[idx]:
+            recompute(idx, "differs from the reversed-labeling spot check")
+        if fresh != entries[idx].certificate:
+            raise InternalInconsistency(
+                f"certificate of {entry.descriptor} differs from a fresh "
+                f"recomputation on the reversed labeling"
+            )
+        checked.append(entry.descriptor)
+
+    by_profile = {}
+    for i, entry in enumerate(entries):
+        by_profile.setdefault(entry.degree_profile, []).append(i)
+    for idxs in by_profile.values():
+        if len({entries[i].certificate for i in idxs}) > 1:
+            for i in idxs:
+                if cached[i]:
+                    recompute(i, "splits entries of one degree profile")
+    return groups, entries, checked
 
 
 def enumerate_catalog(config: CatalogConfig = None) -> list:
     """Deterministic, duplicate-free entry list for the configured families
-    and their coprime abelian-cofactor products, sorted by descriptor."""
+    and their coprime abelian-cofactor products, sorted by descriptor.
+    Cached certificates pass the same two guards as in ``scan_pairs``."""
     if config is None:
         config = CatalogConfig()
-    return [entry for _, entry in _enumerate(config)]
+    return _enumerate(config)[1]
 
 
 @dataclass(frozen=True)
@@ -341,16 +477,17 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
     The headline verdict per class: if every member is nilpotent with an
     irregular graph, all member orders must be equal.  Regular classes whose
     member orders differ are logged as cross-order candidates instead of
-    violations.  For a deterministic sample of entries the certificate is
-    recomputed on the graph with its vertex order reversed: that misses every
-    cache, so it checks both the stored certificate and its independence of
-    the labeling.
+    violations.
+
+    Two guards run before entries are grouped (see ``_enumerate``): the
+    reversed-labeling spot check, and a recompute of cached certificates
+    that split entries of one degree profile.  A cached certificate that
+    fails either is rejected and rewritten; the scan never raises for it.
     """
     if config is None:
         config = CatalogConfig()
-    built = _enumerate(config)
-    entries = [entry for _, entry in built]
-    groups = {entry.descriptor: g for g, entry in built}
+    groups, entries, checked = _enumerate(config)
+    spot = {"checked": checked, "ok": True}
 
     by_cert = {}
     for entry in entries:
@@ -420,20 +557,6 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
             same_prime_audits=tuple(sp_audits),
             same_prime_skips=tuple(sp_skips),
         ))
-
-    sample_idx = sorted({0, len(entries) // 2, len(entries) - 1}) if entries else []
-    checked = []
-    for idx in sample_idx:
-        entry = entries[idx]
-        graph = build_nc_graph(groups[entry.descriptor])
-        fresh = certificate(relabeled(graph, range(graph.num_vertices - 1, -1, -1)))
-        if fresh != entry.certificate:
-            raise InternalInconsistency(
-                f"cached certificate for {entry.descriptor} differs from a "
-                f"fresh recomputation"
-            )
-        checked.append(entry.descriptor)
-    spot = {"checked": checked, "ok": True}
 
     return ScanReport(
         config=config,

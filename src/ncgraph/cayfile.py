@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .cayley import CayleyTable, validate
+from .cayley import CayleyTable, _cleared_on_error, validate
 from .canon import canonical_order
 from .errors import CayParseError, InternalInconsistency
 from .graphs import NcGraph, adjacency_matrix
@@ -136,7 +136,12 @@ def _parse_block(rows, first: int, n: int, out: np.ndarray) -> None:
 
 
 def parse_group(text: str, descriptor: str = None) -> CayleyTable:
-    """Parse .cay text; errors carry 1-based line numbers."""
+    """Parse .cay text; errors carry 1-based line numbers.  A raised error
+    holds no reference to the line list, the table or a check's scratch."""
+    return _cleared_on_error(_parse_group, text, descriptor)
+
+
+def _parse_group(text, descriptor):
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise CayParseError("line 1: expected the group order")

@@ -14,7 +14,9 @@ construction, so concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,7 +85,10 @@ class CayleyTable:
         """Boolean matrix whose [i, j] entry says whether i and j commute."""
         c = self._memo.get("comm")
         if c is None:
-            c = np.asarray(self.table == self.table.T)
+            t = self.table
+            # a row stride of whole 4 KiB pages sends every read of a column
+            # to the same cache sets, so such tables are compared in tiles
+            c = _transpose_equal(t) if t.strides[0] % 4096 == 0 else t == t.T
             c.flags.writeable = False
             self._memo["comm"] = c
         return c
@@ -98,6 +103,16 @@ class CayleyTable:
 
     def __repr__(self):
         return f"CayleyTable({self.descriptor!r}, order={self.order})"
+
+
+def _transpose_equal(t) -> np.ndarray:
+    """``t == t.T``, one 128-square tile at a time."""
+    n, b = len(t), 128
+    out = np.empty((n, n), dtype=bool)
+    for i in range(0, n, b):
+        for j in range(0, n, b):
+            np.equal(t[i:i + b, j:j + b], t[j:j + b, i:i + b].T, out=out[i:i + b, j:j + b])
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,23 +209,24 @@ def _check_associative(arr, identity, name) -> tuple:
     ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, generators in index order and
     ``(x, y)`` in row-major order.  Returns the generators.
     """
-    # the two n-by-n buffers are reused by every generator
-    left = np.empty_like(arr)
-    right = np.empty_like(arr)
-
-    def light(a):
-        # entries are range-checked already, so "clip" never clips; it
-        # spares the extra buffer that the default mode uses with out=
-        np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
-        np.take(arr, arr[a], axis=1, out=right, mode="clip")    # x*(a*y)
-        if not np.array_equal(left, right):
-            x, y = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(
-                f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
-                witness=(x, a, y),
-            )
-
+    # the two n-by-n buffers are reused by every generator; a partial, not
+    # a closure, so that clearing the frames of an error releases them
+    light = partial(_light, arr, np.empty_like(arr), np.empty_like(arr), name)
     return _cover(arr, identity, np.ones(arr.shape[0], dtype=bool), light)
+
+
+def _light(arr, left, right, name, a) -> None:
+    """Light's check of one element ``a``, in the buffers ``left`` and ``right``."""
+    # entries are range-checked already, so "clip" never clips; it spares
+    # the extra buffer that the default mode uses with out=
+    np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
+    np.take(arr, arr[a], axis=1, out=right, mode="clip")    # x*(a*y)
+    if not np.array_equal(left, right):
+        x, y = map(int, np.argwhere(left != right)[0])
+        raise NotAssociative(
+            f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
+            witness=(x, a, y),
+        )
 
 
 def _index_entries(arr, name) -> np.ndarray:
@@ -233,6 +249,17 @@ def _index_entries(arr, name) -> np.ndarray:
     return out
 
 
+def _cleared_on_error(fn, *args):
+    """``fn(*args)``.  An error keeps its traceback, but the frames it left
+    lose their locals: a kept validation error would otherwise hold every
+    n-by-n table and scratch buffer of the checks."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
+
+
 def validate(raw, descriptor=None) -> CayleyTable:
     """Check the group axioms on a raw table and return a normalized group.
 
@@ -248,7 +275,13 @@ def validate(raw, descriptor=None) -> CayleyTable:
     (row-major) raises ``NotClosed`` with witness ``(i, j, value)``.  An
     integer array is read as it is; any other table (fractions, integers
     beyond int64) is walked entry by entry, so 0.5 is never truncated.
+
+    A raised error holds no reference to the checks' n-by-n arrays.
     """
+    return _cleared_on_error(_validate, raw, descriptor)
+
+
+def _validate(raw, descriptor):
     arr = np.asarray(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError("expected a square table of order >= 1")
@@ -357,6 +390,17 @@ class CentralizerData:
     ids: np.ndarray
 
 
+def _distinct_rows(a: np.ndarray) -> tuple:
+    """For a C-contiguous 2-D array: the index of the first occurrence of
+    each distinct row, and for each row the position of its distinct row in
+    that list.  Rows are sorted as byte strings, which for uint8 rows is the
+    order, and so the result, of ``np.unique(a, axis=0)`` at a fraction of
+    its cost."""
+    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
+    _, first, ids = np.unique(rows, return_index=True, return_inverse=True)
+    return first, ids
+
+
 def centralizer_data(g: CayleyTable) -> CentralizerData:
     """Centralizer sizes, centre sizes and identities, memoised on the table.
 
@@ -369,12 +413,10 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
     if data is None:
         comm = g.commuting
         packed = np.packbits(comm, axis=1)
-        _, first, ids = np.unique(packed, axis=0,
-                                  return_index=True, return_inverse=True)
+        first, ids = _distinct_rows(packed)
         zsizes = np.empty(len(first), dtype=np.int64)
         for k, x in enumerate(first):
             zsizes[k] = ((packed[comm[x]] & packed[x]) == packed[x]).all(axis=1).sum()
-        ids = ids.reshape(-1)
         sizes = comm.sum(axis=1)
         center_sizes = zsizes[ids]
         data = CentralizerData(sizes, center_sizes, center_sizes == sizes, ids)

@@ -1,11 +1,13 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncgraph as ng
-from ncgraph import canon, catalog
+from ncgraph import canon, catalog, graphs
 
 # sha256 of each default-scan class as [members, equal-orders verdict], in
 # report order; the certificate bytes do not enter it
@@ -145,12 +147,65 @@ class TestEnumeration:
         assert d6.nonabelian_sylow_count is None
 
 
+# ten entries; dihedral(8) and dicyclic(4) share a graph, and the spot
+# check samples dicyclic(2), dihedral(5) and dihedral(9), not dihedral(8)
+PLANT = ng.CatalogConfig(families=("dihedral(3..9)", "dicyclic(2..4)"),
+                         max_order=32, cofactor_max=1)
+
+
+# each file planted in place of dihedral(8)'s, and the reason it is rejected
+PLANTED_REASONS = {
+    "bit-flip": "bad digest",
+    "truncation": "bad digest",
+    "other-version": "certificate version 2, not 3",
+    "other-graph": "24 vertices, the graph has 14",
+    "natural-order": "splits entries of one degree profile",
+}
+
+
+def frame(order, cert, version=canon.CERT_VERSION):
+    """A cache file as CertificateCache writes it: magic, version, n, the
+    order as big-endian uint32, the certificate, then a sha256 of all that."""
+    n = len(order)
+    body = (b"NCGC" + version.to_bytes(4, "big") + n.to_bytes(4, "big")
+            + np.asarray(order, dtype=">u4").tobytes() + cert)
+    return body + hashlib.sha256(body).digest()
+
+
+def realised_form(descriptor, reverse=False):
+    """The order 0..n-1 of the descriptor's graph, or n-1..0, and the bytes
+    it realises."""
+    mat = graphs.adjacency_matrix(ng.build_nc_graph(ng.construct(descriptor)))
+    order = range(len(mat))[::-1] if reverse else range(len(mat))
+    return order, len(mat).to_bytes(4, "big") + canon._upper_bits(mat, order)
+
+
+def flip_last_bit(body):
+    """A frame without its digest, with the last adjacency bit of its
+    certificate flipped (the bits are zero-padded to whole bytes)."""
+    n = int.from_bytes(body[8:12], "big")
+    last = n * (n - 1) // 2 - 1
+    out = bytearray(body)
+    out[12 + 4 * n + 4 + last // 8] ^= 0x80 >> last % 8
+    return bytes(out)
+
+
+def rejects(caplog):
+    return [r for r in caplog.records
+            if r.name == "ncgraph" and "certificate cache: rejected" in r.getMessage()]
+
+
 class TestCache:
     def test_cache_store_and_reuse(self, tmp_path):
         cache = ng.CertificateCache(str(tmp_path))
-        assert cache.get("dihedral(4)") is None
-        cache.put("dihedral(4)", b"\x01\x02")
-        assert cache.get("dihedral(4)") == b"\x01\x02"
+        graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
+        assert cache.get("dihedral(4)", graph) is None
+        form = (ng.canonical_order(graph), ng.certificate(graph))
+        cache.put("dihedral(4)", *form)
+        (path,) = tmp_path.glob("*.cert")
+        assert path.read_bytes() == frame(*form)
+        fresh = ng.build_nc_graph(ng.construct("dihedral(4)"))
+        assert cache.get("dihedral(4)", fresh) == form
 
     def test_scan_with_cache_is_stable(self, tmp_path):
         cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
@@ -170,6 +225,7 @@ class TestCache:
         certs = {e.descriptor: e.certificate
                  for e in ng.enumerate_catalog(replace(cfg, cache_dir=None))}
         names = sorted(certs)
+        graphs = {name: ng.build_nc_graph(ng.construct(name)) for name in names}
         for p in tmp_path.glob("*.cert"):
             p.unlink()
         # files of an older version, and of the unversioned layout keyed on
@@ -185,37 +241,72 @@ class TestCache:
         for p in stale:
             p.write_bytes(b"stale")
         cache = ng.CertificateCache(str(tmp_path))
-        assert all(cache.get(name) is None for name in names)
+        assert all(cache.get(name, graphs[name]) is None for name in names)
         assert ng.scan_pairs(cfg).to_json() == cold
         assert len(list(tmp_path.glob("*.cert"))) == 3 * len(names)
         assert all(p.read_bytes() == b"stale" for p in stale)
-        assert all(cache.get(name) == certs[name] for name in names)
+        assert all(cache.get(name, graphs[name])[1] == certs[name] for name in names)
 
-    def test_corrupt_cache_detected(self, tmp_path):
-        cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
-                               max_order=32, cofactor_max=1,
-                               cache_dir=str(tmp_path))
-        ng.scan_pairs(cfg)
+    @pytest.mark.parametrize("plant", list(PLANTED_REASONS))
+    def test_planted_cache_file_is_rejected_and_rewritten(self, tmp_path, caplog, plant):
+        cfg = replace(PLANT, cache_dir=str(tmp_path))
+        cold = ng.scan_pairs(cfg).to_json()
         cache = ng.CertificateCache(str(tmp_path))
-        # poison every stored certificate, then rescan: the spot check
-        # recomputes a sample from scratch and must catch the mismatch
-        for p in tmp_path.glob("*.cert"):
-            p.write_bytes(b"poisoned")
-        with pytest.raises(ng.InternalInconsistency):
-            ng.scan_pairs(cfg)
+        path = Path(cache._path("dihedral(8)"))
+        stored = path.read_bytes()
+        if plant == "bit-flip":
+            planted = flip_last_bit(stored[:-32]) + stored[-32:]
+        elif plant == "truncation":
+            planted = stored[:len(stored) // 2]
+        elif plant == "other-version":
+            graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
+            planted = frame(ng.canonical_order(graph), ng.certificate(graph), version=2)
+        elif plant == "other-graph":
+            planted = frame(*realised_form("heisenberg(3,1)"))
+        else:
+            # the order realises its bytes, so only the profile guard can
+            # tell that they are not canonical: dicyclic(4) has the same graph
+            order, cert = realised_form("dihedral(8)")
+            assert cert != ng.certificate(ng.build_nc_graph(ng.construct("dicyclic(4)")))
+            planted = frame(order, cert)
+        path.write_bytes(planted)
+        with caplog.at_level("WARNING", logger="ncgraph"):
+            report = ng.scan_pairs(cfg)
+        assert report.to_json() == cold
+        assert len(report.classes) == 7
+        (record,) = rejects(caplog)
+        assert "dihedral(8)" in record.getMessage()
+        assert PLANTED_REASONS[plant] in record.getMessage()
+        graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
+        assert cache.get("dihedral(8)", graph) == (ng.canonical_order(graph),
+                                                   ng.certificate(graph))
+        assert len(rejects(caplog)) == 1
 
-    def test_one_poisoned_entry_is_caught_by_the_spot_check(self, tmp_path):
-        cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
-                               max_order=32, cofactor_max=1,
-                               cache_dir=str(tmp_path))
-        first = ng.enumerate_catalog(replace(cfg, cache_dir=None))[0]
-        # heisenberg(3,1) has 24 vertices, more than any entry here, so the
-        # poisoned entry lands in a class of its own and no pair search sees it
-        outsider = ng.certificate(ng.build_nc_graph(ng.construct("heisenberg(3,1)")))
-        ng.CertificateCache(str(tmp_path)).put(first.descriptor, outsider)
-        with pytest.raises(ng.InternalInconsistency,
-                           match="differs from a fresh recomputation"):
-            ng.scan_pairs(cfg)
+    def test_enumeration_guards_cached_certificates_too(self, tmp_path, caplog):
+        cfg = replace(PLANT, cache_dir=str(tmp_path))
+        cold = ng.enumerate_catalog(cfg)
+        path = Path(ng.CertificateCache(str(tmp_path))._path("dihedral(8)"))
+        path.write_bytes(frame(*realised_form("dihedral(8)")))
+        with caplog.at_level("WARNING", logger="ncgraph"):
+            warm = ng.enumerate_catalog(cfg)
+        assert [e.certificate_sha256 for e in warm] == [e.certificate_sha256 for e in cold]
+        assert len(rejects(caplog)) == 1
+
+    def test_spot_check_rejects_a_realised_file_of_a_sampled_entry(self, tmp_path,
+                                                                   caplog):
+        # dihedral(9) has a degree profile of its own, so only the spot
+        # check can see that its planted bytes are not canonical
+        cfg = replace(PLANT, cache_dir=str(tmp_path))
+        cold = ng.scan_pairs(cfg).to_json()
+        cache = ng.CertificateCache(str(tmp_path))
+        order, cert = realised_form("dihedral(9)", reverse=True)
+        assert cert != ng.certificate(ng.build_nc_graph(ng.construct("dihedral(9)")))
+        Path(cache._path("dihedral(9)")).write_bytes(frame(order, cert))
+        with caplog.at_level("WARNING", logger="ncgraph"):
+            assert ng.scan_pairs(cfg).to_json() == cold
+        (record,) = rejects(caplog)
+        assert "dihedral(9)" in record.getMessage()
+        assert "spot check" in record.getMessage()
 
     def test_spot_check_catches_a_labeling_dependent_certificate(self, monkeypatch):
         true_certificate = catalog.certificate
@@ -229,6 +320,34 @@ class TestCache:
         with pytest.raises(ng.InternalInconsistency,
                            match="differs from a fresh recomputation"):
             ng.scan_pairs(cfg)
+
+    def test_warm_default_scan_labels_only_the_spot_check(self, tmp_path, caplog,
+                                                         monkeypatch):
+        cfg = ng.CatalogConfig(cache_dir=str(tmp_path))
+        cold = ng.scan_pairs(cfg).to_json()
+        runs = []
+        real_run = canon._QuotientSearch.run
+
+        def counting(search):
+            runs.append(search.n)
+            return real_run(search)
+
+        monkeypatch.setattr(canon._QuotientSearch, "run", counting)
+        with caplog.at_level("WARNING", logger="ncgraph"):
+            assert ng.scan_pairs(cfg).to_json() == cold
+        assert len(runs) == 3
+        assert rejects(caplog) == []
+        # a flipped last certificate bit with a digest made to match: the
+        # frame is well formed, but its order no longer realises its bytes
+        path = Path(ng.CertificateCache(str(tmp_path))._path("dihedral(8)"))
+        body = flip_last_bit(path.read_bytes()[:-32])
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with caplog.at_level("WARNING", logger="ncgraph"):
+            report = ng.scan_pairs(cfg)
+        assert (len(report.classes), report.violations) == (61, 0)
+        assert report.to_json() == cold
+        (record,) = rejects(caplog)
+        assert "order does not realise the certificate" in record.getMessage()
 
 
 class TestScan:

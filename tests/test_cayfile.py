@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,3 +375,47 @@ class TestWriter:
         g = ng.construct(name)
         rows = [" ".join(str(int(v)) for v in g.table[i]) for i in range(g.order)]
         assert ng.format_group(g) == "\n".join([str(g.order)] + rows) + "\n"
+
+
+def corrupted_512(kind):
+    """Text of an order-512 table that fails one check of validate."""
+    if kind == "NotAssociative":
+        # Z/512 with one intercalate {3, 259} x {5, 261} swapped: still a
+        # Latin square with identity 0, but no longer associative
+        t = np.add.outer(np.arange(512), np.arange(512)) % 512
+        t[[3, 259], [5, 261]], t[[3, 259], [261, 5]] = t[3, 261], t[3, 5]
+    else:
+        t = ng.construct("dihedral(256)").table.astype(np.int64)
+        if kind == "NotLatin":
+            t[5, 7] = t[5, 8]
+        else:
+            t[9, 3] = 512
+    return "512\n" + "\n".join(" ".join(map(str, row)) for row in t.tolist()) + "\n"
+
+
+class TestKeptErrors:
+    @pytest.mark.parametrize("kind, message, witness", [
+        ("NotAssociative", "table(order=512): (2*1)*5 != 2*(1*5)", (2, 1, 5)),
+        ("NotLatin", "table(order=512): row 5 repeats value 13 at columns 7 and 8",
+         (5, 7, 8)),
+        ("NotClosed", "table(order=512): entry 512 at (9, 3) is outside 0..511",
+         (9, 3, 512)),
+    ])
+    def test_a_kept_validation_error_holds_no_table(self, kind, message, witness):
+        text = corrupted_512(kind)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(getattr(ng, kind)) as caught:
+                ng.parse_group(text)
+            kept = caught.value
+            del caught
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (str(kept), kept.witness) == (message, witness)
+        # the n-by-n arrays of an order-512 parse are 1-2 MB each
+        assert retained < 1_000_000
+        assert kept.__traceback__ is not None

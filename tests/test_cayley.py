@@ -713,3 +713,55 @@ class TestGenerators:
         monkeypatch.setattr(cayley, "_cover", swapped)
         with pytest.raises(ng.InternalInconsistency, match="p=2 are not closed"):
             ng.sylow_decomposition(g)
+
+
+def axis0_dedup(rows):
+    """The first occurrences and row ids of ``np.unique(rows, axis=0)``."""
+    _, first, ids = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, ids.reshape(-1)
+
+
+class TestCommutingArrays:
+    """The commuting matrix and centralizer dedup against the plain numpy
+    forms they replaced."""
+
+    def test_row_dedup_matches_axis0_on_the_default_catalog(self, catalog_groups):
+        for g in catalog_groups.values():
+            packed = np.packbits(g.commuting, axis=1)
+            first, ids = cayley._distinct_rows(packed)
+            want_first, want_ids = axis0_dedup(packed)
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(ng.centralizer_data(g).ids, want_ids)
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("desc", LARGE_IMPORTS + ["heisenberg(3,2)"])
+    def test_row_dedup_matches_axis0_on_relabeled_imports(self, desc, seed):
+        g = relabeled_import(desc, seed)
+        packed = np.packbits(g.commuting, axis=1)
+        first, ids = cayley._distinct_rows(packed)
+        want_first, want_ids = axis0_dedup(packed)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(ids, want_ids)
+
+    def test_distinct_pairs_are_the_first_occurrences(self):
+        keys = np.random.default_rng(8).integers(0, 300, size=(500, 2))
+        first, ids = cayley._distinct_rows(keys)
+        assert sorted(first.tolist()) == sorted(axis0_dedup(keys)[0].tolist())
+        assert np.array_equal(keys[first[ids]], keys)
+
+    @pytest.mark.parametrize("desc, relabel_seed", [
+        ("dihedral(512)", None), ("dihedral(512)", 41), ("heisenberg(3,2)", 42),
+        ("dihedral(150)", 43)])
+    def test_tiled_transpose_matches_the_plain_comparison(self, desc, relabel_seed):
+        # orders 1024 (a 4 KiB row stride, so commuting tiles), and 243 and
+        # 300, whose last row and column of tiles are cut short
+        if relabel_seed is None:
+            t = ng.construct(desc, max_order=1024).table
+        else:
+            t = relabeled_import(desc, relabel_seed).table
+        plain = t == t.T
+        assert np.array_equal(cayley._transpose_equal(t), plain)
+        comm = cayley.CayleyTable(len(t), t, desc).commuting
+        assert np.array_equal(comm, plain)
+        assert not comm.flags.writeable
