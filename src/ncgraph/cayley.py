@@ -143,12 +143,15 @@ class SylowFactor:
     abelian: bool
 
 
-def _orbit_roots(perms) -> np.ndarray:
+def _orbit_roots(perms, least=None) -> np.ndarray:
     """The least member of each point's orbit under the permutations in the
-    rows of ``perms``.  Every point points at a root, at first itself; each
-    round hooks the larger root of every pair (x, perm[x]) onto the smaller
-    and follows the pointers to the roots, until no pair has two roots."""
-    least = np.arange(perms.shape[1])
+    rows of ``perms`` and the ones whose orbit roots ``least`` holds.  Orbits
+    under fewer permutations refine the orbits under more, so roots found
+    for some generators are a warm start for one more.  Every point points
+    at a root, at first its own (or itself); each round hooks the larger
+    root of every pair (x, perm[x]) onto the smaller and follows the
+    pointers to the roots, until no pair has two roots."""
+    least = np.arange(perms.shape[1]) if least is None else least.copy()
     while True:
         ends = least[perms]
         lo, hi = np.minimum(ends, least), np.maximum(ends, least)
@@ -176,11 +179,13 @@ def _cover(arr, identity, within, check=None):
     """Greedy generators of the element set ``within`` (a boolean mask), or
     None as soon as the cover escapes it.  From {identity}, the smallest
     uncovered member goes to ``check``, joins the generators, and the cover
-    grows by right closure.  In a group each cover is the subgroup spanned so
-    far and at least doubles, so a subgroup of order m takes at most log2(m)
+    grows to the orbit of the identity under right multiplication by them;
+    the orbit roots of the generators so far are the warm start for the
+    next one.  In a group each cover is the subgroup spanned so far and at
+    least doubles, so a subgroup of order m takes at most log2(m)
     generators, and ``within`` is a subgroup exactly when no cover escapes."""
-    covered = np.zeros(arr.shape[0], dtype=bool)
-    covered[identity] = True
+    roots = np.arange(arr.shape[0])
+    covered = roots == identity
     gens = []
     while True:
         todo = np.flatnonzero(within & ~covered)
@@ -190,7 +195,8 @@ def _cover(arr, identity, within, check=None):
         if check is not None:
             check(a)
         gens.append(a)
-        _right_closure(arr, covered, [identity], gens)
+        roots = _orbit_roots(arr[:, a][None], roots)
+        covered = roots == roots[identity]
         if (covered & ~within).any():
             return None
 
@@ -232,7 +238,7 @@ def _light(arr, left, right, name, a) -> None:
 def _index_entries(arr, name) -> np.ndarray:
     """An int64 copy of a table that is not an integer array, or
     ``NotClosed`` at the first entry (row-major) that is not an integer in
-    0..n-1, such as 0.5 or 10**30."""
+    0..n-1, such as 0.5, 10**30 or a bool."""
     n = arr.shape[0]
     out = np.empty(arr.shape, dtype=np.int64)
     for (i, j), v in np.ndenumerate(arr):
@@ -240,7 +246,7 @@ def _index_entries(arr, name) -> np.ndarray:
             v = v.item()
         if isinstance(v, float) and v.is_integer():
             v = int(v)
-        if not (isinstance(v, int) and 0 <= v < n):
+        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < n):
             raise NotClosed(
                 f"{name}: entry {v!r} at ({i}, {j}) is not an index in 0..{n - 1}",
                 witness=(i, j, v),
@@ -274,7 +280,8 @@ def validate(raw, descriptor=None) -> CayleyTable:
     Every entry must be an integer in 0..n-1; the first one that is not
     (row-major) raises ``NotClosed`` with witness ``(i, j, value)``.  An
     integer array is read as it is; any other table (fractions, integers
-    beyond int64) is walked entry by entry, so 0.5 is never truncated.
+    beyond int64, bools) is walked entry by entry, so 0.5 is never truncated
+    and True is never read as 1.
 
     A raised error holds no reference to the checks' n-by-n arrays.
     """
@@ -290,24 +297,20 @@ def _validate(raw, descriptor):
 
     if arr.dtype.kind not in "iu":
         arr = _index_entries(arr, name)
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
+    if arr.min() < 0 or arr.max() >= n:
+        i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise NotClosed(
             f"{name}: entry {int(arr[i, j])} at ({i}, {j}) is outside 0..{n - 1}",
             witness=(i, j, int(arr[i, j])),
         )
     # every entry is now an index, and the returned table is int32: narrow
     # early so the checks below move half the bytes
-    arr = arr.astype(np.int32)
+    arr = arr.astype(np.int32, order="C")
 
+    # an identity e has e*0 = 0, so only those rows are compared in full
     idx = np.arange(n)
-    row_ids = np.nonzero((arr == idx).all(axis=1))[0]
-    identity = None
-    for e in row_ids:
-        if (arr[:, e] == idx).all():
-            identity = int(e)
-            break
+    identity = next((int(e) for e in np.flatnonzero(arr[:, 0] == 0)
+                     if np.array_equal(arr[e], idx) and np.array_equal(arr[:, e], idx)), None)
     if identity is None:
         raise NoIdentity(f"{name}: no two-sided identity element")
 
@@ -341,14 +344,17 @@ def _validate(raw, descriptor):
     gens = _check_associative(arr, identity, name)
 
     if identity != 0:
-        sigma = idx.copy()
-        sigma[0], sigma[identity] = identity, 0
-        arr = sigma[arr[np.ix_(sigma, sigma)]]
-        gens = tuple(int(sigma[a]) for a in gens)
+        # relabel by the transposition (0 identity): swap the two rows, the
+        # two columns and the two values
+        swap = [identity, 0]
+        arr[[0, identity]] = arr[swap]
+        arr[:, [0, identity]] = arr[:, swap]
+        zeros, es = arr == 0, arr == identity
+        arr[zeros], arr[es] = identity, 0
+        gens = tuple({0: identity, identity: 0}.get(a, a) for a in gens)
 
-    table = np.ascontiguousarray(arr, dtype=np.int32)
-    table.flags.writeable = False
-    g = CayleyTable(n, table, name)
+    arr.flags.writeable = False
+    g = CayleyTable(n, arr, name)
     g._memo["gens"] = gens
     return g
 
@@ -405,19 +411,26 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
     """Centralizer sizes, centre sizes and identities, memoised on the table.
 
     Elements with equal rows of the commuting matrix have the same
-    centralizer, so the packed rows are deduplicated first and the centre of
-    each distinct centralizer is counted once: y in C(x) lies in Z(C(x))
-    exactly when y's packed row contains x's.
+    centralizer, so the packed rows are deduplicated first.  y lies in
+    Z(C(x)) exactly when y's row contains x's, which already puts y in
+    C(x); so |Z(C(x))| is the number of elements whose distinct row contains
+    x's, tested only on pairs of distinct rows whose first elements commute.
     """
     data = g._memo.get("cdata")
     if data is None:
         comm = g.commuting
         packed = np.packbits(comm, axis=1)
         first, ids = _distinct_rows(packed)
-        zsizes = np.empty(len(first), dtype=np.int64)
-        for k, x in enumerate(first):
-            zsizes[k] = ((packed[comm[x]] & packed[x]) == packed[x]).all(axis=1).sum()
-        sizes = comm.sum(axis=1)
+        rows = packed[first]
+        a, b = np.nonzero(np.take(comm[first], first, axis=1))
+        contained = np.empty(len(a), dtype=bool)
+        step = max(1, 2 ** 20 // rows.shape[1])   # about 1 MB of rows at a time
+        for s in range(0, len(a), step):
+            ra = rows[a[s:s + step]]
+            contained[s:s + step] = ~(ra & ~rows[b[s:s + step]]).any(axis=1)
+        weights = np.bincount(ids)[b[contained]]
+        zsizes = np.bincount(a[contained], weights, minlength=len(first)).astype(np.int64)
+        sizes = np.count_nonzero(comm, axis=1)
         center_sizes = zsizes[ids]
         data = CentralizerData(sizes, center_sizes, center_sizes == sizes, ids)
         for arr in (sizes, center_sizes, data.abelian, ids):
@@ -527,11 +540,11 @@ def is_nilpotent(g: CayleyTable):
 # --- products and subgroups ----------------------------------------------------
 
 def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Raw direct-product table under the index convention (i, j) -> i*m + j."""
+    """Raw direct-product table under the index convention (i, j) -> i*m + j,
+    in the dtype the factors share."""
     m = t2.shape[0]
-    t = t1[:, None, :, None] * m + t2[None, :, None, :]
     nm = t1.shape[0] * m
-    return np.ascontiguousarray(t.reshape(nm, nm), dtype=np.int64)
+    return (t1[:, None, :, None] * m + t2[None, :, None, :]).reshape(nm, nm)
 
 
 def direct_product(g: CayleyTable, h: CayleyTable,

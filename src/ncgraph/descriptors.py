@@ -153,12 +153,21 @@ def descriptor_order(desc: GroupDescriptor) -> int:
 
 def _circulant(m: int, starts) -> np.ndarray:
     """The int32 m-by-m block whose row i is starts[i], starts[i]+1, ... mod m."""
-    cycle = np.tile(np.arange(m, dtype=np.int32), 2)
-    return np.lib.stride_tricks.sliding_window_view(cycle, m)[starts]
+    return (np.asarray(starts, dtype=np.int32)[:, None] + np.arange(m, dtype=np.int32)) % m
 
 
 def _cyclic_table(k: int) -> np.ndarray:
     return _circulant(k, np.arange(k))
+
+
+def _cosets(m: int, blocks) -> np.ndarray:
+    """The int32 2m-by-2m table whose (r, c) block is blocks[r][c] + m*(r ^ c):
+    index e*m + i lies in coset e, and cosets multiply as r ^ c."""
+    out = np.empty((2 * m, 2 * m), dtype=np.int32)
+    for r in (0, 1):
+        for c in (0, 1):
+            np.add(blocks[r][c], m * (r ^ c), out=out[r * m:(r + 1) * m, c * m:(c + 1) * m])
+    return out
 
 
 def _dihedral_table(k: int) -> np.ndarray:
@@ -168,7 +177,7 @@ def _dihedral_table(k: int) -> np.ndarray:
     circulants, (i+j) mod k and (j-i) mod k, placed in four blocks.
     """
     plus, minus = _cyclic_table(k), _circulant(k, -np.arange(k) % k)
-    return np.block([[plus, minus + k], [plus + k, minus]])
+    return _cosets(k, [[plus, minus], [plus, minus]])
 
 
 def _dicyclic_table(k: int) -> np.ndarray:
@@ -180,7 +189,7 @@ def _dicyclic_table(k: int) -> np.ndarray:
     m = 2 * k
     i = np.arange(m)
     plus, minus = _cyclic_table(m), _circulant(m, -i % m)
-    return np.block([[plus, minus + m], [plus + m, _circulant(m, (k - i) % m)]])
+    return _cosets(m, [[plus, minus], [plus, _circulant(m, (k - i) % m)]])
 
 
 def _heisenberg_table(p: int, k: int) -> np.ndarray:
@@ -198,7 +207,7 @@ def _heisenberg_table(p: int, k: int) -> np.ndarray:
     dot = digits[:, :k] @ digits[:, k:].T % p
     c = np.arange(p, dtype=np.int32)
     inner = (c[:, None, None] + c[:, None] + c) % p   # [d, c, c'] -> d + c + c'
-    out = (outer * p).astype(np.int32)[:, None, :, None] + inner[dot].transpose(0, 2, 1, 3)
+    out = (outer * p)[:, None, :, None] + inner[dot].transpose(0, 2, 1, 3)
     return out.reshape(m * p, m * p)
 
 

@@ -1,44 +1,21 @@
 """Non-commuting graphs of finite groups.
 
 The graph of a non-abelian group has the non-central elements as vertices and
-an edge between two elements exactly when they do not commute.  Adjacency is
-stored as one arbitrary-size integer bitmask per vertex, which makes
-neighbourhood intersections during refinement single `&` operations.  Each
-graph also holds those masks unpacked once into a read-only n-by-n boolean
-matrix, which the whole-graph operations (relabeling, the multipartite test,
-certificates and isomorphism checks) work on.
+an edge between two elements exactly when they do not commute.  Each graph
+holds one read-only n-by-n boolean adjacency matrix, and every operation
+(degrees, the multipartite test, relabeling, certificates and isomorphism
+checks) reads it.  Rows packed into integer bitmasks (``adj``) are made only
+on first use.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import CayleyTable, center
+from .cayley import CayleyTable, _distinct_rows, center
 from .errors import AbelianInput, InternalInconsistency
-
-
-def iter_bits(mask: int):
-    """Positions of the set bits of a non-negative mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def unpack_masks(masks) -> np.ndarray:
-    """Bitmasks over positions 0..n-1 unpacked to an n-by-n boolean matrix.
-
-    Bits at positions n and above are dropped; ``NcGraph`` rejects them
-    before it unpacks its own masks.
-    """
-    n = len(masks)
-    width = (n + 7) // 8
-    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
 
 
 def pack_rows(mat: np.ndarray) -> tuple:
@@ -48,50 +25,70 @@ def pack_rows(mat: np.ndarray) -> tuple:
 
 
 def adjacency_matrix(graph: NcGraph) -> np.ndarray:
-    """The graph's read-only n-by-n boolean adjacency matrix.
-
-    It is unpacked once, when the graph is constructed, and shared by every
-    caller; copy it before writing.
-    """
-    return graph._matrix
+    """The graph's read-only n-by-n boolean adjacency matrix, shared by every
+    caller; copy it before writing."""
+    return graph.matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NcGraph:
     """An undirected graph on the non-central elements of a group.
 
     ``vertices[i]`` is the parent element index of local vertex i (ascending);
-    ``adj[i]`` is a bitmask over local vertex positions.  Construction checks
-    symmetry and irreflexivity, and keeps the unpacked adjacency matrix for
-    ``adjacency_matrix``.  Derived forms (the canonical labeling, the degree
-    profile) are memoised on the graph and freed with it; like the matrix,
-    they sit outside the dataclass fields, so equality and hashing see only
-    the fields.
+    ``matrix`` is the boolean adjacency matrix over local vertex positions.
+    Construction checks its dtype, shape, symmetry and irreflexivity, and
+    holds it read-only and C-ordered (other inputs are copied first).  Equality and
+    hashing follow the content: the vertices, the matrix and the parent
+    metadata.  Derived forms (the packed rows, the canonical labeling, the
+    degree profile) are memoised on the graph and freed with it.
     """
 
     vertices: tuple
-    adj: tuple
+    matrix: np.ndarray = field(repr=False)
     parent_descriptor: str
     parent_order: int
     parent_center_size: int
 
     def __post_init__(self):
         n = len(self.vertices)
-        if len(self.adj) != n:
-            raise ValueError("adjacency length does not match the vertex list")
-        for i, mask in enumerate(self.adj):
-            if mask >> n:
-                raise ValueError(f"vertex {i} has neighbour bits outside 0..{n - 1}")
-        mat = unpack_masks(self.adj)
+        mat = np.asarray(self.matrix)
+        if mat.dtype != bool:
+            raise ValueError(f"adjacency matrix of dtype {mat.dtype} has entries outside bool")
+        if mat.shape != (n, n):
+            raise ValueError(f"adjacency matrix of shape {mat.shape} does not fit {n} vertices")
         loops = np.flatnonzero(mat.diagonal())
         if loops.size:
             raise ValueError(f"vertex {loops[0]} has a self-loop")
         if not np.array_equal(mat, mat.T):
             i, j = np.argwhere(mat & ~mat.T)[0]
             raise ValueError(f"edge {i}-{j} is not symmetric")
-        mat.flags.writeable = False
-        object.__setattr__(self, "_matrix", mat)
+        if mat.flags.writeable or not mat.flags.c_contiguous:
+            mat = mat.copy(order="C")
+            mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_memo", {})
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.parent_descriptor, self.parent_order,
+                self.parent_center_size)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, NcGraph):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        return hash(self._key() + (np.packbits(self.matrix).tobytes(),))
+
+    @property
+    def adj(self) -> tuple:
+        """The rows as bitmasks, bit j of ``adj[i]`` for the edge i-j."""
+        masks = self._memo.get("adj")
+        if masks is None:
+            masks = self._memo["adj"] = pack_rows(self.matrix)
+        return masks
 
     @property
     def num_vertices(self) -> int:
@@ -99,26 +96,24 @@ class NcGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(mask.bit_count() for mask in self.adj) // 2
+        return int(np.count_nonzero(self.matrix)) // 2
 
     def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
+        return int(np.count_nonzero(self.matrix[i]))
 
     def degrees(self) -> tuple:
-        return tuple(mask.bit_count() for mask in self.adj)
+        return tuple(np.count_nonzero(self.matrix, axis=1).tolist())
 
     @property
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return len(set(degs)) <= 1
+        return len(set(self.degrees())) <= 1
 
     def neighbors(self, i: int) -> tuple:
-        return tuple(iter_bits(self.adj[i]))
+        return tuple(np.flatnonzero(self.matrix[i]).tolist())
 
     def edges(self) -> list:
         """All edges as local (i, j) pairs with i < j, lexicographic."""
-        return [(i, j) for i, mask in enumerate(self.adj)
-                for j in iter_bits(mask >> (i + 1) << (i + 1))]
+        return list(map(tuple, np.argwhere(np.triu(self.matrix, 1)).tolist()))
 
     def complement_components(self) -> list:
         """Connected components of the complement graph, as sorted tuples,
@@ -127,7 +122,7 @@ class NcGraph:
         Breadth-first over the non-adjacency matrix: each vertex enters the
         frontier once, so the whole walk reads each matrix row once.
         """
-        nonadj = ~self._matrix
+        nonadj = ~self.matrix
         unseen = np.ones(len(self.vertices), dtype=bool)
         comps = []
         for start in range(len(self.vertices)):
@@ -152,13 +147,15 @@ class NcGraph:
         relation is reflexive and symmetric, so it is an equivalence exactly
         when its distinct rows are disjoint, that is, when their sizes add
         up to n.  The multiplicity of each distinct row is then its part size.
-        The rows are the complemented masks, so no matrix is needed.
         """
-        full = (1 << len(self.adj)) - 1
-        rows = Counter(~mask & full for mask in self.adj)
-        if sum(row.bit_count() for row in rows) != len(self.adj):
+        n = len(self.vertices)
+        if not n:
+            return ()
+        rows = ~self.matrix
+        first, ids = _distinct_rows(np.packbits(rows, axis=1))
+        if np.count_nonzero(rows[first]) != n:
             return None
-        return tuple(sorted(rows.values(), reverse=True))
+        return tuple(sorted(np.bincount(ids).tolist(), reverse=True))
 
 
 def build_nc_graph(g: CayleyTable) -> NcGraph:
@@ -177,15 +174,13 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
     if graph is not None:
         return graph
     comm = g.commuting
-    central = comm.all(axis=1)
-    v = np.flatnonzero(~central)
-    verts = tuple(v.tolist())
-    sub = ~comm[v][:, v]
-    np.fill_diagonal(sub, False)
-    adj = pack_rows(sub)
+    v = np.flatnonzero(~comm.all(axis=1))
+    # every element commutes with itself, so the diagonal is already clear
+    mat = ~np.take(comm[v], v, axis=1)
+    mat.flags.writeable = False
     graph = NcGraph(
-        vertices=verts,
-        adj=adj,
+        vertices=tuple(v.tolist()),
+        matrix=mat,
         parent_descriptor=g.descriptor,
         parent_order=g.order,
         parent_center_size=len(center(g)),
@@ -195,12 +190,12 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
             f"{g.descriptor}: graph has {graph.num_vertices} vertices but the "
             f"group has {g.order - graph.parent_center_size} non-central elements"
         )
-    for i, mask in enumerate(adj):
-        if mask == 0:
-            raise InternalInconsistency(
-                f"{g.descriptor}: non-central element {verts[i]} has no "
-                f"non-commuting partner"
-            )
+    isolated = np.flatnonzero(~mat.any(axis=1))
+    if isolated.size:
+        raise InternalInconsistency(
+            f"{g.descriptor}: non-central element {v[isolated[0]]} has no "
+            f"non-commuting partner"
+        )
     g._memo["graph"] = graph
     return graph
 
@@ -219,9 +214,11 @@ def relabeled(graph: NcGraph, perm) -> NcGraph:
             or not np.array_equal(np.sort(p), np.arange(n))):
         raise ValueError(f"perm is not a permutation of range({n})")
     old = np.argsort(p)  # old[k] is the vertex that moves to position k
+    mat = np.take(graph.matrix[old], old, axis=1)
+    mat.flags.writeable = False
     return NcGraph(
         vertices=tuple(graph.vertices[k] for k in old.tolist()),
-        adj=pack_rows(adjacency_matrix(graph)[old][:, old]),
+        matrix=mat,
         parent_descriptor=graph.parent_descriptor,
         parent_order=graph.parent_order,
         parent_center_size=graph.parent_center_size,

@@ -32,3 +32,14 @@ def catalog_entries(default_report):
 def catalog_groups(catalog_entries):
     """Constructed group for every catalog entry, keyed by descriptor."""
     return {e.descriptor: ng.construct(e.descriptor) for e in catalog_entries}
+
+
+@pytest.fixture(scope="session")
+def bare_family_groups():
+    """Every dihedral, dicyclic and heisenberg group of order at most 256,
+    keyed by descriptor."""
+    names = ([f"dihedral({k})" for k in range(3, 129)]
+             + [f"dicyclic({k})" for k in range(2, 65)]
+             + ["heisenberg(2,1)", "heisenberg(2,2)", "heisenberg(2,3)",
+                "heisenberg(3,1)", "heisenberg(5,1)"])
+    return {d: ng.construct(d) for d in names}

@@ -5,9 +5,24 @@ import pytest
 
 import ncgraph as ng
 from ncgraph import canon
-from ncgraph.graphs import adjacency_matrix, iter_bits, pack_rows, unpack_masks
+from ncgraph.graphs import adjacency_matrix, pack_rows
 
 networkx = pytest.importorskip("networkx")
+
+
+def iter_bits(mask: int):
+    """Positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def unpack_masks(masks) -> np.ndarray:
+    """Bitmasks over positions 0..n-1 unpacked to an n-by-n boolean matrix."""
+    n = len(masks)
+    return np.array([[bool(m >> j & 1) for j in range(n)] for m in masks],
+                    dtype=bool).reshape(n, n)
 
 
 def to_networkx(graph):
@@ -40,11 +55,7 @@ def blow_up(adjm, sizes, closed):
 
 def to_ncgraph(adjm):
     n = len(adjm)
-    masks = tuple(
-        int.from_bytes(np.packbits(adjm[i], bitorder="little").tobytes(), "little")
-        for i in range(n)
-    )
-    return ng.NcGraph(vertices=tuple(range(n)), adj=masks,
+    return ng.NcGraph(vertices=tuple(range(n)), matrix=adjm,
                       parent_descriptor="random", parent_order=n + 1,
                       parent_center_size=1)
 

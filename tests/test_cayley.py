@@ -82,6 +82,18 @@ class TestValidate:
             ng.validate(t)
         assert repr(exc.value.witness) == repr((1, 2, bad))
 
+    @pytest.mark.parametrize("raw, witness", [
+        (np.array([[False, True], [True, False]]), (0, 0, False)),
+        ([[False, True], [True, False]], (0, 0, False)),
+        (np.array([[0, True], [True, 0]], dtype=object), (0, 1, True)),
+        (np.array([[0, 1], [1, np.True_]], dtype=object), (1, 1, True)),
+    ])
+    def test_bool_entries_are_not_indices(self, raw, witness):
+        with pytest.raises(ng.NotClosed, match="is not an index") as exc:
+            ng.validate(raw)
+        assert exc.value.witness == witness
+        assert type(exc.value.witness[2]) is bool
+
     def test_integral_floats_are_indices(self):
         t = [[(i + j) % 4 for j in range(4)] for i in range(4)]
         g = ng.validate(np.array(t, dtype=float))
@@ -195,17 +207,17 @@ class TestLightAssociativity:
         g = ng.construct(desc, max_order=1024)
         t = relabel(g.table, np.random.default_rng(7))
         checked = []
-        real = cayley._right_closure
+        real = cayley._light
 
-        def counting(arr, mask, frontier, gens):
-            checked.append(len(gens))
-            return real(arr, mask, frontier, gens)
+        def counting(arr, left, right, name, a):
+            checked.append(a)
+            return real(arr, left, right, name, a)
 
-        monkeypatch.setattr(cayley, "_right_closure", counting)
+        monkeypatch.setattr(cayley, "_light", counting)
         h = ng.validate(t)
         assert h.order == g.order
         assert len(ng.center(h)) == len(ng.center(g))
-        # one right closure per checked generator; a group never needs
+        # one Light check per checked generator; a group never needs
         # more than log2(n) of them
         assert 1 <= len(checked) <= int(np.log2(g.order))
 
@@ -673,15 +685,16 @@ class TestGenerators:
             assert_generates(g)
 
     def test_validate_keeps_the_generators_it_checked(self, monkeypatch):
+        table = ng.construct("heisenberg(3,2)").table
         checked = []
-        real = cayley._right_closure
+        real = cayley._light
 
-        def recording(arr, mask, frontier, gens):
-            checked[:] = list(gens)
-            return real(arr, mask, frontier, gens)
+        def recording(arr, left, right, name, a):
+            checked.append(a)
+            return real(arr, left, right, name, a)
 
-        monkeypatch.setattr(cayley, "_right_closure", recording)
-        g = ng.validate(ng.construct("heisenberg(3,2)").table)
+        monkeypatch.setattr(cayley, "_light", recording)
+        g = ng.validate(table)
         assert g.generators == tuple(checked)
 
     @pytest.mark.parametrize("desc", ["product(dihedral(4),cyclic(3))",
@@ -765,3 +778,145 @@ class TestCommutingArrays:
         comm = cayley.CayleyTable(len(t), t, desc).commuting
         assert np.array_equal(comm, plain)
         assert not comm.flags.writeable
+
+
+# --- the kernels that warm-started covers and paired row tests replaced --------
+
+def old_cover(arr, identity, within, check=None):
+    """The greedy cover that recomputed every orbit under all the generators
+    so far after each new one."""
+    covered = np.zeros(arr.shape[0], dtype=bool)
+    covered[identity] = True
+    gens = []
+    while True:
+        todo = np.flatnonzero(within & ~covered)
+        if not todo.size:
+            return tuple(gens)
+        a = int(todo[0])
+        if check is not None:
+            check(a)
+        gens.append(a)
+        cayley._right_closure(arr, covered, [identity], gens)
+        if (covered & ~within).any():
+            return None
+
+
+def old_center_sizes(g):
+    """|Z(C(x))| by the loop over distinct centralizers: the members of C(x)
+    whose packed row contains x's."""
+    comm = g.commuting
+    packed = np.packbits(comm, axis=1)
+    first, ids = cayley._distinct_rows(packed)
+    zsizes = np.empty(len(first), dtype=np.int64)
+    for k, x in enumerate(first):
+        zsizes[k] = ((packed[comm[x]] & packed[x]) == packed[x]).all(axis=1).sum()
+    return zsizes[ids]
+
+
+def validation_outcome(t):
+    """What validate makes of a table: its generators and table, or the
+    error's type, message and witness."""
+    try:
+        g = ng.validate(t)
+    except ng.Error as exc:
+        return type(exc).__name__, str(exc), exc.witness
+    return g.generators, g.table.tolist()
+
+
+def corrupt(t, rng):
+    """A Latin square with the same identity that is not associative: rows x
+    and x*w exchanged on the columns w^i * u, for w of prime order and u
+    outside <w> and {x, x*w} (a Latin-preserving swap)."""
+    n = len(t)
+    e = int(np.nonzero((t == np.arange(n)).all(axis=1))[0][0])
+    for w in rng.permutation(n).tolist():
+        powers = [e]
+        while w != e and int(t[powers[-1], w]) != e:
+            powers.append(int(t[powers[-1], w]))
+        if len(powers) > 1 and is_prime(len(powers)):
+            break
+    x = next(v for v in rng.permutation(n).tolist() if v not in (e, powers[-1]))
+    xw = int(t[x, powers[1]])
+    u = next(v for v in rng.permutation(n).tolist()
+             if v not in powers and v not in (x, xw))
+    cols = [int(t[p, u]) for p in powers]
+    bad = t.copy()
+    bad[x, cols], bad[xw, cols] = t[xw, cols], t[x, cols]
+    return bad
+
+
+TABLE_CASES = ["heisenberg(3,2)", "dicyclic(64)", "heisenberg(2,4)", "dihedral(512)"]
+
+
+class TestReplacedKernelOracles:
+    """The warm-started cover and the paired containment test for centre
+    sizes against the kernels they replaced."""
+
+    def test_warm_orbit_roots_match_a_cold_start(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            n = int(rng.integers(1, 80))
+            # short cycles in most draws, so that orbits merge step by step
+            perms = np.array([rng.permutation(n) if rng.random() < 0.3
+                              else np.argsort(np.where(rng.random(n) < 0.8, np.arange(n),
+                                                       rng.permutation(n)), kind="stable")
+                              for _ in range(int(rng.integers(1, 6)))])
+            cold = cayley._orbit_roots(perms)
+            roots = None
+            for k in range(len(perms)):
+                kept = None if roots is None else roots.copy()
+                roots = cayley._orbit_roots(perms[k:k + 1], roots)
+                assert np.array_equal(roots, cayley._orbit_roots(perms[:k + 1]))
+                if kept is not None:   # the warm start is not written to
+                    assert np.array_equal(kept, cayley._orbit_roots(perms[:k]))
+            assert np.array_equal(roots, cold)
+            split = int(rng.integers(0, len(perms) + 1))
+            warm = cayley._orbit_roots(perms[split:], cayley._orbit_roots(perms[:split]))
+            assert np.array_equal(warm, cold)
+
+    def test_covers_match_on_catalog_and_bare_families(self, catalog_groups,
+                                                       bare_family_groups):
+        groups = list(catalog_groups.values()) + list(bare_family_groups.values())
+        for g in groups:
+            every = np.ones(g.order, dtype=bool)
+            assert cayley._cover(g.table, 0, every) == old_cover(g.table, 0, every) == g.generators
+        for g in groups:
+            if not ng.is_nilpotent(g)[0]:
+                continue
+            for f in ng.sylow_decomposition(g):
+                mask = np.zeros(g.order, dtype=bool)
+                mask[list(f.members.members)] = True
+                assert cayley._cover(g.table, 0, mask) == old_cover(g.table, 0, mask)
+
+    @pytest.mark.parametrize("seed", [71, 72])
+    @pytest.mark.parametrize("desc", TABLE_CASES)
+    def test_validation_matches_on_relabeled_and_planted_tables(self, desc, seed,
+                                                                monkeypatch):
+        rng = np.random.default_rng(seed)
+        t = np.array(relabel(ng.construct(desc, max_order=1024).table, rng))
+        bad = corrupt(t, rng)
+        new = [validation_outcome(t), validation_outcome(bad)]
+        monkeypatch.setattr(cayley, "_cover", old_cover)
+        old = [validation_outcome(t), validation_outcome(bad)]
+        assert new == old
+        assert new[1][0] == "NotAssociative"
+        # the identity moved to 0 by the gather the swaps replaced
+        e = int(np.flatnonzero((t == np.arange(len(t))).all(axis=1))[0])
+        sigma = np.arange(len(t))
+        sigma[0], sigma[e] = e, 0
+        assert new[0][1] == sigma[t[np.ix_(sigma, sigma)]].tolist()
+
+    def test_center_sizes_match_on_catalog_and_bare_families(self, catalog_groups,
+                                                             bare_family_groups):
+        for g in list(catalog_groups.values()) + list(bare_family_groups.values()):
+            data = ng.centralizer_data(g)
+            assert np.array_equal(data.center_sizes, old_center_sizes(g)), g.descriptor
+            assert np.array_equal(data.sizes, g.commuting.sum(axis=1))
+            assert np.array_equal(data.abelian, data.center_sizes == data.sizes)
+
+    @pytest.mark.parametrize("seed", [73, 74])
+    @pytest.mark.parametrize("desc", LARGE_IMPORTS + ["heisenberg(3,2)", "dihedral(24)",
+                                                      "product(dicyclic(2),heisenberg(3,1))"])
+    def test_center_sizes_match_on_relabeled_imports(self, desc, seed):
+        g = relabeled_import(desc, seed)
+        assert np.array_equal(ng.centralizer_data(g).center_sizes, old_center_sizes(g))

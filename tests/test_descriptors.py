@@ -257,3 +257,56 @@ class TestBuilderOracles:
     ])
     def test_families_up_to_order_1024(self, text):
         assert_same_raw_table(text, max_order=1024)
+
+
+# --- the block builders that direct int32 fills replaced -----------------------
+
+def window_circulant(m, starts):
+    cycle = np.tile(np.arange(m, dtype=np.int32), 2)
+    return np.lib.stride_tricks.sliding_window_view(cycle, m)[starts]
+
+
+def block_dihedral_table(k):
+    plus, minus = window_circulant(k, np.arange(k)), window_circulant(k, -np.arange(k) % k)
+    return np.block([[plus, minus + k], [plus + k, minus]])
+
+
+def block_dicyclic_table(k):
+    m = 2 * k
+    i = np.arange(m)
+    plus, minus = window_circulant(m, i), window_circulant(m, -i % m)
+    return np.block([[plus, minus + m], [plus + m, window_circulant(m, (k - i) % m)]])
+
+
+class TestDirectFillOracles:
+    """The int32 fills against the sliding-window and np.block builders."""
+
+    def test_bare_families(self, bare_family_groups):
+        for text in bare_family_groups:
+            desc = ng.parse_descriptor(text)
+            new = descriptors._build_raw(desc, 256)
+            assert new.dtype == np.int32 and new.flags.c_contiguous, text
+            if desc.name == "dihedral":
+                assert np.array_equal(new, block_dihedral_table(*desc.args)), text
+            elif desc.name == "dicyclic":
+                assert np.array_equal(new, block_dicyclic_table(*desc.args)), text
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 64, 255, 256, 512])
+    def test_circulants(self, k):
+        rng = np.random.default_rng(k)
+        starts = rng.integers(0, k, size=k)
+        new = descriptors._circulant(k, starts)
+        assert new.dtype == np.int32
+        assert np.array_equal(new, window_circulant(k, starts))
+        assert np.array_equal(descriptors._dihedral_table(k), block_dihedral_table(k))
+        assert np.array_equal(descriptors._dicyclic_table(k), block_dicyclic_table(k))
+
+    def test_product_tables_keep_their_dtype(self, catalog_entries):
+        for entry in catalog_entries:
+            new = descriptors._build_raw(ng.parse_descriptor(entry.descriptor), 256)
+            assert new.dtype == np.int32, entry.descriptor
+        a, b = old_cyclic_table(4), old_cyclic_table(3)
+        for dtype in (np.int32, np.int64, np.int16):
+            t = product_table(a.astype(dtype), b.astype(dtype))
+            assert t.dtype == dtype and t.flags.c_contiguous
+            assert np.array_equal(t, product_table(a, b))

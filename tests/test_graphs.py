@@ -1,22 +1,39 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import ncgraph as ng
-from ncgraph.graphs import adjacency_matrix, iter_bits, pack_rows
+
+from ncgraph.graphs import adjacency_matrix, pack_rows
 
 
-def masks_from_edges(n, edges):
-    adj = [0] * n
+def iter_bits(mask: int):
+    """Positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def matrix_from_edges(n, edges):
+    mat = np.zeros((n, n), dtype=bool)
     for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return tuple(adj)
+        mat[i, j] = mat[j, i] = True
+    return mat
 
 
 def make_graph(n, edges):
-    return ng.NcGraph(vertices=tuple(range(n)), adj=masks_from_edges(n, edges),
+    return ng.NcGraph(vertices=tuple(range(n)), matrix=matrix_from_edges(n, edges),
                       parent_descriptor="handmade", parent_order=n + 1,
                       parent_center_size=1)
+
+
+def rows(*masks, width=None):
+    """A boolean matrix whose row i has bit j of ``masks[i]`` in column j."""
+    width = len(masks) if width is None else width
+    return np.array([[bool(m >> j & 1) for j in range(width)] for m in masks],
+                    dtype=bool).reshape(len(masks), width)
 
 
 class TestBuild:
@@ -81,43 +98,78 @@ class TestBuild:
 class TestInvariants:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            ng.NcGraph(vertices=(0, 1), adj=(0b01, 0b01),
+            ng.NcGraph(vertices=(0, 1), matrix=rows(0b01, 0b01),
                        parent_descriptor="x", parent_order=3,
                        parent_center_size=1)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            ng.NcGraph(vertices=(0, 1, 2), adj=(0b010, 0b000, 0b000),
+            ng.NcGraph(vertices=(0, 1, 2), matrix=rows(0b010, 0b000, 0b000),
                        parent_descriptor="x", parent_order=4,
                        parent_center_size=1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ng.NcGraph(vertices=(0, 1), adj=(0b10,),
+            ng.NcGraph(vertices=(0, 1), matrix=rows(0b10),
                        parent_descriptor="x", parent_order=3,
                        parent_center_size=1)
 
     def test_out_of_range_bits_rejected(self):
+        # a neighbour in column 2 of a two-vertex graph
         with pytest.raises(ValueError):
-            ng.NcGraph(vertices=(0, 1), adj=(0b110, 0b001),
+            ng.NcGraph(vertices=(0, 1), matrix=rows(0b110, 0b001, width=3),
                        parent_descriptor="x", parent_order=3,
                        parent_center_size=1)
 
     def test_negative_mask_rejected(self):
+        # an entry that is neither False nor True
         with pytest.raises(ValueError, match="outside"):
-            ng.NcGraph(vertices=(0, 1), adj=(-2, 0b01),
+            ng.NcGraph(vertices=(0, 1), matrix=np.array([[0, -2], [1, 0]]),
                        parent_descriptor="x", parent_order=3,
                        parent_center_size=1)
 
     def test_messages_name_the_offending_vertex(self):
         with pytest.raises(ValueError, match="vertex 2 has a self-loop"):
-            ng.NcGraph(vertices=(0, 1, 2), adj=(0b010, 0b001, 0b100),
+            ng.NcGraph(vertices=(0, 1, 2), matrix=rows(0b010, 0b001, 0b100),
                        parent_descriptor="x", parent_order=4,
                        parent_center_size=1)
         with pytest.raises(ValueError, match="edge 1-2 is not symmetric"):
-            ng.NcGraph(vertices=(0, 1, 2), adj=(0b010, 0b101, 0b000),
+            ng.NcGraph(vertices=(0, 1, 2), matrix=rows(0b010, 0b101, 0b000),
                        parent_descriptor="x", parent_order=4,
                        parent_center_size=1)
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0, 1], [1, 0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[False, True], [True, False]], dtype=object)])
+    def test_non_bool_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="entries outside bool"):
+            ng.NcGraph(vertices=(0, 1), matrix=matrix, parent_descriptor="x",
+                       parent_order=3, parent_center_size=1)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 1), ()])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not fit 2 vertices"):
+            ng.NcGraph(vertices=(0, 1), matrix=np.zeros(shape, dtype=bool),
+                       parent_descriptor="x", parent_order=3, parent_center_size=1)
+
+    def test_writeable_input_is_copied_and_frozen(self):
+        mat = matrix_from_edges(3, [(0, 1), (1, 2)])
+        graph = ng.NcGraph(vertices=(0, 1, 2), matrix=mat, parent_descriptor="x",
+                           parent_order=4, parent_center_size=1)
+        assert graph.matrix is not mat and mat.flags.writeable
+        assert not graph.matrix.flags.writeable and graph.matrix.flags.c_contiguous
+        mat[0, 1] = mat[1, 0] = False   # the caller's array is its own
+        assert graph.num_edges == 2
+        # a read-only, C-ordered input is held as it is; a transposed view
+        # (column-major) is copied to row-major first
+        frozen = matrix_from_edges(3, [(0, 2)])
+        frozen.flags.writeable = False
+        held = ng.NcGraph(vertices=(0, 1, 2), matrix=frozen, parent_descriptor="x",
+                          parent_order=4, parent_center_size=1)
+        assert held.matrix is frozen
+        view = ng.NcGraph(vertices=(0, 1, 2), matrix=frozen.T, parent_descriptor="x",
+                          parent_order=4, parent_center_size=1)
+        assert view.matrix.flags.c_contiguous and view == held
 
 
 class TestOperations:
@@ -206,6 +258,35 @@ class TestOperations:
         assert a == b and hash(a) == hash(b)
         assert "_matrix" not in repr(a) and "_memo" not in repr(a)
 
+    def test_equality_and_hash_follow_the_content(self):
+        a = ng.build_nc_graph(ng.construct("dihedral(6)"))
+        b = ng.build_nc_graph(ng.construct("dihedral(6)"))   # another table
+        assert a is not b and a.matrix is not b.matrix
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != "dihedral(6)" and a != None  # noqa: E711
+        n = a.num_vertices
+        swapped = ng.relabeled(a, [1, 0] + list(range(2, n)))
+        assert swapped != a   # same matrix shape, other vertex list
+        flipped = a.matrix.copy()
+        i, j = np.argwhere(flipped)[0]
+        flipped[i, j] = flipped[j, i] = False
+        fields = dict(vertices=a.vertices, parent_descriptor=a.parent_descriptor,
+                      parent_order=a.parent_order, parent_center_size=a.parent_center_size)
+        assert ng.NcGraph(matrix=flipped, **fields) != a
+        assert ng.NcGraph(matrix=a.matrix.copy(), **fields) == a
+        for name, value in [("parent_descriptor", "dicyclic(3)"), ("parent_order", 13),
+                            ("parent_center_size", 1)]:
+            other = ng.NcGraph(matrix=a.matrix, **{**fields, name: value})
+            assert other != a and hash(other) != hash(a)
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(4)", "dihedral(9)", "heisenberg(3,1)",
+                                            "product(dihedral(4),cyclic(3))"])
+    def test_adj_packs_the_matrix_once(self, descriptor):
+        graph = ng.build_nc_graph(ng.construct(descriptor))
+        assert graph.adj == pack_rows(graph.matrix)
+        assert graph.adj is graph.adj
+        assert [m.bit_count() for m in graph.adj] == list(graph.degrees())
+
 
 def old_relabeled(graph, perm):
     """The bit loop that relabeled used before it permuted the matrix."""
@@ -257,7 +338,7 @@ def old_multipartite_parts(graph):
 
 def matrix_graph(adjm):
     n = len(adjm)
-    return ng.NcGraph(vertices=tuple(range(n)), adj=pack_rows(adjm),
+    return ng.NcGraph(vertices=tuple(range(n)), matrix=adjm,
                       parent_descriptor="handmade", parent_order=n + 1,
                       parent_center_size=1)
 
@@ -311,8 +392,66 @@ class TestMatrixOracles:
         assert outcomes == {True, False}
 
     def test_empty_graph(self):
-        graph = ng.NcGraph(vertices=(), adj=(), parent_descriptor="x",
+        graph = ng.NcGraph(vertices=(), matrix=np.zeros((0, 0), dtype=bool), parent_descriptor="x",
                            parent_order=1, parent_center_size=1)
         assert graph.multipartite_parts() == old_multipartite_parts(graph) == ()
         assert graph.complement_components() == []
         assert ng.relabeled(graph, []) == graph
+
+
+def mask_degrees(graph):
+    """degrees, num_edges and is_regular as they were read from bitmasks."""
+    degs = tuple(mask.bit_count() for mask in graph.adj)
+    return degs, sum(degs) // 2, len(set(degs)) <= 1
+
+
+def mask_multipartite_parts(graph):
+    """multipartite_parts over the complemented bitmasks, counted by row."""
+    full = (1 << len(graph.adj)) - 1
+    rows = Counter(~mask & full for mask in graph.adj)
+    if sum(row.bit_count() for row in rows) != len(graph.adj):
+        return None
+    return tuple(sorted(rows.values(), reverse=True))
+
+
+def assert_matches_masks(graph, walk=True):
+    assert (graph.degrees(), graph.num_edges, graph.is_regular) == mask_degrees(graph)
+    assert graph.multipartite_parts() == mask_multipartite_parts(graph)
+    if not walk:
+        return
+    assert [graph.degree(i) for i in range(graph.num_vertices)] == list(graph.degrees())
+    masks = graph.adj
+    for i in range(graph.num_vertices):
+        assert graph.neighbors(i) == tuple(iter_bits(masks[i]))
+    assert graph.edges() == [(i, j) for i, mask in enumerate(masks)
+                             for j in iter_bits(mask >> (i + 1) << (i + 1))]
+
+
+class TestBitmaskOracles:
+    """Degrees and the multipartite test on the matrix against the bitmask
+    loops they replaced."""
+
+    def test_catalog_and_bare_family_graphs(self, catalog_groups, bare_family_groups):
+        regular, multipartite = set(), set()
+        for g in list(catalog_groups.values()) + list(bare_family_groups.values()):
+            if g.is_abelian:
+                continue
+            graph = ng.build_nc_graph(g)
+            assert_matches_masks(graph, walk=g.order <= 64)
+            regular.add(graph.is_regular)
+            multipartite.add(graph.multipartite_parts() is not None)
+        assert regular == multipartite == {True, False}
+
+    @pytest.mark.parametrize("desc", ["dihedral(512)", "heisenberg(2,4)", "heisenberg(3,2)",
+                                      "product(dicyclic(2),heisenberg(3,1))"])
+    def test_relabeled_graphs(self, desc):
+        graph = ng.build_nc_graph(ng.construct(desc, max_order=1024))
+        rng = np.random.default_rng(57)
+        assert_matches_masks(ng.relabeled(graph, rng.permutation(graph.num_vertices)),
+                             walk=graph.num_vertices <= 300)
+
+    def test_seeded_flips(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            for graph in multipartite_with_flip(rng):
+                assert_matches_masks(graph)
