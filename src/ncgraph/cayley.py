@@ -159,7 +159,7 @@ def _orbit_roots(perms, least=None) -> np.ndarray:
         if not joined.any():
             return least
         np.minimum.at(least, hi[joined], lo[joined])
-        while not np.array_equal(root := least[least], least):
+        while not ((root := least[least]) == least).all():
             least = root
 
 
@@ -202,18 +202,23 @@ def _cover(arr, identity, within, check=None):
 
 
 def _check_associative(arr, identity, name) -> tuple:
-    """Light's associativity test on a Latin square with a two-sided identity.
+    """Light's associativity test on a table with a two-sided identity.
 
     Light's criterion: the table is associative iff (x*a)*y == x*(a*y) for
     every x, y and every a in a generating set.  The elements that pass are
     closed under products (for passing a, b, (x*(a*b))*y == x*((a*b)*y)
     follows from the two checks), so it suffices to check the smallest
     element not yet covered, add it to the generators and grow the cover by
-    right closure until it is the whole table.  For a group the cover is the
+    right closure until it is the whole table.  Each checked a must also
+    make x -> x*a a permutation, so that the cover is the set of products
+    of the generators; each then has a left inverse, so a table that passes
+    is a group, and so a Latin square.  For a group the cover is the
     subgroup the generators span, so at most log2(n) generators are checked,
-    each with two n-by-n gathers.  The witness of a failure is the first
-    ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, generators in index order and
-    ``(x, y)`` in row-major order.  Returns the generators.
+    each with two n-by-n gathers.  The first generator that fails sends the
+    table through the Latin check (``_check_latin``), whose errors come
+    first; past it, the witness of a failure is the first ``(x, a, y)``
+    with ``(x*a)*y != x*(a*y)``, generators in index order and ``(x, y)``
+    in row-major order.  Returns the generators.
     """
     # the two n-by-n buffers are reused by every generator; a partial, not
     # a closure, so that clearing the frames of an error releases them
@@ -223,16 +228,43 @@ def _check_associative(arr, identity, name) -> tuple:
 
 def _light(arr, left, right, name, a) -> None:
     """Light's check of one element ``a``, in the buffers ``left`` and ``right``."""
+    if not np.bincount(arr[:, a], minlength=len(arr)).all():
+        _check_latin(arr, name)   # column a repeats a value, so this raises
+        raise InternalInconsistency(f"{name}: column {a} passed the Latin check")
     # entries are range-checked already, so "clip" never clips; it spares
     # the extra buffer that the default mode uses with out=
     np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
     np.take(arr, arr[a], axis=1, out=right, mode="clip")    # x*(a*y)
     if not np.array_equal(left, right):
+        _check_latin(arr, name)
         x, y = map(int, np.argwhere(left != right)[0])
         raise NotAssociative(
             f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
             witness=(x, a, y),
         )
+
+
+def _check_latin(arr, name) -> None:
+    """``NotLatin`` at the first row, else the first column, of ``arr`` that
+    repeats a value.  Row i holds every value exactly when all n flags
+    seen[i, arr[i, :]] are set; the same scatter with seen[j, arr[:, j]]
+    checks the columns."""
+    n = len(arr)
+    idx = np.arange(n)
+    for kind, index, lines in (("row", idx[:, None] * n + arr, arr),
+                               ("column", idx * n + arr, arr.T)):
+        seen = np.zeros(n * n, dtype=bool)
+        seen[index.reshape(-1)] = True
+        bad = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            v = int(np.nonzero(np.bincount(lines[i], minlength=n) > 1)[0][0])
+            k1, k2 = map(int, np.nonzero(lines[i] == v)[0][:2])
+            across = "columns" if kind == "row" else "rows"
+            raise NotLatin(
+                f"{name}: {kind} {i} repeats value {v} at {across} {k1} and {k2}",
+                witness=(i, k1, k2) if kind == "row" else (k1, k2, i),
+            )
 
 
 def _index_entries(arr, name) -> np.ndarray:
@@ -270,11 +302,14 @@ def validate(raw, descriptor=None) -> CayleyTable:
     """Check the group axioms on a raw table and return a normalized group.
 
     Closure, two-sided identity, the Latin-square property and associativity
-    are checked on every table.  Associativity is Light's test over a
-    generating set (see ``_check_associative``); a failure raises
-    ``NotAssociative`` with a triple ``(x, a, y)`` such that
-    ``(x*a)*y != x*(a*y)``.  The generators it checked become the table's
-    ``generators``.  If the identity is not at index 0, elements are
+    hold for every table returned.  Associativity is Light's test over a
+    generating set whose right multiplications are permutations (see
+    ``_check_associative``); a table that passes it is a group, so a Latin
+    square, and a table that fails it goes through the Latin check first:
+    a repeated value in a row, else in a column, raises ``NotLatin``, and
+    otherwise ``NotAssociative`` is raised with a triple ``(x, a, y)`` such
+    that ``(x*a)*y != x*(a*y)``.  The generators it checked become the
+    table's ``generators``.  If the identity is not at index 0, elements are
     relabeled so that it is.
 
     Every entry must be an integer in 0..n-1; the first one that is not
@@ -310,36 +345,9 @@ def _validate(raw, descriptor):
     # an identity e has e*0 = 0, so only those rows are compared in full
     idx = np.arange(n)
     identity = next((int(e) for e in np.flatnonzero(arr[:, 0] == 0)
-                     if np.array_equal(arr[e], idx) and np.array_equal(arr[:, e], idx)), None)
+                     if (arr[e] == idx).all() and (arr[:, e] == idx).all()), None)
     if identity is None:
         raise NoIdentity(f"{name}: no two-sided identity element")
-
-    # row i holds every value exactly when all n flags seen[i, arr[i, :]] are
-    # set; the same scatter with seen[j, arr[:, j]] checks the columns
-    seen = np.zeros(n * n, dtype=bool)
-    seen[(idx[:, None] * n + arr).reshape(-1)] = True
-    bad_rows = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
-    if bad_rows.size:
-        i = int(bad_rows[0])
-        counts = np.bincount(arr[i], minlength=n)
-        v = int(np.nonzero(counts > 1)[0][0])
-        j1, j2 = map(int, np.nonzero(arr[i] == v)[0][:2])
-        raise NotLatin(
-            f"{name}: row {i} repeats value {v} at columns {j1} and {j2}",
-            witness=(i, j1, j2),
-        )
-    seen[:] = False
-    seen[(idx * n + arr).reshape(-1)] = True
-    bad_cols = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
-    if bad_cols.size:
-        j = int(bad_cols[0])
-        counts = np.bincount(arr[:, j], minlength=n)
-        v = int(np.nonzero(counts > 1)[0][0])
-        i1, i2 = map(int, np.nonzero(arr[:, j] == v)[0][:2])
-        raise NotLatin(
-            f"{name}: column {j} repeats value {v} at rows {i1} and {i2}",
-            witness=(i1, i2, j),
-        )
 
     gens = _check_associative(arr, identity, name)
 
@@ -430,7 +438,7 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
             contained[s:s + step] = ~(ra & ~rows[b[s:s + step]]).any(axis=1)
         weights = np.bincount(ids)[b[contained]]
         zsizes = np.bincount(a[contained], weights, minlength=len(first)).astype(np.int64)
-        sizes = np.count_nonzero(comm, axis=1)
+        sizes = np.count_nonzero(comm[first], axis=1)[ids]
         center_sizes = zsizes[ids]
         data = CentralizerData(sizes, center_sizes, center_sizes == sizes, ids)
         for arr in (sizes, center_sizes, data.abelian, ids):
@@ -696,7 +704,7 @@ def sylow_decomposition(g: CayleyTable) -> list:
         member_lists.append(members)
     products = np.zeros(1, dtype=np.int64)   # every product x_1 * x_2 * ... in turn
     for members in member_lists:
-        products = g.table[np.ix_(products, members)].ravel()
+        products = t[products][:, members].ravel()
     hits = np.bincount(products, minlength=n)
     if (hits > 1).any():
         raise InternalInconsistency("Sylow product map is not injective")

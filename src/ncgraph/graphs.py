@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import CayleyTable, _distinct_rows, center
+from .cayley import CayleyTable, center
 from .errors import AbelianInput, InternalInconsistency
 
 
@@ -39,8 +39,8 @@ class NcGraph:
     Construction checks its dtype, shape, symmetry and irreflexivity, and
     holds it read-only and C-ordered (other inputs are copied first).  Equality and
     hashing follow the content: the vertices, the matrix and the parent
-    metadata.  Derived forms (the packed rows, the canonical labeling, the
-    degree profile) are memoised on the graph and freed with it.
+    metadata.  Derived forms (the degrees, the packed rows, the canonical
+    labeling, the degree profile) are memoised on the graph and freed with it.
     """
 
     vertices: tuple
@@ -102,7 +102,10 @@ class NcGraph:
         return int(np.count_nonzero(self.matrix[i]))
 
     def degrees(self) -> tuple:
-        return tuple(np.count_nonzero(self.matrix, axis=1).tolist())
+        degs = self._memo.get("degrees")
+        if degs is None:
+            degs = self._memo["degrees"] = tuple(np.count_nonzero(self.matrix, axis=1).tolist())
+        return degs
 
     @property
     def is_regular(self) -> bool:
@@ -145,17 +148,19 @@ class NcGraph:
         A graph is complete multipartite exactly when "equal or non-adjacent"
         is an equivalence relation; its classes are then the parts.  That
         relation is reflexive and symmetric, so it is an equivalence exactly
-        when its distinct rows are disjoint, that is, when their sizes add
-        up to n.  The multiplicity of each distinct row is then its part size.
+        when every row equals the row of its least member: for related x and
+        y each row's least member then lies in the other's row, so both
+        share a least member and a row.  Each part is counted at its least
+        member.
         """
-        n = len(self.vertices)
-        if not n:
+        if not self.vertices:
             return ()
         rows = ~self.matrix
-        first, ids = _distinct_rows(np.packbits(rows, axis=1))
-        if np.count_nonzero(rows[first]) != n:
+        least = rows.argmax(axis=1)
+        if not np.array_equal(rows[least], rows):
             return None
-        return tuple(sorted(np.bincount(ids).tolist(), reverse=True))
+        counts = np.bincount(least)
+        return tuple(sorted(counts[counts > 0].tolist(), reverse=True))
 
 
 def build_nc_graph(g: CayleyTable) -> NcGraph:

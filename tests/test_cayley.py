@@ -920,3 +920,40 @@ class TestReplacedKernelOracles:
     def test_center_sizes_match_on_relabeled_imports(self, desc, seed):
         g = relabeled_import(desc, seed)
         assert np.array_equal(ng.centralizer_data(g).center_sizes, old_center_sizes(g))
+
+    def test_latin_check_runs_only_when_a_generator_fails(self, monkeypatch):
+        calls = []
+        real = cayley._check_latin
+
+        def counting(arr, name):
+            calls.append(name)
+            return real(arr, name)
+
+        monkeypatch.setattr(cayley, "_check_latin", counting)
+        rng = np.random.default_rng(79)
+        outcomes = set()
+        for desc in ["dihedral(12)", "heisenberg(3,1)", "dicyclic(5)",
+                     "product(dihedral(4),cyclic(3))"]:
+            for _ in range(10):
+                t = relabel(ng.construct(desc).table, rng)
+                ng.validate(t)
+                assert calls == []   # a table that passes is a group
+                # two entries of one row exchanged, one of them in the
+                # column of the first element Light's test checks: every row
+                # stays a permutation, and that column does not
+                arr = np.array(t)
+                e = int(np.flatnonzero((arr == np.arange(len(arr))).all(axis=1))[0])
+                a = 0 if e else 1
+                i, j = (int(x) for x in rng.choice([k for k in range(len(arr)) if k not in (e, a)],
+                                                   size=2, replace=False))
+                swapped = arr.copy()
+                swapped[i, [a, j]] = arr[i, [j, a]]
+                for bad in (plant_latin_faults(t, rng), swapped.tolist()):
+                    expected = old_latin_failure(bad)
+                    with pytest.raises(ng.NotLatin) as exc:
+                        ng.validate(bad)
+                    assert (str(exc.value), exc.value.witness) == expected
+                    assert len(calls) == 1
+                    outcomes.add(expected[0].split()[1])
+                    calls.clear()
+        assert outcomes == {"row", "column"}
