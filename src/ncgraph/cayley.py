@@ -246,15 +246,15 @@ def _light(arr, left, right, name, a) -> None:
 
 def _check_latin(arr, name) -> None:
     """``NotLatin`` at the first row, else the first column, of ``arr`` that
-    repeats a value.  Row i holds every value exactly when all n flags
-    seen[i, arr[i, :]] are set; the same scatter with seen[j, arr[:, j]]
-    checks the columns."""
+    repeats a value.  Line i holds every value exactly when all n flags
+    seen[i, line_i] are set; the flags are scattered a block of lines at a
+    time, so the index arrays stay near 1 MB."""
     n = len(arr)
-    idx = np.arange(n)
-    for kind, index, lines in (("row", idx[:, None] * n + arr, arr),
-                               ("column", idx * n + arr, arr.T)):
+    step = max(1, 2 ** 17 // n)
+    for kind, lines in (("row", arr), ("column", arr.T)):
         seen = np.zeros(n * n, dtype=bool)
-        seen[index.reshape(-1)] = True
+        for s in range(0, n, step):
+            seen[(np.arange(s, min(s + step, n)) * n)[:, None] + lines[s:s + step]] = True
         bad = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
         if bad.size:
             i = int(bad[0])
