@@ -48,8 +48,9 @@ does not depend on the labeling, because pruning drops only subtrees whose
 leaves are images, under a verified automorphism, of leaves in a subtree
 already explored.
 
-Every step reads the boolean adjacency matrix, except the refinement in
-step 3, which intersects bitmask rows packed from the final quotient.
+Every step reads the graph's boolean adjacency matrix, the one form an
+``NcGraph`` holds; only the refinement in step 3 packs bitmask rows, once
+per search from the final quotient, and intersects those.
 """
 
 from __future__ import annotations

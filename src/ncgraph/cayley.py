@@ -145,12 +145,11 @@ class SylowFactor:
 
 def _orbit_roots(perms, least=None) -> np.ndarray:
     """The least member of each point's orbit under the permutations in the
-    rows of ``perms`` and the ones whose orbit roots ``least`` holds.  Orbits
-    under fewer permutations refine the orbits under more, so roots found
-    for some generators are a warm start for one more.  Every point points
-    at a root, at first its own (or itself); each round hooks the larger
-    root of every pair (x, perm[x]) onto the smaller and follows the
-    pointers to the roots, until no pair has two roots."""
+    rows of ``perms`` and those whose orbit roots ``least`` holds (orbits
+    under fewer permutations refine those under more).  Every point points
+    at a root, at first its own; each round hooks the larger root of every
+    pair (x, perm[x]) onto the smaller and follows the pointers to the
+    roots, until no pair has two roots."""
     least = np.arange(perms.shape[1]) if least is None else least.copy()
     while True:
         ends = least[perms]
@@ -163,27 +162,15 @@ def _orbit_roots(perms, least=None) -> np.ndarray:
             least = root
 
 
-def _right_closure(arr, mask, frontier, gens) -> None:
-    """Add to ``mask``, in place, every element reachable from ``frontier`` by
-    right multiplication with ``gens``: the orbits meeting ``frontier`` under
-    the maps x -> x*s, which are permutations in a Latin square."""
-    gens = np.asarray(gens, dtype=np.intp)
-    if gens.size and len(frontier):
-        roots = _orbit_roots(arr[:, gens].T)
-        hit = np.zeros_like(mask)
-        hit[roots[np.asarray(frontier, dtype=np.intp)]] = True
-        mask |= hit[roots]
-
-
 def _cover(arr, identity, within, check=None):
     """Greedy generators of the element set ``within`` (a boolean mask), or
     None as soon as the cover escapes it.  From {identity}, the smallest
     uncovered member goes to ``check``, joins the generators, and the cover
-    grows to the orbit of the identity under right multiplication by them;
-    the orbit roots of the generators so far are the warm start for the
-    next one.  In a group each cover is the subgroup spanned so far and at
-    least doubles, so a subgroup of order m takes at most log2(m)
-    generators, and ``within`` is a subgroup exactly when no cover escapes."""
+    grows to the identity's orbit under right multiplication by them (the
+    orbits so far are the warm start).  In a group each cover is the
+    subgroup spanned so far and at least doubles, so a subgroup of order m
+    takes at most log2(m) generators, and ``within`` is a subgroup exactly
+    when no cover escapes."""
     roots = np.arange(arr.shape[0])
     covered = roots == identity
     gens = []
@@ -206,19 +193,16 @@ def _check_associative(arr, identity, name) -> tuple:
 
     Light's criterion: the table is associative iff (x*a)*y == x*(a*y) for
     every x, y and every a in a generating set.  The elements that pass are
-    closed under products (for passing a, b, (x*(a*b))*y == x*((a*b)*y)
-    follows from the two checks), so it suffices to check the smallest
-    element not yet covered, add it to the generators and grow the cover by
-    right closure until it is the whole table.  Each checked a must also
-    make x -> x*a a permutation, so that the cover is the set of products
-    of the generators; each then has a left inverse, so a table that passes
-    is a group, and so a Latin square.  For a group the cover is the
-    subgroup the generators span, so at most log2(n) generators are checked,
-    each with two n-by-n gathers.  The first generator that fails sends the
-    table through the Latin check (``_check_latin``), whose errors come
-    first; past it, the witness of a failure is the first ``(x, a, y)``
-    with ``(x*a)*y != x*(a*y)``, generators in index order and ``(x, y)``
-    in row-major order.  Returns the generators.
+    closed under products, so it suffices to check the smallest element not
+    yet covered, add it to the generators and grow the cover by right
+    closure until it is the whole table.  Each checked a must make x -> x*a
+    a permutation, so that the cover holds only products of generators,
+    each with a left inverse: a table that passes is a group, so a Latin
+    square.  A group takes at most log2(n) generators, each checked with two
+    n-by-n gathers.  The first one that fails sends the table through
+    ``_check_latin``, whose errors come first; past it, the witness is the
+    first ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, generators in index
+    order and ``(x, y)`` in row-major order.  Returns the generators.
     """
     # the two n-by-n buffers are reused by every generator; a partial, not
     # a closure, so that clearing the frames of an error releases them
@@ -230,7 +214,6 @@ def _light(arr, left, right, name, a) -> None:
     """Light's check of one element ``a``, in the buffers ``left`` and ``right``."""
     if not np.bincount(arr[:, a], minlength=len(arr)).all():
         _check_latin(arr, name)   # column a repeats a value, so this raises
-        raise InternalInconsistency(f"{name}: column {a} passed the Latin check")
     # entries are range-checked already, so "clip" never clips; it spares
     # the extra buffer that the default mode uses with out=
     np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
@@ -303,14 +286,12 @@ def validate(raw, descriptor=None) -> CayleyTable:
 
     Closure, two-sided identity, the Latin-square property and associativity
     hold for every table returned.  Associativity is Light's test over a
-    generating set whose right multiplications are permutations (see
-    ``_check_associative``); a table that passes it is a group, so a Latin
-    square, and a table that fails it goes through the Latin check first:
-    a repeated value in a row, else in a column, raises ``NotLatin``, and
-    otherwise ``NotAssociative`` is raised with a triple ``(x, a, y)`` such
-    that ``(x*a)*y != x*(a*y)``.  The generators it checked become the
-    table's ``generators``.  If the identity is not at index 0, elements are
-    relabeled so that it is.
+    generating set (see ``_check_associative``), which also proves the Latin
+    property; a table that fails it raises ``NotLatin`` at a repeated value
+    in a row, else a column, and otherwise ``NotAssociative`` with a triple
+    ``(x, a, y)`` such that ``(x*a)*y != x*(a*y)``.  The generators it
+    checked become the table's ``generators``.  If the identity is not at
+    index 0, elements are relabeled so that it is.
 
     Every entry must be an integer in 0..n-1; the first one that is not
     (row-major) raises ``NotClosed`` with witness ``(i, j, value)``.  An
@@ -434,8 +415,7 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
         contained = np.empty(len(a), dtype=bool)
         step = max(1, 2 ** 20 // rows.shape[1])   # about 1 MB of rows at a time
         for s in range(0, len(a), step):
-            ra = rows[a[s:s + step]]
-            contained[s:s + step] = ~(ra & ~rows[b[s:s + step]]).any(axis=1)
+            contained[s:s + step] = ~(rows[a[s:s + step]] & ~rows[b[s:s + step]]).any(axis=1)
         weights = np.bincount(ids)[b[contained]]
         zsizes = np.bincount(a[contained], weights, minlength=len(first)).astype(np.int64)
         sizes = np.count_nonzero(comm[first], axis=1)[ids]
@@ -548,8 +528,7 @@ def is_nilpotent(g: CayleyTable):
 # --- products and subgroups ----------------------------------------------------
 
 def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Raw direct-product table under the index convention (i, j) -> i*m + j,
-    in the dtype the factors share."""
+    """Raw direct-product table, pair (i, j) at i*m + j, in the factors' dtype."""
     m = t2.shape[0]
     nm = t1.shape[0] * m
     return (t1[:, None, :, None] * m + t2[None, :, None, :]).reshape(nm, nm)
@@ -608,17 +587,15 @@ def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
 def generate_subgroup(g: CayleyTable, seed) -> ElementSet:
     """The subgroup generated by a seed set (always contains the identity).
 
-    In a finite group the right closure of {e} under the seed is the
-    subgroup the seed generates.
+    In a finite group the orbit of e under the maps x -> x*s for s in the
+    seed is the subgroup the seed generates.
     """
     seed = [int(x) for x in seed]
     for x in seed:
         if not 0 <= x < g.order:
             raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
-    mask = np.zeros(g.order, dtype=bool)
-    mask[0] = True
-    _right_closure(g.table, mask, [0], seed)
-    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]), True)
+    roots = _orbit_roots(g.table[:, seed].T)
+    return ElementSet(g, frozenset(np.flatnonzero(roots == roots[0]).tolist()), True)
 
 
 # --- structure tests ------------------------------------------------------------

@@ -160,16 +160,6 @@ def _cyclic_table(k: int) -> np.ndarray:
     return _circulant(k, np.arange(k))
 
 
-def _cosets(m: int, blocks) -> np.ndarray:
-    """The int32 2m-by-2m table whose (r, c) block is blocks[r][c] + m*(r ^ c):
-    index e*m + i lies in coset e, and cosets multiply as r ^ c."""
-    out = np.empty((2 * m, 2 * m), dtype=np.int32)
-    for r in (0, 1):
-        for c in (0, 1):
-            np.add(blocks[r][c], m * (r ^ c), out=out[r * m:(r + 1) * m, c * m:(c + 1) * m])
-    return out
-
-
 def _dihedral_table(k: int) -> np.ndarray:
     """Symmetries of the regular k-gon; index e*k + i encodes s^e r^i.
 
@@ -177,7 +167,9 @@ def _dihedral_table(k: int) -> np.ndarray:
     circulants, (i+j) mod k and (j-i) mod k, placed in four blocks.
     """
     plus, minus = _cyclic_table(k), _circulant(k, -np.arange(k) % k)
-    return _cosets(k, [[plus, minus], [plus, minus]])
+    out = np.empty((2, k, 2, k), dtype=np.int32)   # [e, i, e', j]
+    out[0, :, 0], out[0, :, 1], out[1, :, 0], out[1, :, 1] = plus, minus + k, plus + k, minus
+    return out.reshape(2 * k, 2 * k)
 
 
 def _dicyclic_table(k: int) -> np.ndarray:
@@ -186,10 +178,11 @@ def _dicyclic_table(k: int) -> np.ndarray:
     With m = 2k the blocks are the m-by-m circulants (i+j) mod m and
     (j-i) mod m, and (j-i+k) mod m where b^2 = a^k enters.
     """
-    m = 2 * k
-    i = np.arange(m)
-    plus, minus = _cyclic_table(m), _circulant(m, -i % m)
-    return _cosets(m, [[plus, minus], [plus, _circulant(m, (k - i) % m)]])
+    m, i = 2 * k, np.arange(2 * k)
+    plus, minus, twisted = _cyclic_table(m), _circulant(m, -i % m), _circulant(m, (k - i) % m)
+    out = np.empty((2, m, 2, m), dtype=np.int32)   # [e, i, e', j]
+    out[0, :, 0], out[0, :, 1], out[1, :, 0], out[1, :, 1] = plus, minus + m, plus + m, twisted
+    return out.reshape(2 * m, 2 * m)
 
 
 def _heisenberg_table(p: int, k: int) -> np.ndarray:

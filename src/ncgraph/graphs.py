@@ -11,6 +11,7 @@ on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,7 @@ def pack_rows(mat: np.ndarray) -> tuple:
 
 
 def adjacency_matrix(graph: NcGraph) -> np.ndarray:
-    """The graph's read-only n-by-n boolean adjacency matrix, shared by every
-    caller; copy it before writing."""
+    """The graph's read-only adjacency matrix; copy it before writing."""
     return graph.matrix
 
 
@@ -37,10 +37,10 @@ class NcGraph:
     ``vertices[i]`` is the parent element index of local vertex i (ascending);
     ``matrix`` is the boolean adjacency matrix over local vertex positions.
     Construction checks its dtype, shape, symmetry and irreflexivity, and
-    holds it read-only and C-ordered (other inputs are copied first).  Equality and
-    hashing follow the content: the vertices, the matrix and the parent
-    metadata.  Derived forms (the degrees, the packed rows, the canonical
-    labeling, the degree profile) are memoised on the graph and freed with it.
+    holds it read-only and C-ordered (other inputs are copied first).
+    Equality and hashing follow the content: the vertices, the matrix and
+    the parent metadata.  Derived forms (the degrees, the packed rows, the
+    canonical labeling, the degree profile) are memoised on the graph.
     """
 
     vertices: tuple
@@ -73,22 +73,18 @@ class NcGraph:
                 self.parent_center_size)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, NcGraph):
             return NotImplemented
-        return self._key() == other._key() and np.array_equal(self.matrix, other.matrix)
+        return self is other or (self._key() == other._key()
+                                 and np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self):
         return hash(self._key() + (np.packbits(self.matrix).tobytes(),))
 
-    @property
+    @cached_property
     def adj(self) -> tuple:
         """The rows as bitmasks, bit j of ``adj[i]`` for the edge i-j."""
-        masks = self._memo.get("adj")
-        if masks is None:
-            masks = self._memo["adj"] = pack_rows(self.matrix)
-        return masks
+        return pack_rows(self.matrix)
 
     @property
     def num_vertices(self) -> int:

@@ -796,7 +796,8 @@ def old_cover(arr, identity, within, check=None):
         if check is not None:
             check(a)
         gens.append(a)
-        cayley._right_closure(arr, covered, [identity], gens)
+        roots = cayley._orbit_roots(arr[:, gens].T)
+        covered |= roots == roots[identity]
         if (covered & ~within).any():
             return None
 
