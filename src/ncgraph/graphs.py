@@ -37,10 +37,11 @@ class NcGraph:
     ``vertices[i]`` is the parent element index of local vertex i (ascending);
     ``matrix`` is the boolean adjacency matrix over local vertex positions.
     Construction checks its dtype, shape, symmetry and irreflexivity, and
-    holds it read-only and C-ordered (other inputs are copied first).
-    Equality and hashing follow the content: the vertices, the matrix and
-    the parent metadata.  Derived forms (the degrees, the packed rows, the
-    canonical labeling, the degree profile) are memoised on the graph.
+    holds it read-only and C-ordered (copied unless the input is a read-only
+    C-ordered array owning its data).  Equality and hashing follow the
+    content: the vertices, the matrix and the parent metadata.  Derived
+    forms (the degrees, the packed rows, the canonical labeling, the degree
+    profile) are memoised on the graph.
     """
 
     vertices: tuple
@@ -62,7 +63,7 @@ class NcGraph:
         if not np.array_equal(mat, mat.T):
             i, j = np.argwhere(mat & ~mat.T)[0]
             raise ValueError(f"edge {i}-{j} is not symmetric")
-        if mat.flags.writeable or not mat.flags.c_contiguous:
+        if mat.flags.writeable or mat.base is not None or not mat.flags.c_contiguous:
             mat = mat.copy(order="C")
             mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)

@@ -170,6 +170,14 @@ class TestInvariants:
         view = ng.NcGraph(vertices=(0, 1, 2), matrix=frozen.T, parent_descriptor="x",
                           parent_order=4, parent_center_size=1)
         assert view.matrix.flags.c_contiguous and view == held
+        # a read-only view of data the caller can still write is copied too
+        data = matrix_from_edges(3, [(0, 2)])
+        window = data.view()
+        window.flags.writeable = False
+        kept = ng.NcGraph(vertices=(0, 1, 2), matrix=window, parent_descriptor="x",
+                          parent_order=4, parent_center_size=1)
+        data[0, 2] = data[2, 0] = False
+        assert kept == held and kept.matrix is not window
 
 
 class TestOperations:
