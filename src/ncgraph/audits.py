@@ -20,6 +20,7 @@ import numpy as np
 from .cayley import (
     CayleyTable,
     _distinct_rows,
+    _nonabelian_sylow_factors,
     center,
     centralizer,
     centralizer_data,
@@ -28,7 +29,6 @@ from .cayley import (
     is_ac_group,
     is_nilpotent,
     is_prime,
-    sylow_decomposition,
 )
 from .canon import Isomorphism, certificate
 from .errors import (
@@ -156,11 +156,16 @@ def divisibility_check(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism) -> 
     rows in vertex order."""
     _check_graph_fit(g_a, phi.source, "source")
     _check_graph_fit(g_b, phi.target, "target")
-    za, zb = len(center(g_a)), len(center(g_b))
     elems_a, elems_b = _vertex_arrays(phi)
-    ca = centralizer_data(g_a).sizes[elems_a]
-    cb = centralizer_data(g_b).sizes[elems_b]
-    dividend = (g_a.order // ca - 1) * (za - zb)
+    return _divisibility_rows(g_a.order, len(center(g_a)), len(center(g_b)), elems_a,
+                              centralizer_data(g_a).sizes[elems_a],
+                              centralizer_data(g_b).sizes[elems_b])
+
+
+def _divisibility_rows(na, za, zb, elems_a, ca, cb) -> tuple:
+    """``divisibility_check``'s rows from the gathered per-vertex centralizer
+    sizes ``ca`` and ``cb`` of the source vertices ``elems_a`` and their images."""
+    dividend = (na // ca - 1) * (za - zb)
     ok = (dividend % cb == 0).tolist()
     return tuple(zip(elems_a.tolist(), cb.tolist(), dividend.tolist(), ok))
 
@@ -268,7 +273,7 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
         orders_equal, centers_equal, witness=bic_witness,
     ))
 
-    div_rows = divisibility_check(g_a, g_b, phi)
+    div_rows = _divisibility_rows(na, za, zb, elems_a, ca, cb)
     div_ok = all(r[3] for r in div_rows)
     div_witness = next((r[:3] for r in div_rows if not r[3]), None)
     items.append(AuditItem("divisibility", div_ok, None, None, witness=div_witness))
@@ -400,14 +405,12 @@ def large_centralizer_witness(g: CayleyTable):
     witness = None
     if best_size * best_size >= bound:
         witness = CentralizerWitness(best_elem, best_size, best_size * best_size, bound)
-    nilp, _ = is_nilpotent(g)
-    if nilp:
-        nonabelian = sum(1 for f in sylow_decomposition(g) if not f.abelian)
-        if nonabelian >= 2 and (witness is None or not witness.strict):
-            raise InternalInconsistency(
-                f"{g.descriptor}: two non-abelian Sylow factors but no strict "
-                f"centralizer witness"
-            )
+    two_factors = is_nilpotent(g)[0] and len(_nonabelian_sylow_factors(g)) >= 2
+    if two_factors and (witness is None or not witness.strict):
+        raise InternalInconsistency(
+            f"{g.descriptor}: two non-abelian Sylow factors but no strict "
+            f"centralizer witness"
+        )
     return witness
 
 
@@ -425,49 +428,37 @@ class PrimePowerSplit:
     p_part: CayleyTable
 
 
+def _nonabelian_sylow_shape(g: CayleyTable, k: int) -> list:
+    """The non-abelian Sylow factors of ``g``, which must be nilpotent with
+    exactly ``k`` (1 or 2) of them."""
+    if not is_nilpotent(g)[0]:
+        raise WrongShape(f"{g.descriptor}: not nilpotent")
+    factors = _nonabelian_sylow_factors(g)
+    if len(factors) != k:
+        expected = ("one non-abelian Sylow factor", "two non-abelian Sylow factors")[k - 1]
+        raise WrongShape(
+            f"{g.descriptor}: expected exactly {expected}, found {len(factors)}"
+        )
+    return factors
+
+
 def split_one_nonabelian_sylow(g: CayleyTable) -> PrimePowerSplit:
     """Decompose a nilpotent group with exactly one non-abelian Sylow factor."""
-    nilp, _ = is_nilpotent(g)
-    if not nilp:
-        raise WrongShape(f"{g.descriptor}: not nilpotent")
-    factors = sylow_decomposition(g)
-    nonabelian = [f for f in factors if not f.abelian]
-    if len(nonabelian) != 1:
-        raise WrongShape(
-            f"{g.descriptor}: expected exactly one non-abelian Sylow factor, "
-            f"found {len(nonabelian)}"
-        )
-    factor = nonabelian[0]
+    factor, = _nonabelian_sylow_shape(g, 1)
     p = factor.prime
+
+    def exponent(size, message):
+        e = _valuation(size, p)
+        if p ** e != size:
+            raise InternalInconsistency(message)
+        return e
+
     p_part = induced_group(g, factor.members)
-    n = 0
-    size = p_part.order
-    while size > 1:
-        if size % p:
-            raise InternalInconsistency("Sylow factor order is not a prime power")
-        size //= p
-        n += 1
-    zp = len(center(p_part))
-    r = 0
-    while p ** r < zp:
-        r += 1
-    if p ** r != zp:
-        raise InternalInconsistency("centre of a p-group has non-p-power order")
+    n = exponent(p_part.order, "Sylow factor order is not a prime power")
+    r = exponent(len(center(p_part)), "centre of a p-group has non-p-power order")
     cofactor = g.order // p_part.order
-    exps = set()
-    for cls in conjugacy_classes(g):
-        if len(cls) == 1:
-            continue
-        e = 0
-        size = len(cls)
-        while size % p == 0:
-            size //= p
-            e += 1
-        if size != 1:
-            raise InternalInconsistency(
-                f"{g.descriptor}: class size {len(cls)} is not a power of {p}"
-            )
-        exps.add(e)
+    exps = {exponent(len(cls), f"{g.descriptor}: class size {len(cls)} is not a power of {p}")
+            for cls in conjugacy_classes(g) if len(cls) > 1}
     return PrimePowerSplit(p, n, r, cofactor, tuple(sorted(exps)), p_part)
 
 
@@ -645,16 +636,7 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
     (default: Q1's prime), the lens through which these quantities expose
     order mismatches.
     """
-    nilp, _ = is_nilpotent(h)
-    if not nilp:
-        raise WrongShape(f"{h.descriptor}: not nilpotent")
-    factors = sylow_decomposition(h)
-    nonabelian = [f for f in factors if not f.abelian]
-    if len(nonabelian) != 2:
-        raise WrongShape(
-            f"{h.descriptor}: expected exactly two non-abelian Sylow factors, "
-            f"found {len(nonabelian)}"
-        )
+    nonabelian = _nonabelian_sylow_shape(h, 2)
     q1 = induced_group(h, nonabelian[0].members)
     q2 = induced_group(h, nonabelian[1].members)
     cofactor = h.order // (q1.order * q2.order)

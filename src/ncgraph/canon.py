@@ -60,8 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cayley import _distinct_rows, _orbit_roots
 from .errors import InternalInconsistency, NotAnIsomorphism
-from .graphs import NcGraph, adjacency_matrix, pack_rows
+from .graphs import NcGraph, pack_rows
 
 # Bumped whenever the certificate bytes of some graph change; stores of
 # certificates key on it so that they never hand back bytes of another version.
@@ -107,7 +108,7 @@ def _twin_classes(mat, colors) -> list:
 
 def twin_partition(graph: NcGraph) -> tuple:
     """Partition local vertices into twin classes, ordered by least member."""
-    return tuple(_twin_classes(adjacency_matrix(graph), (b"",) * graph.num_vertices))
+    return tuple(_twin_classes(graph.matrix, (b"",) * graph.num_vertices))
 
 
 def _contract(mat, colors, classes):
@@ -172,7 +173,7 @@ class _QuotientSearch:
         self.color_codes = [len(c).to_bytes(4, "big") + c for c in colors]
         self.first = None  # (encoding, leaf, path) of the first leaf
         self.best = None  # (encoding, leaf, path) of the least leaf so far
-        self.auts = []  # verified automorphisms with their fixed-point masks
+        self.auts = []  # verified automorphisms
 
     def run(self):
         by_color = {}
@@ -290,25 +291,11 @@ class _QuotientSearch:
         return None
 
     def _orbits(self, base):
-        """Orbit representative of each vertex under the stored automorphisms
+        """Least member of each vertex's orbit under the stored automorphisms
         that fix every vertex of ``base``."""
         base = list(base)
-        rep = list(range(self.n))
-
-        def find(x):
-            while rep[x] != x:
-                rep[x] = rep[rep[x]]
-                x = rep[x]
-            return x
-
-        for gamma, fixed in self.auts:
-            if not fixed[base].all():
-                continue
-            for x in range(self.n):
-                rx, ry = find(x), find(gamma[x])
-                if rx != ry:
-                    rep[max(rx, ry)] = min(rx, ry)
-        return [find(x) for x in range(self.n)]
+        auts = np.array(self.auts, dtype=np.intp).reshape(-1, self.n)
+        return _orbit_roots(auts[(auts[:, base] == base).all(axis=1)]).tolist()
 
     def _leaf(self, pi, path):
         enc = self._encode(pi)
@@ -322,7 +309,7 @@ class _QuotientSearch:
             for k in range(self.n):
                 gamma[ref_pi[k]] = pi[k]
             self._verify_automorphism(gamma)
-            self.auts.append((tuple(gamma), np.asarray(gamma) == np.arange(self.n)))
+            self.auts.append(tuple(gamma))
             # two distinct leaves' paths differ before either one ends
             return next(i for i, (x, y) in enumerate(zip(path, ref_path)) if x != y)
         if enc < self.best[0]:
@@ -362,11 +349,11 @@ def _canon(graph: NcGraph):
     """(canonical order, certificate) of the graph, memoised on it."""
     form = graph._memo.get("canon")
     if form is None:
-        qmat, colors, expansion = _contract_to_fixpoint(adjacency_matrix(graph))
+        qmat, colors, expansion = _contract_to_fixpoint(graph.matrix)
         q_pi = _QuotientSearch(qmat, colors).run()
         order = tuple(v for q in q_pi for v in expansion[q])
         n = graph.num_vertices
-        form = order, n.to_bytes(4, "big") + _upper_bits(adjacency_matrix(graph), order)
+        form = order, n.to_bytes(4, "big") + _upper_bits(graph.matrix, order)
         graph._memo["canon"] = form
     return form
 
@@ -396,13 +383,14 @@ def degree_profile(graph: NcGraph) -> tuple:
 
 
 def _degree_profile(graph: NcGraph) -> tuple:
-    mat = adjacency_matrix(graph)
+    mat = graph.matrix
     degs = mat.sum(axis=1)
     distinct, cls, counts = np.unique(degs, return_inverse=True, return_counts=True)
     values = distinct.tolist()
     onehot = (cls[:, None] == np.arange(len(values))).astype(np.int32)
     rows = np.column_stack([cls, mat.astype(np.int32) @ onehot])
-    uniq, mult = np.unique(rows, axis=0, return_counts=True)
+    first, ids = _distinct_rows(rows)
+    uniq, mult = rows[first], np.bincount(ids)
 
     def spell(row):
         return tuple(v for v, c in zip(values, row) for _ in range(c))
@@ -430,8 +418,8 @@ class Isomorphism:
         if sorted(self.mapping) != list(range(n)):
             raise NotAnIsomorphism("mapping is not a bijection on vertex positions")
         m = np.array(self.mapping, dtype=np.int64)
-        image = adjacency_matrix(self.source)[:, np.argsort(m)]  # row i: m(N(i))
-        bad = image != adjacency_matrix(self.target)[m]
+        image = self.source.matrix[:, np.argsort(m)]  # row i: m(N(i))
+        bad = image != self.target.matrix[m]
         rows = np.flatnonzero(bad.any(axis=1))
         if rows.size:
             i = int(rows[0])

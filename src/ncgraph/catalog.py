@@ -33,12 +33,12 @@ import numpy as np
 from .audits import Record, audit_isomorphic_pair, same_prime_audit
 from .canon import CERT_VERSION, _upper_bits, canonical_order, certificate, find_isomorphism
 from .cayley import (
+    _nonabelian_sylow_factors,
     center,
     conjugacy_classes,
     is_ac_group,
     is_nilpotent,
     is_prime,
-    sylow_decomposition,
 )
 from .descriptors import (
     GroupDescriptor,
@@ -54,7 +54,7 @@ from .errors import (
     RegularGraph,
     WrongShape,
 )
-from .graphs import NcGraph, adjacency_matrix, build_nc_graph, relabeled
+from .graphs import NcGraph, build_nc_graph, relabeled
 
 log = logging.getLogger("ncgraph")
 
@@ -66,8 +66,9 @@ DEFAULT_FAMILIES = (
     "heisenberg(3,2)",
 )
 
-_BARE_FAMILIES = ("dihedral", "dicyclic", "heisenberg")
-_RANGE_RE = re.compile(r"(dihedral|dicyclic)\((\d+)\.\.(\d+)\)")
+# (least parameter, group order per unit of parameter) of each ranged family
+_RANGED = {"dihedral": (3, 2), "dicyclic": (2, 4)}
+_RANGE_RE = re.compile(rf"({'|'.join(_RANGED)})\((\d+)\.\.(\d+)\)")
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def _read_frame(frame: bytes, graph: NcGraph):
     if not np.array_equal(np.sort(order), np.arange(n)):
         return "order is not a permutation"
     cert = body[_HEAD + 4 * n:]
-    if cert != n.to_bytes(4, "big") + _upper_bits(adjacency_matrix(graph), order):
+    if cert != n.to_bytes(4, "big") + _upper_bits(graph.matrix, order):
         return "order does not realise the certificate"
     return tuple(order.tolist()), cert
 
@@ -215,8 +216,8 @@ def _family_instances(request: str, max_order: int) -> list:
     descriptor is taken literally and over-cap instances are an error.
     """
     request = request.strip()
-    if request in ("dihedral", "dicyclic"):
-        start, per = (3, 2) if request == "dihedral" else (2, 4)
+    if request in _RANGED:
+        start, per = _RANGED[request]
         return [GroupDescriptor(request, (k,)) for k in range(start, max_order // per + 1)]
     if request == "heisenberg":
         out = []
@@ -233,10 +234,9 @@ def _family_instances(request: str, max_order: int) -> list:
     m = _RANGE_RE.fullmatch(request)
     if m:
         name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-        minimum = 3 if name == "dihedral" else 2
+        minimum, per = _RANGED[name]
         if lo < minimum or hi < lo:
             raise BadDescriptor(f"bad range in family request {request!r}")
-        per = 2 if name == "dihedral" else 4
         return [GroupDescriptor(name, (k,))
                 for k in range(lo, hi + 1) if per * k <= max_order]
     desc = parse_descriptor(request)
@@ -310,13 +310,11 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
             cache.put(key, canonical_order(graph), cert)
     nilp, nclass = is_nilpotent(g)
     if nilp:
-        factors = sylow_decomposition(g)
-        na_factors = [f for f in factors if not f.abelian]
+        na_factors = _nonabelian_sylow_factors(g)
         na_count = len(na_factors)
         na_prime = na_factors[0].prime if na_count == 1 else None
     else:
-        na_count = None
-        na_prime = None
+        na_count = na_prime = None
     degrees = graph.degrees()
     class_sizes = [len(c) for c in conjugacy_classes(g) if len(c) > 1]
     return g, CatalogEntry(
@@ -525,8 +523,7 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
                         f"{ea.descriptor} vs {eb.descriptor}"
                     )
                 audit = audit_isomorphic_pair(ga, gb, phi, strict=False)
-                if audit.verdict != "consistent":
-                    violations += 1
+                violations += audit.verdict != "consistent"
                 pair_audits.append(audit)
                 qualifies = (
                     ea.nilpotent and eb.nilpotent
@@ -534,18 +531,13 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
                     and ea.nonabelian_sylow_count == 1
                     and eb.nonabelian_sylow_count == 1
                 )
-                if qualifies:
-                    try:
-                        sp = same_prime_audit(ga, gb, phi, strict=False)
-                        if sp.verdict != "consistent":
-                            violations += 1
-                        sp_audits.append(sp)
-                    except (WrongShape, RegularGraph, PrimeMismatch) as exc:
-                        sp_skips.append((ea.descriptor, eb.descriptor, str(exc)))
+                sp, reason = (_same_prime(ga, gb, phi) if qualifies
+                              else (None, "shape does not qualify"))
+                if sp is None:
+                    sp_skips.append((ea.descriptor, eb.descriptor, reason))
                 else:
-                    sp_skips.append(
-                        (ea.descriptor, eb.descriptor, "shape does not qualify")
-                    )
+                    violations += sp.verdict != "consistent"
+                    sp_audits.append(sp)
         classes.append(IsoClass(
             certificate_sha256=members[0].certificate_sha256,
             members=names,
@@ -566,6 +558,14 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
         cache_spot_check=spot,
         violations=violations,
     )
+
+
+def _same_prime(g_a, g_b, phi) -> tuple:
+    """(the same-prime audit, None), or (None, why the pair's shape was skipped)."""
+    try:
+        return same_prime_audit(g_a, g_b, phi, strict=False), None
+    except (WrongShape, RegularGraph, PrimeMismatch) as exc:
+        return None, str(exc)
 
 
 def audit_pair_files(path_a: str, path_b: str) -> dict:
@@ -604,15 +604,10 @@ def audit_pair_files(path_a: str, path_b: str) -> dict:
     result["isomorphic"] = True
     audit = audit_isomorphic_pair(g_a, g_b, phi, strict=False)
     result["pair_audit"] = audit.to_dict()
-    try:
-        sp = same_prime_audit(g_a, g_b, phi, strict=False)
-        result["same_prime_audit"] = sp.to_dict()
-    except (WrongShape, RegularGraph, PrimeMismatch) as exc:
-        result["same_prime_audit"] = None
-        result["same_prime_skip_reason"] = str(exc)
-    result["violation"] = (
-        audit.verdict != "consistent"
-        or (result.get("same_prime_audit") or {}).get("verdict", "consistent")
-        != "consistent"
-    )
+    sp, reason = _same_prime(g_a, g_b, phi)
+    result["same_prime_audit"] = sp.to_dict() if sp is not None else None
+    if reason is not None:
+        result["same_prime_skip_reason"] = reason
+    result["violation"] = (audit.verdict != "consistent"
+                           or sp is not None and sp.verdict != "consistent")
     return result

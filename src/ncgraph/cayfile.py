@@ -32,7 +32,7 @@ import numpy as np
 from .cayley import CayleyTable, _cleared_on_error, validate
 from .canon import canonical_order
 from .errors import CayParseError, InternalInconsistency
-from .graphs import NcGraph, adjacency_matrix
+from .graphs import NcGraph
 
 # Text per kernel block, in bytes; every temporary scales with it.
 _BLOCK_BYTES = 1 << 20
@@ -192,7 +192,7 @@ def _canonical_edges(graph: NcGraph):
     u < v, sorted: the upper triangle of the canonically ordered matrix."""
     order = canonical_order(graph)
     p = np.asarray(order, dtype=np.intp)
-    mat = adjacency_matrix(graph)[p][:, p]
+    mat = graph.matrix[p][:, p]
     return order, np.argwhere(np.triu(mat, 1)).tolist()
 
 

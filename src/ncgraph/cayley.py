@@ -311,6 +311,11 @@ def _validate(raw, descriptor):
     n = arr.shape[0]
     name = descriptor if descriptor is not None else f"table(order={n})"
 
+    if arr.dtype.kind in "iu" and not isinstance(raw, np.ndarray):
+        # np.asarray reads True as 1 among ints: look at a list's entries for bools
+        entries = np.asarray(raw, dtype=object)
+        if any(isinstance(v, (bool, np.bool_)) for v in entries.flat):
+            arr = entries
     if arr.dtype.kind not in "iu":
         arr = _index_entries(arr, name)
     if arr.min() < 0 or arr.max() >= n:
@@ -691,5 +696,11 @@ def sylow_decomposition(g: CayleyTable) -> list:
     return factors
 
 
+def _nonabelian_sylow_factors(g: CayleyTable) -> list:
+    """The non-abelian factors of a nilpotent group's Sylow decomposition,
+    primes ascending."""
+    return [f for f in sylow_decomposition(g) if not f.abelian]
+
+
 def nonabelian_sylow_count(g: CayleyTable) -> int:
-    return sum(1 for f in sylow_decomposition(g) if not f.abelian)
+    return len(_nonabelian_sylow_factors(g))

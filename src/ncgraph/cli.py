@@ -133,13 +133,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except Error as exc:
-        print(f"ncgraph {args.verb}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"ncgraph {args.verb}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (Error, OSError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
         print(f"ncgraph {args.verb}: {exc}", file=sys.stderr)
         return 1
 

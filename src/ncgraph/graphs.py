@@ -25,11 +25,6 @@ def pack_rows(mat: np.ndarray) -> tuple:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def adjacency_matrix(graph: NcGraph) -> np.ndarray:
-    """The graph's read-only adjacency matrix; copy it before writing."""
-    return graph.matrix
-
-
 @dataclass(frozen=True, eq=False)
 class NcGraph:
     """An undirected graph on the non-central elements of a group.

@@ -220,6 +220,36 @@ class TestPairAuditOracle:
                           "order_center_centralizer_biconditional", "divisibility"}
 
 
+class TestStrictDefault:
+    """Without strict=False a failed identity raises, with the failed names
+    in the message and the same witness as the non-raising audit."""
+
+    def test_pair_audit_raises_on_a_bijection_that_is_not_one(self):
+        g_a, g_b = ng.construct("dihedral(12)"), ng.construct("dicyclic(6)")
+        source, target = ng.build_nc_graph(g_a), ng.build_nc_graph(g_b)
+        mapping = np.random.default_rng(5).permutation(source.num_vertices).tolist()
+        bij = unchecked_bijection(source, target, mapping)
+        audit = ng.audit_isomorphic_pair(g_a, g_b, bij, strict=False)
+        failed = [i.name for i in audit.items if i.passed is False]
+        assert audit.verdict == "violation" and failed
+        with pytest.raises(ng.InternalInconsistency) as exc:
+            ng.audit_isomorphic_pair(g_a, g_b, bij)
+        assert str(failed) in str(exc.value)
+        assert exc.value.witness == audit.witness
+
+    def test_same_prime_audit_raises_across_orders(self):
+        g_a, g_b = ng.construct("dihedral(8)"), ng.construct("dihedral(16)")
+        source, target = ng.build_nc_graph(g_a), ng.build_nc_graph(g_b)
+        bij = unchecked_bijection(source, target, range(source.num_vertices))
+        audit = ng.same_prime_audit(g_a, g_b, bij, strict=False)
+        failed = [i.name for i in audit.items if i.passed is False]
+        assert audit.verdict == "violation" and "p_part_orders_equal" in failed
+        with pytest.raises(ng.InternalInconsistency) as exc:
+            ng.same_prime_audit(g_a, g_b, bij)
+        assert str(failed) in str(exc.value)
+        assert exc.value.witness == audit.witness
+
+
 class TestCentralizerChain:
     def test_ac_group_has_zero_steps(self):
         chain = ng.centralizer_chain(ng.construct("dihedral(8)"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
-from ncgraph import canon, catalog, graphs
+from ncgraph import canon, catalog
 
 # sha256 of each default-scan class as [members, equal-orders verdict], in
 # report order; the certificate bytes do not enter it
@@ -175,7 +175,7 @@ def frame(order, cert, version=canon.CERT_VERSION):
 def realised_form(descriptor, reverse=False):
     """The order 0..n-1 of the descriptor's graph, or n-1..0, and the bytes
     it realises."""
-    mat = graphs.adjacency_matrix(ng.build_nc_graph(ng.construct(descriptor)))
+    mat = ng.build_nc_graph(ng.construct(descriptor)).matrix
     order = range(len(mat))[::-1] if reverse else range(len(mat))
     return order, len(mat).to_bytes(4, "big") + canon._upper_bits(mat, order)
 

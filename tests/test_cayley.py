@@ -94,6 +94,13 @@ class TestValidate:
         assert exc.value.witness == witness
         assert type(exc.value.witness[2]) is bool
 
+    def test_bool_in_a_list_of_ints_is_not_an_index(self):
+        # np.asarray makes this list int64, reading True as 1
+        with pytest.raises(ng.NotClosed, match="is not an index") as exc:
+            ng.validate([[0, True], [True, 0]])
+        assert exc.value.witness == (0, 1, True)
+        assert type(exc.value.witness[2]) is bool
+
     def test_integral_floats_are_indices(self):
         t = [[(i + j) % 4 for j in range(4)] for i in range(4)]
         g = ng.validate(np.array(t, dtype=float))

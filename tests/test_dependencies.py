@@ -49,3 +49,35 @@ def test_no_process_wide_memo_caches(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+
+
+def module_private_names(tree):
+    """Private names a module defines at its top level: functions, classes
+    and assigned constants whose names start with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def loaded_names(tree):
+    """Every name a module reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_dead_private_names():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    read = {name for tree in trees.values() for name in loaded_names(tree)}
+    dead = sorted(f"{module}:{name}" for module, tree in trees.items()
+                  for name in module_private_names(tree) if name not in read)
+    assert not dead, f"private names defined but never read: {dead}"

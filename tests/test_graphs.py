@@ -5,7 +5,7 @@ import pytest
 
 import ncgraph as ng
 
-from ncgraph.graphs import adjacency_matrix, pack_rows
+from ncgraph.graphs import pack_rows
 
 
 def iter_bits(mask: int):
@@ -191,7 +191,7 @@ class TestOperations:
     def test_adjacency_matrix_matches_masks(self, descriptor):
         graph = ng.build_nc_graph(ng.construct(descriptor))
         n = graph.num_vertices
-        mat = adjacency_matrix(graph)
+        mat = graph.matrix
         assert mat.dtype == bool and mat.shape == (n, n)
         reference = [[bool(graph.adj[i] >> j & 1) for j in range(n)] for i in range(n)]
         assert mat.tolist() == reference
@@ -251,8 +251,8 @@ class TestOperations:
 
     def test_adjacency_matrix_is_held_and_read_only(self):
         graph = ng.build_nc_graph(ng.construct("dihedral(5)"))
-        mat = adjacency_matrix(graph)
-        assert adjacency_matrix(graph) is mat
+        mat = graph.matrix
+        assert graph.matrix is mat
         with pytest.raises(ValueError, match="read-only"):
             mat[0, 1] = not mat[0, 1]
         with pytest.raises(ValueError, match="read-only"):
