@@ -34,9 +34,6 @@ from .cayley import (
     centralizer_data,
     centralizer_size,
     conjugacy_classes,
-    direct_product,
-    element_orders,
-    generate_subgroup,
     has_uniform_class_sizes,
     induced_group,
     is_ac_group,
@@ -60,12 +57,10 @@ from .graphs import (
 )
 from .canon import (
     Isomorphism,
-    TwinClass,
     canonical_order,
     certificate,
     degree_profile,
     find_isomorphism,
-    twin_partition,
 )
 from .audits import (
     AuditItem,
@@ -79,10 +74,8 @@ from .audits import (
     audit_isomorphic_pair,
     centralizer_chain,
     cross_prime_scan,
-    divisibility_check,
     large_centralizer_witness,
     same_prime_audit,
-    seeded_picker,
     split_one_nonabelian_sylow,
     two_nonabelian_sylow_audit,
 )
@@ -95,8 +88,6 @@ from .repunits import (
 from .cayfile import (
     export_group,
     format_group,
-    graph_to_json,
-    graph_to_text,
     import_group,
     parse_group,
 )
@@ -126,20 +117,19 @@ __all__ = [
     "DEFAULT_ORDER_CAP", "CayleyTable", "ElementSet", "SylowFactor",
     "validate", "center", "centralizer", "centralizer_size",
     "CentralizerData", "centralizer_data",
-    "conjugacy_classes", "element_orders", "upper_central_series",
-    "is_nilpotent", "direct_product", "induced_group", "generate_subgroup",
-    "is_ac_group", "has_uniform_class_sizes", "prime_factorization",
-    "sylow_decomposition", "nonabelian_sylow_count",
+    "conjugacy_classes", "upper_central_series", "is_nilpotent",
+    "induced_group", "is_ac_group", "has_uniform_class_sizes",
+    "prime_factorization", "sylow_decomposition", "nonabelian_sylow_count",
     # descriptors
     "GroupDescriptor", "parse_descriptor", "descriptor_order", "construct",
     # graphs
     "NcGraph", "build_nc_graph", "relabeled",
     # canonical labeling
-    "TwinClass", "twin_partition", "canonical_order", "certificate",
-    "degree_profile", "Isomorphism", "find_isomorphism",
+    "canonical_order", "certificate", "degree_profile", "Isomorphism",
+    "find_isomorphism",
     # audits
-    "AuditItem", "PairAudit", "audit_isomorphic_pair", "divisibility_check",
-    "CentralizerChain", "centralizer_chain", "seeded_picker",
+    "AuditItem", "PairAudit", "audit_isomorphic_pair",
+    "CentralizerChain", "centralizer_chain",
     "CentralizerWitness", "large_centralizer_witness", "PrimePowerSplit",
     "split_one_nonabelian_sylow", "SamePrimeAudit", "same_prime_audit",
     "TwoSylowAudit", "two_nonabelian_sylow_audit", "CrossPrimeScan",
@@ -148,7 +138,6 @@ __all__ = [
     "DEFAULT_MAX_BITS", "repunit", "RepunitSolution", "goormaghtigh_search",
     # .cay files
     "format_group", "export_group", "parse_group", "import_group",
-    "graph_to_text", "graph_to_json",
     # catalog
     "DEFAULT_FAMILIES", "CatalogConfig", "CatalogEntry", "CertificateCache",
     "enumerate_catalog", "IsoClass", "ScanReport", "scan_pairs",

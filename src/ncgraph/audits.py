@@ -12,7 +12,6 @@ statement about such inputs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,21 +149,11 @@ def _vertex_arrays(phi: Isomorphism):
     return elems_a, elems_b
 
 
-def divisibility_check(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism) -> tuple:
-    """Per-vertex check that |C_H(phi(g))| divides (|g^G| - 1)(|Z(G)| - |Z(H)|),
-    with zero divisible by everything.  Returns (element_a, divisor, dividend, ok)
-    rows in vertex order."""
-    _check_graph_fit(g_a, phi.source, "source")
-    _check_graph_fit(g_b, phi.target, "target")
-    elems_a, elems_b = _vertex_arrays(phi)
-    return _divisibility_rows(g_a.order, len(center(g_a)), len(center(g_b)), elems_a,
-                              centralizer_data(g_a).sizes[elems_a],
-                              centralizer_data(g_b).sizes[elems_b])
-
-
 def _divisibility_rows(na, za, zb, elems_a, ca, cb) -> tuple:
-    """``divisibility_check``'s rows from the gathered per-vertex centralizer
-    sizes ``ca`` and ``cb`` of the source vertices ``elems_a`` and their images."""
+    """Per-vertex check that |C_H(phi(g))| divides (|g^G| - 1)(|Z(G)| - |Z(H)|),
+    with zero divisible by everything: (element_a, divisor, dividend, ok) rows
+    in vertex order, from the gathered centralizer sizes ``ca`` and ``cb`` of
+    the source vertices ``elems_a`` and their images."""
     dividend = (na // ca - 1) * (za - zb)
     ok = (dividend % cb == 0).tolist()
     return tuple(zip(elems_a.tolist(), cb.tolist(), dividend.tolist(), ok))
@@ -187,7 +176,8 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
       the non-commuting graphs of C_G(g) and C_H(phi(g)) share a certificate.
     - ``order_center_centralizer_biconditional``: |G| = |H|, |Z(G)| = |Z(H)|
       and |C_G(g)| = |C_H(phi(g))| are all equivalent, for every vertex.
-    - ``divisibility``: the divisibility_check rows all pass.
+    - ``divisibility``: |C_H(phi(g))| divides (|g^G| - 1)(|Z(G)| - |Z(H)|)
+      for every vertex; the per-vertex rows are ``PairAudit.divisibility``.
 
     The per-vertex quantities are gathered from each group's
     ``centralizer_data`` through the bijection; every witness is the first
@@ -312,26 +302,12 @@ class CentralizerChain:
     chosen: tuple
 
     @property
-    def length(self) -> int:
-        return len(self.groups)
-
-    @property
     def steps(self) -> int:
         return len(self.groups) - 1
 
     @property
     def orders(self) -> tuple:
         return tuple(g.order for g in self.groups)
-
-
-def seeded_picker(seed: int):
-    """A picker choosing uniformly among candidates, reproducible per seed."""
-    rng = random.Random(seed)
-
-    def pick(group, candidates):
-        return rng.choice(candidates)
-
-    return pick
 
 
 def centralizer_chain(g: CayleyTable, picker=None) -> CentralizerChain:
@@ -341,6 +317,11 @@ def centralizer_chain(g: CayleyTable, picker=None) -> CentralizerChain:
     Candidates always exist while the current group is not AC, each step drops
     to a proper subgroup (so at most log2 |G| steps), and every step stays
     non-abelian; both facts are asserted.
+
+    By default each step takes the least candidate.  ``picker(group,
+    candidates)``, if given, is called with the current group and the
+    ascending list of its candidate elements (local indices), and must return
+    one of them; anything else raises ValueError.
     """
     if g.is_abelian:
         raise AbelianInput(f"{g.descriptor}: centralizer chains need a non-abelian root")

@@ -106,11 +106,6 @@ def _twin_classes(mat, colors) -> list:
     return classes
 
 
-def twin_partition(graph: NcGraph) -> tuple:
-    """Partition local vertices into twin classes, ordered by least member."""
-    return tuple(_twin_classes(graph.matrix, (b"",) * graph.num_vertices))
-
-
 def _contract(mat, colors, classes):
     """Coloured quotient matrix of the twin classes, verified against its
     blow-up; the first mismatch in row-major order names the failing check."""
@@ -428,8 +423,6 @@ class Isomorphism:
                 witness=(i, int(np.argmax(bad[i]))),
             )
 
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
 
 
 def find_isomorphism(a: NcGraph, b: NcGraph):

@@ -1,4 +1,4 @@
-"""File formats: .cay multiplication tables and graph serialization.
+"""The .cay file format for multiplication tables.
 
 A .cay file is plain ASCII text: line 1 holds the order n, then n lines of
 n whitespace-separated 0-based element indices (row i, column j holds the
@@ -30,9 +30,7 @@ import os
 import numpy as np
 
 from .cayley import CayleyTable, _cleared_on_error, validate
-from .canon import canonical_order
 from .errors import CayParseError, InternalInconsistency
-from .graphs import NcGraph
 
 # Text per kernel block, in bytes; every temporary scales with it.
 _BLOCK_BYTES = 1 << 20
@@ -186,35 +184,3 @@ def import_group(path: str) -> CayleyTable:
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_group(text, descriptor=f"imported({name})")
 
-
-def _canonical_edges(graph: NcGraph):
-    """The canonical vertex order and the edges as position pairs [u, v],
-    u < v, sorted: the upper triangle of the canonically ordered matrix."""
-    order = canonical_order(graph)
-    p = np.asarray(order, dtype=np.intp)
-    mat = graph.matrix[p][:, p]
-    return order, np.argwhere(np.triu(mat, 1)).tolist()
-
-
-def graph_to_text(graph: NcGraph) -> str:
-    """Edge list under the canonical vertex order: "nv ne" header, then one
-    "u v" line per edge with 0-based canonical positions, u < v, sorted."""
-    _, edges = _canonical_edges(graph)
-    lines = [f"{graph.num_vertices} {graph.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_json(graph: NcGraph) -> dict:
-    """JSON form of the graph keeping parent element labels: entry k of
-    "vertices" is the parent element index at canonical position k."""
-    order, edges = _canonical_edges(graph)
-    return {
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "parent_descriptor": graph.parent_descriptor,
-        "parent_order": graph.parent_order,
-        "parent_center_size": graph.parent_center_size,
-        "vertices": [graph.vertices[v] for v in order],
-        "edges": edges,
-    }

@@ -30,7 +30,6 @@ from .errors import (
     NotClosed,
     NotLatin,
     NotNilpotent,
-    OrderOverflow,
 )
 
 # Default ceiling for construction-type operations (tables are O(n^2) memory).
@@ -53,15 +52,6 @@ class CayleyTable:
         self.descriptor = descriptor
         self.parent_map = parent_map
         self._memo = {}
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
-    def inv(self, i: int) -> int:
-        return int(self.inverses[i])
-
-    def elements(self) -> range:
-        return range(self.order)
 
     @property
     def inverses(self) -> np.ndarray:
@@ -463,26 +453,6 @@ def conjugacy_classes(g: CayleyTable) -> tuple:
     return classes
 
 
-def element_orders(g: CayleyTable) -> np.ndarray:
-    """Order of every element: all powers x^k advance together, and each
-    element drops out when its power reaches the identity."""
-    orders = g._memo.get("orders")
-    if orders is None:
-        t = g.table
-        orders = np.ones(g.order, dtype=np.int64)
-        todo = power = np.arange(1, g.order)
-        k = 1
-        while todo.size:
-            power = t[power, todo]
-            k += 1
-            done = power == 0
-            orders[todo[done]] = k
-            todo, power = todo[~done], power[~done]
-        orders.flags.writeable = False
-        g._memo["orders"] = orders
-    return orders
-
-
 # --- nilpotency ---------------------------------------------------------------
 
 def upper_central_series(g: CayleyTable) -> list:
@@ -539,25 +509,6 @@ def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return (t1[:, None, :, None] * m + t2[None, :, None, :]).reshape(nm, nm)
 
 
-def direct_product(g: CayleyTable, h: CayleyTable,
-                   max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
-    """Direct product with pair index (i, j) -> i*|H| + j."""
-    nm = g.order * h.order
-    if nm > max_order:
-        raise OrderOverflow(
-            f"product order {nm} exceeds cap {max_order}"
-        )
-    table = np.ascontiguousarray(product_table(g.table, h.table), dtype=np.int32)
-    table.flags.writeable = False
-    out = CayleyTable(nm, table, f"product({g.descriptor},{h.descriptor})")
-    expected = {a * h.order + b for a in center(g).members for b in center(h).members}
-    if center(out).members != frozenset(expected):
-        raise InternalInconsistency(
-            "centre of a direct product is not the product of centres"
-        )
-    return out
-
-
 def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
     """Relabel a subgroup-flagged set as a group of its own.
 
@@ -587,20 +538,6 @@ def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
     return CayleyTable(
         k, table, f"subgroup(order={k}) of {g.descriptor}", parent_map=members
     )
-
-
-def generate_subgroup(g: CayleyTable, seed) -> ElementSet:
-    """The subgroup generated by a seed set (always contains the identity).
-
-    In a finite group the orbit of e under the maps x -> x*s for s in the
-    seed is the subgroup the seed generates.
-    """
-    seed = [int(x) for x in seed]
-    for x in seed:
-        if not 0 <= x < g.order:
-            raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
-    roots = _orbit_roots(g.table[:, seed].T)
-    return ElementSet(g, frozenset(np.flatnonzero(roots == roots[0]).tolist()), True)
 
 
 # --- structure tests ------------------------------------------------------------

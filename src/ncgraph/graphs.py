@@ -90,9 +90,6 @@ class NcGraph:
     def num_edges(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
 
-    def degree(self, i: int) -> int:
-        return int(np.count_nonzero(self.matrix[i]))
-
     def degrees(self) -> tuple:
         degs = self._memo.get("degrees")
         if degs is None:
@@ -102,37 +99,6 @@ class NcGraph:
     @property
     def is_regular(self) -> bool:
         return len(set(self.degrees())) <= 1
-
-    def neighbors(self, i: int) -> tuple:
-        return tuple(np.flatnonzero(self.matrix[i]).tolist())
-
-    def edges(self) -> list:
-        """All edges as local (i, j) pairs with i < j, lexicographic."""
-        return list(map(tuple, np.argwhere(np.triu(self.matrix, 1)).tolist()))
-
-    def complement_components(self) -> list:
-        """Connected components of the complement graph, as sorted tuples,
-        ordered by least member.
-
-        Breadth-first over the non-adjacency matrix: each vertex enters the
-        frontier once, so the whole walk reads each matrix row once.
-        """
-        nonadj = ~self.matrix
-        unseen = np.ones(len(self.vertices), dtype=bool)
-        comps = []
-        for start in range(len(self.vertices)):
-            if not unseen[start]:
-                continue
-            unseen[start] = False
-            frontier = np.zeros_like(unseen)
-            frontier[start] = True
-            comp = frontier.copy()
-            while frontier.any():
-                frontier = nonadj[frontier].any(axis=0) & unseen
-                unseen &= ~frontier
-                comp |= frontier
-            comps.append(tuple(np.flatnonzero(comp).tolist()))
-        return comps
 
     def multipartite_parts(self):
         """Part sizes (descending) if the graph is complete multipartite, else None.

@@ -91,7 +91,7 @@ def test_02_pair_identities_hold_on_every_isomorphic_catalog_pair(
 
 
 def test_03_centralizer_chains_reach_ac_groups_within_log2_steps(
-        catalog_groups):
+        catalog_groups, seeded_picker):
     """For every catalog group the descending centralizer chain ends in an
     AC-group within log2(order) steps, deterministically and under 50 seeded
     random pickers wherever a choice actually exists."""
@@ -112,14 +112,14 @@ def test_03_centralizer_chains_reach_ac_groups_within_log2_steps(
     for descriptor in branching:
         g = catalog_groups[descriptor]
         for seed in range(50):
-            chain = ng.centralizer_chain(g, picker=ng.seeded_picker(seed))
+            chain = ng.centralizer_chain(g, picker=seeded_picker(seed))
             assert chain.steps <= math.log2(g.order)
             assert ng.is_ac_group(chain.groups[-1])
     # on AC-group roots the picker is never consulted: seeded runs coincide
     # with the deterministic chain
     for descriptor in sorted(d for d in chains if chains[d].steps == 0)[:3]:
         seeded = ng.centralizer_chain(catalog_groups[descriptor],
-                                      picker=ng.seeded_picker(7))
+                                      picker=seeded_picker(7))
         assert seeded.orders == chains[descriptor].orders
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import ncgraph as ng
 from ncgraph import canon
+from ncgraph.canon import TwinClass
 from ncgraph.graphs import pack_rows
 
 networkx = pytest.importorskip("networkx")
@@ -28,7 +29,7 @@ def unpack_masks(masks) -> np.ndarray:
 def to_networkx(graph):
     G = networkx.Graph()
     G.add_nodes_from(range(graph.num_vertices))
-    G.add_edges_from(graph.edges())
+    G.add_edges_from(np.argwhere(np.triu(graph.matrix, 1)).tolist())
     return G
 
 
@@ -150,26 +151,31 @@ class TestCertificate:
         assert len(outcomes) >= 200 and 30 < sum(outcomes) < len(outcomes)
 
 
+def twin_classes(graph):
+    """The uncoloured twin classes of a graph, ordered by least member."""
+    return canon._twin_classes(graph.matrix, (b"",) * graph.num_vertices)
+
+
 class TestTwins:
     def test_dihedral_6_twin_classes(self):
         # two commuting rotations (false twins), three mutually
         # non-commuting reflections adjacent to everything (true twins)
         graph = ng.build_nc_graph(ng.construct("dihedral(3)"))
-        classes = ng.twin_partition(graph)
+        classes = twin_classes(graph)
         assert [(c.members, c.kind) for c in classes] == [
             ((0, 1), 1), ((2, 3, 4), 2)]
 
     def test_twin_classes_cover_vertices(self):
         for name in GRAPHS:
             graph = ng.build_nc_graph(ng.construct(name))
-            members = [v for c in ng.twin_partition(graph) for v in c.members]
+            members = [v for c in twin_classes(graph) for v in c.members]
             assert sorted(members) == list(range(graph.num_vertices))
 
     def test_twin_kinds_are_consistent(self):
         # kind 1 classes are independent sets, kind 2 classes are cliques
         for name in GRAPHS:
             graph = ng.build_nc_graph(ng.construct(name))
-            for c in ng.twin_partition(graph):
+            for c in twin_classes(graph):
                 for x in c.members:
                     for y in c.members:
                         if x >= y:
@@ -217,12 +223,12 @@ class TestContraction:
     def test_contraction_and_automorphism_checks_fire(self):
         path = unpack_masks((0b010, 0b101, 0b010))  # 0 - 1 - 2: only 0 and 2 are twins
         plain = (b"",) * 3
-        one = ng.TwinClass((1,), 0)
+        one = TwinClass((1,), 0)
         with pytest.raises(ng.InternalInconsistency, match="not constant"):
-            canon._contract(path, plain, [ng.TwinClass((0, 1), 2), ng.TwinClass((2,), 0)])
+            canon._contract(path, plain, [TwinClass((0, 1), 2), TwinClass((2,), 0)])
         with pytest.raises(ng.InternalInconsistency, match="not a clique"):
-            canon._contract(path, plain, [ng.TwinClass((0, 2), 2), one])
-        qmat, colors = canon._contract(path, plain, [ng.TwinClass((0, 2), 1), one])
+            canon._contract(path, plain, [TwinClass((0, 2), 2), one])
+        qmat, colors = canon._contract(path, plain, [TwinClass((0, 2), 1), one])
         assert pack_rows(qmat) == (0b10, 0b01)
         assert colors == ((2).to_bytes(4, "big") + b"\x01", b"")
         search = canon._QuotientSearch(path, plain)
@@ -236,7 +242,7 @@ def old_degree_profile(graph):
     degs = graph.degrees()
     local = tuple(
         sorted(
-            (degs[i], tuple(sorted(degs[j] for j in graph.neighbors(i))))
+            (degs[i], tuple(sorted(degs[j] for j in np.flatnonzero(graph.matrix[i]))))
             for i in range(graph.num_vertices)
         )
     )
@@ -495,14 +501,14 @@ def old_twin_classes(adj, colors):
     leftovers = []
     for vs in open_groups.values():
         if len(vs) >= 2:
-            classes.append(ng.TwinClass(tuple(vs), 1))
+            classes.append(TwinClass(tuple(vs), 1))
         else:
             leftovers.append(vs[0])
     closed_groups = {}
     for v in leftovers:
         closed_groups.setdefault((colors[v], adj[v] | 1 << v), []).append(v)
     for vs in closed_groups.values():
-        classes.append(ng.TwinClass(tuple(vs), 2 if len(vs) >= 2 else 0))
+        classes.append(TwinClass(tuple(vs), 2 if len(vs) >= 2 else 0))
     classes.sort(key=lambda c: c.members[0])
     return classes
 
@@ -611,15 +617,15 @@ class TestContractionOracles:
         for u, v in [(0, 1), (0, 2), (1, 2), (0, 4), (1, 4), (2, 3), (3, 4)]:
             mat[u, v] = mat[v, u] = True
         plain = (b"",) * 5
-        one = [ng.TwinClass((3,), 0)]
+        one = [TwinClass((3,), 0)]
         assert canon._twin_classes(mat, plain) == [
-            ng.TwinClass((0, 1), 2), ng.TwinClass((2, 4), 1), *one]
+            TwinClass((0, 1), 2), TwinClass((2, 4), 1), *one]
         cases = [
-            ([ng.TwinClass((0, 1), 1), ng.TwinClass((2, 4), 1), *one],
+            ([TwinClass((0, 1), 1), TwinClass((2, 4), 1), *one],
              "open-twin class 0 contains an edge"),
-            ([ng.TwinClass((0, 1), 2), ng.TwinClass((2, 4), 2), *one],
+            ([TwinClass((0, 1), 2), TwinClass((2, 4), 2), *one],
              "closed-twin class 1 is not a clique"),
-            ([ng.TwinClass((0, 1), 2), ng.TwinClass((2, 3), 1), ng.TwinClass((4,), 0)],
+            ([TwinClass((0, 1), 2), TwinClass((2, 3), 1), TwinClass((4,), 0)],
              "block between twin classes 0 and 1 is not constant"),
         ]
         for classes, message in cases:
@@ -642,7 +648,7 @@ class TestContractionOracles:
                 continue
             a = big[int(rng.integers(len(big)))]
             wrong = list(classes)
-            wrong[a] = ng.TwinClass(classes[a].members, 3 - classes[a].kind)
+            wrong[a] = TwinClass(classes[a].members, 3 - classes[a].kind)
             with pytest.raises(ng.InternalInconsistency) as old:
                 old_contract(pack_rows(mat), colors, wrong)
             with pytest.raises(ng.InternalInconsistency) as new:
@@ -665,10 +671,10 @@ class TestContractionOracles:
             v = members[int(rng.integers(len(members)))]
             target = classes[b]
             wrong = list(classes)
-            wrong[b] = ng.TwinClass(tuple(sorted(target.members + (v,))), target.kind or 1)
+            wrong[b] = TwinClass(tuple(sorted(target.members + (v,))), target.kind or 1)
             rest = tuple(u for u in members if u != v)
             if rest:
-                wrong[a] = ng.TwinClass(rest, classes[a].kind if len(rest) > 1 else 0)
+                wrong[a] = TwinClass(rest, classes[a].kind if len(rest) > 1 else 0)
             else:
                 del wrong[a]
             wrong.sort(key=lambda c: c.members[0])
@@ -768,8 +774,6 @@ class TestIsomorphism:
         phi = ng.find_isomorphism(a, b)
         assert phi is not None
         assert sorted(phi.mapping) == list(range(a.num_vertices))
-        for i in range(a.num_vertices):
-            assert phi.apply(i) == phi.mapping[i]
 
     def test_find_isomorphism_none_for_different_graphs(self):
         a = ng.build_nc_graph(ng.construct("dihedral(4)"))

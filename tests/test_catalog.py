@@ -407,6 +407,41 @@ class TestScan:
         digest = hashlib.sha256(json.dumps(classes).encode()).hexdigest()
         assert digest == PINNED_CLASSES
 
+    def test_default_pass_verdicts_rest_on_vertex_counts(self, default_report):
+        # no two nilpotent irregular entries of different orders share a
+        # vertex count |G| - |Z(G)|, so every "pass" is settled by that
+        # arithmetic before any graph is compared
+        orders = {}
+        for e in default_report.entries:
+            if e.nilpotent and not e.regular:
+                orders.setdefault(e.order - e.center_size, set()).add(e.order)
+        assert [n for n, seen in orders.items() if len(seen) > 1] == []
+        verdicts = [c.nilpotent_irregular_equal_orders for c in default_report.classes]
+        assert verdicts.count("pass") == 9
+        # heisenberg(2,1) and dihedral(4) are both D8: one group, two members
+        (d8,) = [c for c in default_report.classes if "heisenberg(2,1)" in c.members]
+        assert d8.members == ("dicyclic(2)", "dihedral(4)", "heisenberg(2,1)")
+
+    def test_planted_false_merge_raises(self, monkeypatch):
+        # two irregular nilpotent graphs of orders 128 and 144, both on 126
+        # vertices, handed one forged certificate: the scan raises instead of
+        # reporting the merged class
+        true_certificate = catalog.certificate
+        merged = {"dihedral(64)", "product(dihedral(8),abelian(9))"}
+
+        def forged(graph):
+            if graph.parent_descriptor in merged:
+                return b"forged"
+            return true_certificate(graph)
+
+        monkeypatch.setattr(catalog, "certificate", forged)
+        cfg = ng.CatalogConfig(families=("dihedral(64)", "dihedral(8)"),
+                               max_order=144, cofactor_max=9)
+        with pytest.raises(ng.InternalInconsistency,
+                           match="equal certificates but no isomorphism found: "
+                                 r"dihedral\(64\) vs product\(dihedral\(8\),abelian\(9\)\)"):
+            ng.scan_pairs(cfg)
+
     def test_report_schema(self):
         data = json.loads(ng.scan_pairs(SMALL).to_json())
         assert data["schema"] == 1

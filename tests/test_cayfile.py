@@ -1,6 +1,5 @@
 import functools
 import gc
-import json
 import re
 import tracemalloc
 
@@ -81,64 +80,6 @@ class TestParseErrors:
     def test_trailing_blank_lines_ok(self):
         g = ng.parse_group("2\n0 1\n1 0\n\n\n")
         assert g.order == 2
-
-
-class TestGraphSerialization:
-    def test_graph_to_text(self):
-        graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
-        text = ng.graph_to_text(graph)
-        lines = text.strip().splitlines()
-        assert lines[0] == "6 12"
-        assert len(lines) == 13
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        assert edges == sorted(edges)
-        for u, v in edges:
-            assert u < v
-
-    def test_graph_to_json(self):
-        graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
-        data = ng.graph_to_json(graph)
-        assert data["num_vertices"] == 6
-        assert data["num_edges"] == 12
-        assert data["parent_descriptor"] == "dihedral(4)"
-        assert data["parent_order"] == 8
-        assert data["parent_center_size"] == 2
-        assert sorted(data["vertices"]) == [1, 3, 4, 5, 6, 7]
-        assert len(data["edges"]) == 12
-        json.dumps(data)  # JSON-ready
-
-    def test_graph_text_is_canonical(self):
-        # the same abstract graph serializes identically however it is labeled
-        graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
-        rng = np.random.default_rng(5)
-        perm = [int(p) for p in rng.permutation(graph.num_vertices)]
-        moved = ng.relabeled(graph, perm)
-        assert ng.graph_to_text(moved) == ng.graph_to_text(graph)
-
-
-def old_canonical_edges(graph):
-    """The position-dict walk that _canonical_edges ran before it read the
-    canonically ordered matrix: the order and the sorted edge pairs."""
-    order = ng.canonical_order(graph)
-    position = {v: k for k, v in enumerate(order)}
-    edges = sorted(
-        tuple(sorted((position[i], position[j])))
-        for i, j in graph.edges()
-    )
-    return order, edges
-
-
-class TestSerializationOracle:
-    def test_writers_match_the_position_walk(self, catalog_groups):
-        for g in catalog_groups.values():
-            graph = ng.build_nc_graph(g)
-            order, edges = old_canonical_edges(graph)
-            lines = [f"{graph.num_vertices} {graph.num_edges}"]
-            lines += [f"{u} {v}" for u, v in edges]
-            assert ng.graph_to_text(graph) == "\n".join(lines) + "\n", g.descriptor
-            data = ng.graph_to_json(graph)
-            assert data["vertices"] == [graph.vertices[v] for v in order]
-            assert data["edges"] == [list(e) for e in edges]
 
 
 def reference_rows(text):

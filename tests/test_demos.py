@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README's code, runs to completion against the
+package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,13 @@ def test_demo_exits_cleanly(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # the README's fenced python blocks, in order, in one namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

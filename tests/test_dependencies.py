@@ -1,12 +1,17 @@
-"""The package's runtime dependency stays numpy only, with no hidden caches."""
+"""The package's runtime dependency stays numpy only, with no hidden caches,
+no dead private names and no export that nothing outside the tests uses."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ncgraph").glob("*.py"))
+import ncgraph
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ncgraph").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ncgraph"}
 
 
@@ -81,3 +86,26 @@ def test_no_dead_private_names():
     dead = sorted(f"{module}:{name}" for module, tree in trees.items()
                   for name in module_private_names(tree) if name not in read)
     assert not dead, f"private names defined but never read: {dead}"
+
+
+# the code that uses the package: its own modules, the demos and the bench
+# drivers (not the bench's tests)
+READERS = ([p for p in SOURCES if p.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
+
+
+def used_names(tree):
+    """Every name a module reads or imports."""
+    yield from loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+
+
+def test_every_export_has_a_caller():
+    used = {name for path in READERS
+            for name in used_names(ast.parse(path.read_text(), filename=str(path)))}
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    uncalled = sorted(name for name in ncgraph.__all__
+                      if not name.startswith("__") and name not in used | readme)
+    assert not uncalled, f"exported but never used outside the tests: {uncalled}"
