@@ -99,6 +99,16 @@ class TestCertificate:
         n = graph.num_vertices
         assert len(ng.certificate(graph)) == 4 + (n * (n - 1) // 2 + 7) // 8
 
+    def test_certificate_is_the_canonically_ordered_matrix(self, catalog_groups):
+        for g in catalog_groups.values():
+            graph = ng.build_nc_graph(g)
+            order = np.array(ng.canonical_order(graph))
+            n = graph.num_vertices
+            i, j = np.triu_indices(n, 1)
+            bits = graph.matrix[order[i], order[j]]
+            expected = n.to_bytes(4, "big") + np.packbits(bits).tobytes()
+            assert ng.certificate(graph) == expected, g.descriptor
+
     def test_invariance_under_relabeling(self):
         rng = np.random.default_rng(11)
         for name in GRAPHS:
@@ -774,6 +784,14 @@ class TestIsomorphism:
         phi = ng.find_isomorphism(a, b)
         assert phi is not None
         assert sorted(phi.mapping) == list(range(a.num_vertices))
+
+    def test_mapping_carries_edges_onto_edges(self):
+        a = ng.build_nc_graph(ng.construct("dihedral(8)"))
+        b = ng.relabeled(a, np.random.default_rng(13).permutation(a.num_vertices))
+        m = np.array(ng.find_isomorphism(a, b).mapping)
+        edges = np.argwhere(np.triu(a.matrix, 1))
+        assert b.matrix[m[edges[:, 0]], m[edges[:, 1]]].all()
+        assert len(edges) == b.num_edges
 
     def test_find_isomorphism_none_for_different_graphs(self):
         a = ng.build_nc_graph(ng.construct("dihedral(4)"))

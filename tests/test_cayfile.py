@@ -37,6 +37,16 @@ class TestRoundTrip:
         assert np.array_equal(back.table, g.table)
         assert back.descriptor == "imported(q12)"
 
+    def test_exported_group_keeps_its_graph(self, tmp_path):
+        g = ng.construct("dihedral(8)")
+        path = tmp_path / "d16.cay"
+        ng.export_group(g, str(path))
+        graph = ng.build_nc_graph(ng.import_group(str(path)))
+        original = ng.build_nc_graph(g)
+        assert graph.vertices == original.vertices
+        assert (graph.parent_order, graph.parent_center_size) == (16, 2)
+        assert ng.certificate(graph) == ng.certificate(original)
+
     def test_import_validates_fully(self, tmp_path):
         path = tmp_path / "loop5.cay"
         path.write_text(LOOP5_TEXT)

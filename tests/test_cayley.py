@@ -275,6 +275,22 @@ class TestStructure:
         assert sizes == [1, 2, 8]
         assert ng.is_nilpotent(d4) == (True, 2)
 
+    def test_series_terms_are_nested_subgroups(self):
+        for desc in ("dihedral(8)", "heisenberg(3,2)", "product(dicyclic(2),cyclic(3))"):
+            g = ng.construct(desc)
+            terms = [s.members for s in ng.upper_central_series(g)]
+            for lower, upper in zip(terms, terms[1:]):
+                assert lower < upper, desc
+            for term in terms:
+                assert closure(g, term) == term, desc
+
+    def test_centralizers_are_closed_under_products(self):
+        for desc in ("dihedral(12)", "heisenberg(3,1)", "product(dicyclic(2),cyclic(3))"):
+            g = ng.construct(desc)
+            for x in range(g.order):
+                members = ng.centralizer(g, x).members
+                assert closure(g, members) == members, (desc, x)
+
     def test_dihedral_12_not_nilpotent(self):
         d6 = ng.construct("dihedral(6)")
         sizes = [len(s) for s in ng.upper_central_series(d6)]
@@ -482,6 +498,21 @@ class TestArrayOracles:
 
 
 class TestProductsAndSylow:
+    def test_direct_product_orders(self):
+        a, b = ng.construct("dihedral(3)"), ng.construct("cyclic(5)")
+        p = ng.construct("product(dihedral(3),cyclic(5))")
+        assert p.order == 30
+        orders_a, orders_b = old_element_orders(a), old_element_orders(b)
+        orders_p = old_element_orders(p)
+        # element (x, y) sits at x*5 + y and has order lcm(|x|, |y|)
+        for x in range(a.order):
+            for y in range(b.order):
+                assert orders_p[5 * x + y] == np.lcm(orders_a[x], orders_b[y])
+
+    def test_direct_product_overflow(self):
+        with pytest.raises(ng.OrderOverflow, match="has order 1024, above the cap 512"):
+            ng.construct("product(dihedral(16),dihedral(16))", max_order=512)
+
     def test_prime_factorization(self):
         assert ng.prime_factorization(360) == {2: 3, 3: 2, 5: 1}
         assert ng.prime_factorization(1) == {}

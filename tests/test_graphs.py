@@ -201,6 +201,19 @@ class TestOperations:
         reference = [[bool(graph.adj[i] >> j & 1) for j in range(n)] for i in range(n)]
         assert mat.tolist() == reference
 
+    def test_handmade_degrees_and_edges(self):
+        graph = make_graph(4, [(0, 1), (0, 3), (2, 3)])
+        assert graph.degrees() == (2, 1, 1, 2)
+        assert graph.num_edges == 3
+        assert not graph.is_regular
+        assert edge_list(graph) == [(0, 1), (0, 3), (2, 3)]
+
+    def test_complete_bipartite_parts(self):
+        # the star K(1,3) and K(2,3): parts counted at their least member
+        assert make_graph(4, [(0, 1), (0, 2), (0, 3)]).multipartite_parts() == (3, 1)
+        k23 = make_graph(5, [(i, j) for i in (1, 3) for j in (0, 2, 4)])
+        assert k23.multipartite_parts() == (3, 2)
+
     def test_path_not_multipartite(self):
         # path on 4 vertices: complement components are not independent sets
         graph = make_graph(4, [(0, 1), (1, 2), (2, 3)])
