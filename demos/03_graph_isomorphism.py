@@ -39,7 +39,7 @@ def main():
     print(f"find_isomorphism returns: {ng.find_isomorphism(h27, d12)}\n")
 
     print("== cheap invariants come first ==\n")
-    nv, ne, degrees = ng.degree_profile(d12)[:3]
+    nv, ne, degrees = ng.degree_profile(d12)
     print(f"dihedral(6) profile: {nv} vertices, {ne} edges, degrees {degrees}")
     print("profile mismatches settle non-isomorphism without touching the")
     print("certificate machinery; profile matches fall through to the full test")

@@ -595,8 +595,7 @@ def _abelian_centralizer_element(q: CayleyTable):
     return _first((data.sizes < q.order) & data.abelian)
 
 
-def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
-                               strict: bool = True) -> TwoSylowAudit:
+def two_nonabelian_sylow_audit(h: CayleyTable, *, strict: bool = True) -> TwoSylowAudit:
     """Audit a nilpotent group H = Q1 x Q2 x B with exactly two non-abelian
     Sylow factors Q1, Q2 (primes ascending) and abelian remainder B.
 
@@ -613,8 +612,8 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
     - ``whole_minus_centralizer``:
       |H| - |C_H(h1)| = (|Q1| - |C_Q1(h1)|) |Q2| |B|
 
-    The report also lists the valuation of each side at ``valuation_prime``
-    (default: Q1's prime), the lens through which these quantities expose
+    The report also lists the valuation of each side at Q1's prime
+    (``valuation_prime``), the lens through which these quantities expose
     order mismatches.
     """
     nonabelian = _nonabelian_sylow_shape(h, 2)
@@ -657,7 +656,7 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, valuation_prime: int = None,
             h.order - ch1, (q1.order - cq1) * q2.order * cofactor,
         ),
     ]
-    p = valuation_prime if valuation_prime is not None else nonabelian[0].prime
+    p = nonabelian[0].prime
     valuations = []
     for item in items:
         valuations.append((item.name, "lhs", _valuation(item.lhs, p)))

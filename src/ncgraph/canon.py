@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import _distinct_rows, _orbit_roots
+from .cayley import _memoised, _orbit_roots
 from .errors import InternalInconsistency, NotAnIsomorphism
 from .graphs import NcGraph, pack_rows
 
@@ -340,17 +340,18 @@ def _upper_bits(mat, order) -> bytes:
     return np.packbits(mat[p][:, p][r[:, None] < r]).tobytes()
 
 
+def _certified(graph: NcGraph, order) -> tuple:
+    """(order, certificate) for a vertex order of the graph: the vertex count
+    (4 bytes, big-endian), then ``_upper_bits`` of the matrix in that order."""
+    return order, graph.num_vertices.to_bytes(4, "big") + _upper_bits(graph.matrix, order)
+
+
+@_memoised
 def _canon(graph: NcGraph):
     """(canonical order, certificate) of the graph, memoised on it."""
-    form = graph._memo.get("canon")
-    if form is None:
-        qmat, colors, expansion = _contract_to_fixpoint(graph.matrix)
-        q_pi = _QuotientSearch(qmat, colors).run()
-        order = tuple(v for q in q_pi for v in expansion[q])
-        n = graph.num_vertices
-        form = order, n.to_bytes(4, "big") + _upper_bits(graph.matrix, order)
-        graph._memo["canon"] = form
-    return form
+    qmat, colors, expansion = _contract_to_fixpoint(graph.matrix)
+    q_pi = _QuotientSearch(qmat, colors).run()
+    return _certified(graph, tuple(v for q in q_pi for v in expansion[q]))
 
 
 def canonical_order(graph: NcGraph) -> tuple:
@@ -366,34 +367,8 @@ def certificate(graph: NcGraph) -> bytes:
 
 def degree_profile(graph: NcGraph) -> tuple:
     """Cheap isomorphism invariant, for rejecting a pair before any canonical
-    labeling: vertex count, edge count, degree multiset, and the multiset of
-    (degree, sorted neighbour degrees) pairs.  Neighbour degrees are counted
-    as ``adjacency @ onehot(degree)``; each distinct row becomes a tuple once,
-    built from the distinct degree ints.  Memoised on the graph.
-    """
-    profile = graph._memo.get("degree_profile")
-    if profile is None:
-        profile = graph._memo["degree_profile"] = _degree_profile(graph)
-    return profile
-
-
-def _degree_profile(graph: NcGraph) -> tuple:
-    mat = graph.matrix
-    degs = mat.sum(axis=1)
-    distinct, cls, counts = np.unique(degs, return_inverse=True, return_counts=True)
-    values = distinct.tolist()
-    onehot = (cls[:, None] == np.arange(len(values))).astype(np.int32)
-    rows = np.column_stack([cls, mat.astype(np.int32) @ onehot])
-    first, ids = _distinct_rows(rows)
-    uniq, mult = rows[first], np.bincount(ids)
-
-    def spell(row):
-        return tuple(v for v, c in zip(values, row) for _ in range(c))
-
-    local = sorted(((values[row[0]], spell(row[1:])), m)
-                   for row, m in zip(uniq.tolist(), mult.tolist()))
-    return (graph.num_vertices, int(degs.sum()) // 2, spell(counts.tolist()),
-            tuple(item for item, m in local for _ in range(m)))
+    labeling: vertex count, edge count and the sorted degrees."""
+    return graph.num_vertices, graph.num_edges, tuple(sorted(graph.degrees()))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .audits import Record, audit_isomorphic_pair, same_prime_audit
-from .canon import CERT_VERSION, _upper_bits, canonical_order, certificate, find_isomorphism
+from .canon import (
+    CERT_VERSION,
+    _canon,
+    _certified,
+    canonical_order,
+    certificate,
+    degree_profile,
+    find_isomorphism,
+)
+from .cayfile import import_group
 from .cayley import (
     _nonabelian_sylow_factors,
     center,
@@ -197,15 +206,15 @@ def _read_frame(frame: bytes, graph: NcGraph):
         return f"certificate version {version}, not {CERT_VERSION}"
     if n != graph.num_vertices:
         return f"{n} vertices, the graph has {graph.num_vertices}"
-    if len(body) != _HEAD + 4 * n + 4 + (n * (n - 1) // 2 + 7) // 8:
+    if len(body) < _HEAD + 4 * n:
         return "bad frame length"
     order = np.frombuffer(body, dtype=">u4", count=n, offset=_HEAD)
     if not np.array_equal(np.sort(order), np.arange(n)):
         return "order is not a permutation"
-    cert = body[_HEAD + 4 * n:]
-    if cert != n.to_bytes(4, "big") + _upper_bits(graph.matrix, order):
+    form = _certified(graph, tuple(order.tolist()))
+    if body[_HEAD + 4 * n:] != form[1]:
         return "order does not realise the certificate"
-    return tuple(order.tolist()), cert
+    return form
 
 
 def _family_instances(request: str, max_order: int) -> list:
@@ -302,7 +311,7 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
     key = str(desc)
     form = cache.get(key, graph) if cache is not None else None
     if form is not None:
-        graph._memo["canon"] = form  # proved on this graph: no labeling needed
+        graph._memo[_canon.key] = form  # proved on this graph: no labeling needed
         cert = form[1]
     else:
         cert = certificate(graph)
@@ -381,7 +390,7 @@ def _enumerate(config: CatalogConfig) -> tuple:
         cached[i] = False
         entry = entries[i]
         graph = build_nc_graph(groups[entry.descriptor])
-        graph._memo.pop("canon", None)
+        graph._memo.pop(_canon.key, None)
         cert = certificate(graph)
         if cert != entry.certificate:
             cache.reject(entry.descriptor, reason)
@@ -574,9 +583,6 @@ def audit_pair_files(path_a: str, path_b: str) -> dict:
     Returns a JSON-ready dict; "isomorphic" false carries the failing
     invariant (vertex/edge/degree data or certificate mismatch).
     """
-    from .cayfile import import_group
-    from .canon import degree_profile
-
     g_a = import_group(path_a)
     g_b = import_group(path_b)
     graph_a = build_nc_graph(g_a)
@@ -588,7 +594,7 @@ def audit_pair_files(path_a: str, path_b: str) -> dict:
         "order_b": g_b.order,
     }
     prof_a, prof_b = degree_profile(graph_a), degree_profile(graph_b)
-    if prof_a[:3] != prof_b[:3]:
+    if prof_a != prof_b:
         result["isomorphic"] = False
         result["reason"] = {
             "invariant": "vertex/edge/degree profile",

@@ -7,8 +7,8 @@ test over a generating set (O(n^2) per generator, at most log2(n)
 generators for a group).  Those generators stay on the table, and the
 central series, conjugacy classes and Sylow closure run on them instead of
 on n-by-n passes.  Derived data (inverses, centre, conjugacy
-classes, ...) is memoised on the table object; tables are immutable after
-construction, so concurrent reads are safe.
+classes, ...) is memoised on the table object by ``_memoised``; tables and
+their derived forms are immutable, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import traceback
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -34,6 +34,23 @@ from .errors import (
 
 # Default ceiling for construction-type operations (tables are O(n^2) memory).
 DEFAULT_ORDER_CAP = 512
+
+
+def _memoised(fn):
+    """``fn(obj)``, computed on first use and held in ``obj._memo`` under
+    ``fn``'s name, the wrapper's ``key``.  The held object itself is
+    returned, so it must be immutable; a call that raises holds nothing."""
+    key = fn.__name__
+
+    @wraps(fn)
+    def held(obj):
+        memo = obj._memo
+        if key not in memo:
+            memo[key] = fn(obj)
+        return memo[key]
+
+    held.key = key
+    return held
 
 
 class CayleyTable:
@@ -54,42 +71,34 @@ class CayleyTable:
         self._memo = {}
 
     @property
+    @_memoised
     def inverses(self) -> np.ndarray:
-        inv = self._memo.get("inv")
-        if inv is None:
-            inv = self.table.argmin(axis=1)   # each row holds 0 once, at x^-1
-            inv.flags.writeable = False
-            self._memo["inv"] = inv
+        inv = self.table.argmin(axis=1)   # each row holds 0 once, at x^-1
+        inv.flags.writeable = False
         return inv
 
     @property
+    @_memoised
     def generators(self) -> tuple:
         """At most log2(n) elements whose right closure is the whole group:
         the ones ``validate`` checked, else the same greedy cover on first use."""
-        if "gens" not in self._memo:
-            self._memo["gens"] = _cover(self.table, 0, np.ones(self.order, dtype=bool))
-        return self._memo["gens"]
+        return _cover(self.table, 0, np.ones(self.order, dtype=bool))
 
     @property
+    @_memoised
     def commuting(self) -> np.ndarray:
         """Boolean matrix whose [i, j] entry says whether i and j commute."""
-        c = self._memo.get("comm")
-        if c is None:
-            t = self.table
-            # a row stride of whole 4 KiB pages sends every read of a column
-            # to the same cache sets, so such tables are compared in tiles
-            c = _transpose_equal(t) if t.strides[0] % 4096 == 0 else t == t.T
-            c.flags.writeable = False
-            self._memo["comm"] = c
+        t = self.table
+        # a row stride of whole 4 KiB pages sends every read of a column
+        # to the same cache sets, so such tables are compared in tiles
+        c = _transpose_equal(t) if t.strides[0] % 4096 == 0 else t == t.T
+        c.flags.writeable = False
         return c
 
     @property
+    @_memoised
     def is_abelian(self) -> bool:
-        flag = self._memo.get("abelian")
-        if flag is None:
-            flag = bool(self.commuting.all())
-            self._memo["abelian"] = flag
-        return flag
+        return bool(self.commuting.all())
 
     def __repr__(self):
         return f"CayleyTable({self.descriptor!r}, order={self.order})"
@@ -339,20 +348,17 @@ def _validate(raw, descriptor):
 
     arr.flags.writeable = False
     g = CayleyTable(n, arr, name)
-    g._memo["gens"] = gens
+    g._memo[CayleyTable.generators.fget.key] = gens
     return g
 
 
 # --- centre, centralizers, conjugacy -----------------------------------------
 
+@_memoised
 def center(g: CayleyTable) -> ElementSet:
     """The set of elements commuting with everything."""
-    z = g._memo.get("center")
-    if z is None:
-        mask = g.commuting.all(axis=1)
-        z = ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]), True)
-        g._memo["center"] = z
-    return z
+    mask = g.commuting.all(axis=1)
+    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]), True)
 
 
 def centralizer(g: CayleyTable, x: int) -> ElementSet:
@@ -391,6 +397,7 @@ def _distinct_rows(a: np.ndarray) -> tuple:
     return first, ids
 
 
+@_memoised
 def centralizer_data(g: CayleyTable) -> CentralizerData:
     """Centralizer sizes, centre sizes and identities, memoised on the table.
 
@@ -400,28 +407,26 @@ def centralizer_data(g: CayleyTable) -> CentralizerData:
     C(x); so |Z(C(x))| is the number of elements whose distinct row contains
     x's, tested only on pairs of distinct rows whose first elements commute.
     """
-    data = g._memo.get("cdata")
-    if data is None:
-        comm = g.commuting
-        packed = np.packbits(comm, axis=1)
-        first, ids = _distinct_rows(packed)
-        rows = packed[first]
-        a, b = np.nonzero(np.take(comm[first], first, axis=1))
-        contained = np.empty(len(a), dtype=bool)
-        step = max(1, 2 ** 20 // rows.shape[1])   # about 1 MB of rows at a time
-        for s in range(0, len(a), step):
-            contained[s:s + step] = ~(rows[a[s:s + step]] & ~rows[b[s:s + step]]).any(axis=1)
-        weights = np.bincount(ids)[b[contained]]
-        zsizes = np.bincount(a[contained], weights, minlength=len(first)).astype(np.int64)
-        sizes = np.count_nonzero(comm[first], axis=1)[ids]
-        center_sizes = zsizes[ids]
-        data = CentralizerData(sizes, center_sizes, center_sizes == sizes, ids)
-        for arr in (sizes, center_sizes, data.abelian, ids):
-            arr.flags.writeable = False
-        g._memo["cdata"] = data
+    comm = g.commuting
+    packed = np.packbits(comm, axis=1)
+    first, ids = _distinct_rows(packed)
+    rows = packed[first]
+    a, b = np.nonzero(np.take(comm[first], first, axis=1))
+    contained = np.empty(len(a), dtype=bool)
+    step = max(1, 2 ** 20 // rows.shape[1])   # about 1 MB of rows at a time
+    for s in range(0, len(a), step):
+        contained[s:s + step] = ~(rows[a[s:s + step]] & ~rows[b[s:s + step]]).any(axis=1)
+    weights = np.bincount(ids)[b[contained]]
+    zsizes = np.bincount(a[contained], weights, minlength=len(first)).astype(np.int64)
+    sizes = np.count_nonzero(comm[first], axis=1)[ids]
+    center_sizes = zsizes[ids]
+    data = CentralizerData(sizes, center_sizes, center_sizes == sizes, ids)
+    for arr in (sizes, center_sizes, data.abelian, ids):
+        arr.flags.writeable = False
     return data
 
 
+@_memoised
 def conjugacy_classes(g: CayleyTable) -> tuple:
     """Partition of the elements into conjugacy classes, by smallest member.
 
@@ -429,9 +434,6 @@ def conjugacy_classes(g: CayleyTable) -> tuple:
     x -> s^-1 * x * s.  Each class is cross-checked against the
     orbit-stabiliser count |class| * |centralizer| = |G| at its least member.
     """
-    classes = g._memo.get("classes")
-    if classes is not None:
-        return classes
     n, t = g.order, g.table
     gens = np.array(g.generators, dtype=np.intp)
     least = _orbit_roots(t[t[g.inverses[gens]], gens[:, None]])   # [k, x] -> s_k^-1 x s_k
@@ -448,14 +450,13 @@ def conjugacy_classes(g: CayleyTable) -> tuple:
         )
     members = np.argsort(least, kind="stable").tolist()
     ends = np.cumsum(sizes).tolist()
-    classes = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
-    g._memo["classes"] = classes
-    return classes
+    return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
 
 # --- nilpotency ---------------------------------------------------------------
 
-def upper_central_series(g: CayleyTable) -> list:
+@_memoised
+def upper_central_series(g: CayleyTable) -> tuple:
     """Ascending central series Z_0 = {e} <= Z_1 <= ...; stops at a stall or at G.
 
     Membership step: x lies in the next level iff its commutator
@@ -464,9 +465,6 @@ def upper_central_series(g: CayleyTable) -> list:
     length-n gather per generator; each level is then one gather of the
     current membership mask and a row-wise ``all``.
     """
-    cached = g._memo.get("ucs")
-    if cached is not None:
-        return list(cached)
     n = g.order
     t, inv = g.table, g.inverses
     gens = np.array(g.generators, dtype=np.intp)
@@ -481,23 +479,17 @@ def upper_central_series(g: CayleyTable) -> list:
             break
         current = nxt
         levels.append(current)
-    sets = [ElementSet(g, frozenset(np.flatnonzero(m).tolist()), True)
-            for m in levels]
-    g._memo["ucs"] = tuple(sets)
-    return sets
+    return tuple(ElementSet(g, frozenset(np.flatnonzero(m).tolist()), True)
+                 for m in levels)
 
 
+@_memoised
 def is_nilpotent(g: CayleyTable):
     """Return (flag, nilpotency class or None)."""
-    cached = g._memo.get("nilp")
-    if cached is None:
-        series = upper_central_series(g)
-        if len(series[-1]) == g.order:
-            cached = (True, len(series) - 1)
-        else:
-            cached = (False, None)
-        g._memo["nilp"] = cached
-    return cached
+    series = upper_central_series(g)
+    if len(series[-1]) == g.order:
+        return True, len(series) - 1
+    return False, None
 
 
 # --- products and subgroups ----------------------------------------------------
@@ -580,7 +572,8 @@ def prime_factorization(n: int) -> dict:
     return out
 
 
-def sylow_decomposition(g: CayleyTable) -> list:
+@_memoised
+def sylow_decomposition(g: CayleyTable) -> tuple:
     """Sylow subgroups of a nilpotent group as p-power-order element sets.
 
     For each prime power p^e exactly dividing |G|, the elements with
@@ -594,9 +587,6 @@ def sylow_decomposition(g: CayleyTable) -> list:
         raise NotNilpotent(
             f"{g.descriptor}: Sylow decomposition by element orders needs nilpotency"
         )
-    cached = g._memo.get("sylow")
-    if cached is not None:
-        return list(cached)
     n = g.order
     t = g.table
     factors = []
@@ -629,8 +619,7 @@ def sylow_decomposition(g: CayleyTable) -> list:
         raise InternalInconsistency("Sylow product map is not injective")
     if not hits.all():
         raise InternalInconsistency("Sylow product map is not surjective")
-    g._memo["sylow"] = tuple(factors)
-    return factors
+    return tuple(factors)
 
 
 def _nonabelian_sylow_factors(g: CayleyTable) -> list:

@@ -11,11 +11,10 @@ on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .cayley import CayleyTable, center
+from .cayley import CayleyTable, _memoised, center
 from .errors import AbelianInput, InternalInconsistency
 
 
@@ -35,8 +34,8 @@ class NcGraph:
     holds it read-only and C-ordered (copied unless the input is a read-only
     C-ordered array owning its data).  Equality and hashing follow the
     content: the vertices, the matrix and the parent metadata.  Derived
-    forms (the degrees, the packed rows, the canonical labeling, the degree
-    profile) are memoised on the graph.
+    forms (the degrees, the packed rows, the canonical labeling) are
+    memoised on the graph.
     """
 
     vertices: tuple
@@ -77,7 +76,8 @@ class NcGraph:
     def __hash__(self):
         return hash(self._key() + (np.packbits(self.matrix).tobytes(),))
 
-    @cached_property
+    @property
+    @_memoised
     def adj(self) -> tuple:
         """The rows as bitmasks, bit j of ``adj[i]`` for the edge i-j."""
         return pack_rows(self.matrix)
@@ -90,11 +90,9 @@ class NcGraph:
     def num_edges(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
 
+    @_memoised
     def degrees(self) -> tuple:
-        degs = self._memo.get("degrees")
-        if degs is None:
-            degs = self._memo["degrees"] = tuple(np.count_nonzero(self.matrix, axis=1).tolist())
-        return degs
+        return tuple(np.count_nonzero(self.matrix, axis=1).tolist())
 
     @property
     def is_regular(self) -> bool:
@@ -121,6 +119,7 @@ class NcGraph:
         return tuple(sorted(counts[counts > 0].tolist(), reverse=True))
 
 
+@_memoised
 def build_nc_graph(g: CayleyTable) -> NcGraph:
     """The non-commuting graph of a non-abelian group, memoised on the table.
 
@@ -133,9 +132,6 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
         raise AbelianInput(
             f"{g.descriptor}: the non-commuting graph of an abelian group is empty"
         )
-    graph = g._memo.get("graph")
-    if graph is not None:
-        return graph
     comm = g.commuting
     v = np.flatnonzero(~comm.all(axis=1))
     # every element commutes with itself, so the diagonal is already clear
@@ -159,7 +155,6 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
             f"{g.descriptor}: non-central element {v[isolated[0]]} has no "
             f"non-commuting partner"
         )
-    g._memo["graph"] = graph
     return graph
 
 

@@ -18,16 +18,14 @@ from .errors import InternalInconsistency, Overflow
 DEFAULT_MAX_BITS = 1 << 20
 
 
-def repunit(b: int, k: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """1 + b + ... + b^(k-1), exactly."""
+def repunit(b: int, k: int) -> int:
+    """1 + b + ... + b^(k-1), exactly; ``Overflow`` past ``DEFAULT_MAX_BITS``."""
     if b < 2:
         raise ValueError(f"repunit base must be >= 2, got {b}")
     if k < 1:
         raise ValueError(f"repunit length must be >= 1, got {k}")
-    if (k - 1) * b.bit_length() > max_bits:
-        raise Overflow(
-            f"repunit({b}, {k}) would exceed the {max_bits}-bit cap"
-        )
+    if (k - 1) * b.bit_length() > DEFAULT_MAX_BITS:
+        raise Overflow(f"repunit({b}, {k}) would exceed the {DEFAULT_MAX_BITS}-bit cap")
     return (b ** k - 1) // (b - 1)
 
 
@@ -61,8 +59,7 @@ class RepunitSolution:
         return (self.x, self.y, self.m, self.n)
 
 
-def goormaghtigh_search(max_base: int, max_exp: int,
-                        max_bits: int = DEFAULT_MAX_BITS) -> list:
+def goormaghtigh_search(max_base: int, max_exp: int) -> list:
     """All repunit equalities repunit(x, m) == repunit(y, n) inside the box
     1 < x < y <= max_base, n < m <= max_exp, with n >= 3.
 
@@ -82,10 +79,8 @@ def goormaghtigh_search(max_base: int, max_exp: int,
     for b in range(2, max_base + 1):
         r = 1 + b
         for k in range(2, max_exp + 1):
-            if r.bit_length() > max_bits:
-                raise Overflow(
-                    f"repunit({b}, {k}) exceeds the {max_bits}-bit cap"
-                )
+            if r.bit_length() > DEFAULT_MAX_BITS:
+                raise Overflow(f"repunit({b}, {k}) exceeds the {DEFAULT_MAX_BITS}-bit cap")
             by_value.setdefault(r, []).append((b, k))
             r = r * b + 1
     solutions = []

@@ -435,8 +435,8 @@ class TestTwoSylowAudit:
 
     def test_valuations_recorded(self):
         g = ng.construct("product(dicyclic(2),heisenberg(3,1))")
-        audit = ng.two_nonabelian_sylow_audit(g, valuation_prime=3)
-        assert audit.valuation_prime == 3
+        audit = ng.two_nonabelian_sylow_audit(g)
+        assert audit.valuation_prime == 2   # Q1's prime
         assert audit.valuations  # at least one row
 
     def test_rejects_single_nonabelian_sylow(self):

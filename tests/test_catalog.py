@@ -19,6 +19,16 @@ SMALL = ng.CatalogConfig(
     cofactor_max=3,
 )
 
+# the default families widened to order 256 with larger cofactors: a
+# catalog in which the headline verdict meets nilpotent irregular entries
+# of different orders with equal vertex counts
+STRESS = ng.CatalogConfig(
+    families=("dihedral(3..128)", "dicyclic(2..64)", "heisenberg(2,1)",
+              "heisenberg(3,1)", "heisenberg(3,2)"),
+    max_order=256,
+    cofactor_max=15,
+)
+
 
 class TestConfig:
     def test_round_trip(self):
@@ -159,6 +169,8 @@ PLANTED_REASONS = {
     "truncation": "bad digest",
     "other-version": "certificate version 2, not 3",
     "other-graph": "24 vertices, the graph has 14",
+    "long-certificate": "order does not realise the certificate",
+    "short-order": "bad frame length",
     "natural-order": "splits entries of one degree profile",
 }
 
@@ -175,9 +187,9 @@ def frame(order, cert, version=canon.CERT_VERSION):
 def realised_form(descriptor, reverse=False):
     """The order 0..n-1 of the descriptor's graph, or n-1..0, and the bytes
     it realises."""
-    mat = ng.build_nc_graph(ng.construct(descriptor)).matrix
-    order = range(len(mat))[::-1] if reverse else range(len(mat))
-    return order, len(mat).to_bytes(4, "big") + canon._upper_bits(mat, order)
+    graph = ng.build_nc_graph(ng.construct(descriptor))
+    order = range(graph.num_vertices)
+    return canon._certified(graph, order[::-1] if reverse else order)
 
 
 def flip_last_bit(body):
@@ -263,6 +275,14 @@ class TestCache:
             planted = frame(ng.canonical_order(graph), ng.certificate(graph), version=2)
         elif plant == "other-graph":
             planted = frame(*realised_form("heisenberg(3,1)"))
+        elif plant == "long-certificate":
+            order, cert = realised_form("dihedral(8)")
+            planted = frame(order, cert + b"\x00")
+        elif plant == "short-order":
+            # a head that claims 14 vertices, then room for 13 of them
+            body = (b"NCGC" + canon.CERT_VERSION.to_bytes(4, "big")
+                    + (14).to_bytes(4, "big") + bytes(4 * 13))
+            planted = body + hashlib.sha256(body).digest()
         else:
             # the order realises its bytes, so only the profile guard can
             # tell that they are not canonical: dicyclic(4) has the same graph
@@ -421,6 +441,27 @@ class TestScan:
         # heisenberg(2,1) and dihedral(4) are both D8: one group, two members
         (d8,) = [c for c in default_report.classes if "heisenberg(2,1)" in c.members]
         assert d8.members == ("dicyclic(2)", "dihedral(4)", "heisenberg(2,1)")
+
+    def test_stress_verdicts_meet_shared_vertex_counts(self):
+        # here |G| - |Z(G)| alone cannot settle every "pass": two vertex
+        # counts are shared across orders, and the graphs tell them apart
+        report = ng.scan_pairs(STRESS)
+        assert (len(report.entries), len(report.classes), report.violations) == (
+            346, 217, 0)
+        sides = {}   # vertex count -> (order, edge count) -> certificate digests
+        for e in report.entries:
+            if e.nilpotent and not e.regular:
+                edges = sum(d * c for d, c in e.degree_profile) // 2
+                sides.setdefault(e.order - e.center_size, {}).setdefault(
+                    (e.order, edges), set()).add(e.certificate_sha256)
+        shared = {n: s for n, s in sides.items() if len({o for o, _ in s}) > 1}
+        assert {n: sorted(s) for n, s in shared.items()} == {
+            126: [(128, 5952), (144, 5832)],
+            210: [(224, 16464), (240, 16200)],
+        }
+        for s in shared.values():
+            a, b = s.values()
+            assert not a & b   # the two orders fall in different classes
 
     def test_planted_false_merge_raises(self, monkeypatch):
         # two irregular nilpotent graphs of orders 128 and 144, both on 126

@@ -258,7 +258,7 @@ class TestStructure:
         leader = next(c[0] for c in ng.conjugacy_classes(d4) if len(c) == 2)
         comm = d4.commuting.copy()
         comm[leader, leader] = False   # one commuting element fewer
-        d4._memo = {"comm": comm}
+        d4._memo = {ng.CayleyTable.commuting.fget.key: comm}
         with pytest.raises(ng.InternalInconsistency,
                            match=f"mismatch at element {leader}: 2 \\* 3 != 8$"):
             ng.conjugacy_classes(d4)

@@ -3,11 +3,14 @@ package sources."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ncgraph import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +32,15 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # each ncgraph line of the README's command-line block, in order, in one
+    # directory: every file a command reads, an earlier one writes
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```",
+                      (ROOT / "README.md").read_text(), re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+    assert len(commands) >= 5 and all(c[0] == "ncgraph" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert cli.main(command[1:]) == 0, (command, capsys.readouterr().err)

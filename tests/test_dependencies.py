@@ -1,5 +1,6 @@
 """The package's runtime dependency stays numpy only, with no hidden caches,
-no dead private names and no export that nothing outside the tests uses."""
+one way to hold a derived form, no dead private names and no export that
+nothing outside the tests uses."""
 
 import ast
 import re
@@ -50,6 +51,43 @@ def test_no_process_wide_memo_caches(path):
     # so no cap decides what is kept
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not list(functools_memos(tree)), path.name
+
+
+def literal_memo_keys(tree):
+    """Line numbers where a ``_memo`` is subscripted, or has ``.get`` or
+    ``.pop`` called, with a string literal for its key."""
+    def is_memo(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_memo"
+
+    def is_str(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_memo(node.value) and is_str(node.slice):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "pop") and is_memo(node.func.value)
+              and node.args and is_str(node.args[0])):
+            yield node.lineno
+
+
+def imports_cached_property(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name == "cached_property" for a in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_memo_keys_come_from_the_memo_helper(path):
+    # every derived form is held by cayley._memoised under its function's
+    # name; a key spelled by hand, or a second way to hold a form, can drift
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not list(literal_memo_keys(tree)), path.name
+    assert not imports_cached_property(tree), path.name
 
 
 def test_sources_found():

@@ -1,6 +1,7 @@
 import pytest
 
 import ncgraph as ng
+from ncgraph import repunits
 
 
 class TestRepunit:
@@ -18,11 +19,13 @@ class TestRepunit:
         with pytest.raises(ValueError):
             ng.repunit(10, 0)
 
-    def test_overflow_guard(self):
+    def test_overflow_guard(self, monkeypatch):
+        monkeypatch.setattr(repunits, "DEFAULT_MAX_BITS", 50)
         with pytest.raises(ng.Overflow):
-            ng.repunit(2, 100, max_bits=50)
+            ng.repunit(2, 100)
         # a generous cap accepts the same arguments
-        assert ng.repunit(2, 100, max_bits=200) == 2 ** 100 - 1
+        monkeypatch.setattr(repunits, "DEFAULT_MAX_BITS", 200)
+        assert ng.repunit(2, 100) == 2 ** 100 - 1
 
 
 class TestSolution:
@@ -62,6 +65,7 @@ class TestSearch:
         with pytest.raises(ValueError):
             ng.goormaghtigh_search(12, 1)
 
-    def test_respects_bit_cap(self):
+    def test_respects_bit_cap(self, monkeypatch):
+        monkeypatch.setattr(repunits, "DEFAULT_MAX_BITS", 30)
         with pytest.raises(ng.Overflow):
-            ng.goormaghtigh_search(100, 20, max_bits=30)
+            ng.goormaghtigh_search(100, 20)
