@@ -38,7 +38,6 @@ from .cayley import (
     induced_group,
     is_ac_group,
     is_nilpotent,
-    nonabelian_sylow_count,
     prime_factorization,
     sylow_decomposition,
     upper_central_series,
@@ -119,7 +118,7 @@ __all__ = [
     "CentralizerData", "centralizer_data",
     "conjugacy_classes", "upper_central_series", "is_nilpotent",
     "induced_group", "is_ac_group", "has_uniform_class_sizes",
-    "prime_factorization", "sylow_decomposition", "nonabelian_sylow_count",
+    "prime_factorization", "sylow_decomposition",
     # descriptors
     "GroupDescriptor", "parse_descriptor", "descriptor_order", "construct",
     # graphs

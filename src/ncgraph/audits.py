@@ -772,8 +772,8 @@ def cross_prime_scan(max_prime: int = 7, max_exp: int = 8,
                         for j in range(i + 1, len(pairs)):
                             (a1, b1), (a2, b2) = pairs[i], pairs[j]
                             pairs_analyzed += 1
-                            u = _gcd3(a1, a2, n - r)
-                            v = _gcd3(b1, b2, m - s)
+                            u = math.gcd(a1, a2, n - r)
+                            v = math.gcd(b1, b2, m - s)
                             ok_gcd = (size_a * p ** r * (p ** u - 1)
                                       == size_b * q ** s * (q ** v - 1))
                             ok_full = ((p ** (n - r) - 1) * (q ** v - 1)
@@ -823,7 +823,3 @@ def cross_prime_scan(max_prime: int = 7, max_exp: int = 8,
 
 def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _gcd3(a: int, b: int, c: int) -> int:
-    return math.gcd(a, math.gcd(b, c))

@@ -47,12 +47,12 @@ from .cayley import (
     conjugacy_classes,
     is_ac_group,
     is_nilpotent,
-    is_prime,
 )
 from .descriptors import (
     GroupDescriptor,
     construct,
     descriptor_order,
+    family_members,
     parse_descriptor,
 )
 from .errors import (
@@ -75,9 +75,8 @@ DEFAULT_FAMILIES = (
     "heisenberg(3,2)",
 )
 
-# (least parameter, group order per unit of parameter) of each ranged family
-_RANGED = {"dihedral": (3, 2), "dicyclic": (2, 4)}
-_RANGE_RE = re.compile(rf"({'|'.join(_RANGED)})\((\d+)\.\.(\d+)\)")
+# a bare family name, or one with an argument range: dihedral, dihedral(3..16)
+_REQUEST_RE = re.compile(r"\s*(\w+)(?:\((\d+)\.\.(\d+)\))?\s*", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -224,37 +223,21 @@ def _family_instances(request: str, max_order: int) -> list:
     cap; a range like dihedral(3..16) clips to the cap; any explicit
     descriptor is taken literally and over-cap instances are an error.
     """
-    request = request.strip()
-    if request in _RANGED:
-        start, per = _RANGED[request]
-        return [GroupDescriptor(request, (k,)) for k in range(start, max_order // per + 1)]
-    if request == "heisenberg":
-        out = []
-        p = 2
-        while p ** 3 <= max_order:
-            if is_prime(p):
-                k = 1
-                while p ** (2 * k + 1) <= max_order:
-                    out.append(GroupDescriptor("heisenberg", (p, k)))
-                    k += 1
-            p += 1
-        out.sort(key=lambda d: (descriptor_order(d), d.args))
-        return out
-    m = _RANGE_RE.fullmatch(request)
-    if m:
-        name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-        minimum, per = _RANGED[name]
-        if lo < minimum or hi < lo:
-            raise BadDescriptor(f"bad range in family request {request!r}")
-        return [GroupDescriptor(name, (k,))
-                for k in range(lo, hi + 1) if per * k <= max_order]
-    desc = parse_descriptor(request)
-    if descriptor_order(desc) > max_order:
-        raise CapExceeded(
-            f"{request} has order {descriptor_order(desc)}, above the catalog "
-            f"cap {max_order}"
-        )
-    return [desc]
+    m = _REQUEST_RE.fullmatch(request)
+    members = family_members(m[1], max_order) if m else None
+    if members is None:
+        desc = parse_descriptor(request)
+        if descriptor_order(desc) > max_order:
+            raise CapExceeded(f"{request} has order {descriptor_order(desc)}, "
+                              f"above the catalog cap {max_order}")
+        return [desc]
+    if m[2] is None:
+        return members
+    lo, hi = int(m[2]), int(m[3])
+    parse_descriptor(f"{m[1]}({lo})")   # the family takes the range's least argument
+    if hi < lo:
+        raise BadDescriptor(f"bad range in family request {request!r}")
+    return [d for d in members if lo <= d.args[0] <= hi]
 
 
 def _abelian_chains(order: int, limit: int = 0) -> list:

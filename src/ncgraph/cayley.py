@@ -116,11 +116,10 @@ def _transpose_equal(t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A subset of a group's elements; ``subgroup_flag`` marks verified subgroups."""
+    """A subset of a group's elements."""
 
     parent: CayleyTable
     members: frozenset
-    subgroup_flag: bool
 
     def __len__(self):
         return len(self.members)
@@ -358,7 +357,7 @@ def _validate(raw, descriptor):
 def center(g: CayleyTable) -> ElementSet:
     """The set of elements commuting with everything."""
     mask = g.commuting.all(axis=1)
-    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]), True)
+    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]))
 
 
 def centralizer(g: CayleyTable, x: int) -> ElementSet:
@@ -366,7 +365,7 @@ def centralizer(g: CayleyTable, x: int) -> ElementSet:
     if not 0 <= x < g.order:
         raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
     mask = g.commuting[x]
-    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]), True)
+    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]))
 
 
 def centralizer_size(g: CayleyTable, x: int) -> int:
@@ -479,8 +478,7 @@ def upper_central_series(g: CayleyTable) -> tuple:
             break
         current = nxt
         levels.append(current)
-    return tuple(ElementSet(g, frozenset(np.flatnonzero(m).tolist()), True)
-                 for m in levels)
+    return tuple(ElementSet(g, frozenset(np.flatnonzero(m).tolist())) for m in levels)
 
 
 @_memoised
@@ -502,15 +500,14 @@ def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
-    """Relabel a subgroup-flagged set as a group of its own.
+    """Relabel a subgroup as a group of its own; a set that is not one
+    (no identity, or not closed) is NotASubgroup.
 
     The result's ``parent_map`` maps local indices back to parent indices;
     the parent identity comes first, so it stays at index 0.
     """
     if s.parent is not g:
         raise NotASubgroup("element set belongs to a different table")
-    if not s.subgroup_flag:
-        raise NotASubgroup("element set is not flagged as a subgroup")
     members = s.sorted_members
     if not members or members[0] != 0:
         raise NotASubgroup("subgroup must contain the identity")
@@ -608,7 +605,7 @@ def sylow_decomposition(g: CayleyTable) -> tuple:
                 f"p-power-order elements at p={p} are not closed"
             )
         sub = t[np.array(gens)][:, gens]
-        eset = ElementSet(g, frozenset(members), True)
+        eset = ElementSet(g, frozenset(members))
         factors.append(SylowFactor(p, eset, bool((sub == sub.T).all())))
         member_lists.append(members)
     products = np.zeros(1, dtype=np.int64)   # every product x_1 * x_2 * ... in turn
@@ -626,7 +623,3 @@ def _nonabelian_sylow_factors(g: CayleyTable) -> list:
     """The non-abelian factors of a nilpotent group's Sylow decomposition,
     primes ascending."""
     return [f for f in sylow_decomposition(g) if not f.abelian]
-
-
-def nonabelian_sylow_count(g: CayleyTable) -> int:
-    return len(_nonabelian_sylow_factors(g))

@@ -3,13 +3,20 @@
 A descriptor is a string such as ``dihedral(4)``, ``abelian(4,2)`` or
 ``product(dicyclic(2),cyclic(3))``.  Parsing produces a ``GroupDescriptor``
 tree whose ``str()`` form round-trips, and ``construct`` turns the tree into
-a validated ``CayleyTable``.
+a validated ``CayleyTable``.  Everything known about a family (the arguments
+it takes, the order and centre size they give, its table and, for the
+catalog, its members under an order cap) is one row of ``_FAMILIES``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count, takewhile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,8 +29,6 @@ from .cayley import (
     validate,
 )
 from .errors import BadDescriptor, InternalInconsistency, OrderOverflow
-
-FAMILY_NAMES = ("cyclic", "abelian", "dihedral", "dicyclic", "heisenberg", "product")
 
 
 @dataclass(frozen=True)
@@ -40,62 +45,51 @@ class GroupDescriptor:
 
 # --- parsing -------------------------------------------------------------------
 
+# one token: a name, an integer, or any other single character; names,
+# digits and the whitespace between tokens are ASCII only
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_]+)|([0-9]+)|(\S))", re.ASCII)
+
+
 def parse_descriptor(text: str) -> GroupDescriptor:
     """Parse a descriptor string; raises BadDescriptor with a position on errors."""
-    s = text
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
+    # (position, name, digits, other character) per token, then the end
+    tokens = [(m.start(m.lastindex), *m.groups()) for m in _TOKEN.finditer(text)]
+    tokens.append((len(text), None, None, None))
+    i = 0
 
     def fail(msg):
-        raise BadDescriptor(f"{msg} at position {pos} in {text!r}")
+        raise BadDescriptor(f"{msg} at position {tokens[i][0]} in {text!r}")
 
     def parse_node():
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(s) and (s[pos].isalpha() or s[pos] == "_"):
-            pos += 1
-        name = s[start:pos]
+        nonlocal i
+        name = tokens[i][1]
         if not name:
             fail("expected a family name")
-        if name not in FAMILY_NAMES:
+        if name not in _FAMILIES:
             fail(f"unknown family {name!r}")
-        skip_ws()
-        if pos >= len(s) or s[pos] != "(":
+        i += 1
+        if tokens[i][3] != "(":
             fail(f"expected '(' after {name!r}")
-        pos += 1
+        i += 1
         args = []
-        skip_ws()
-        if pos < len(s) and s[pos] == ")":
-            pos += 1
-            return GroupDescriptor(name, ())
-        while True:
-            skip_ws()
-            if pos < len(s) and (s[pos].isalpha() or s[pos] == "_"):
+        while tokens[i - 1][3] != ")":   # the last separator taken
+            if tokens[i][1]:
                 args.append(parse_node())
-            else:
-                start_num = pos
-                while pos < len(s) and s[pos].isdigit():
-                    pos += 1
-                if start_num == pos:
-                    fail("expected an integer or nested descriptor")
-                args.append(int(s[start_num:pos]))
-            skip_ws()
-            if pos < len(s) and s[pos] == ",":
-                pos += 1
-                continue
-            if pos < len(s) and s[pos] == ")":
-                pos += 1
-                return GroupDescriptor(name, tuple(args))
-            fail("expected ',' or ')'")
+            elif tokens[i][2]:
+                try:
+                    args.append(int(tokens[i][2]))
+                except ValueError:   # more digits than int() converts
+                    fail("integer too long")
+                i += 1
+            elif args or tokens[i][3] != ")":
+                fail("expected an integer or nested descriptor")
+            if tokens[i][3] not in (",", ")"):
+                fail("expected ',' or ')'")
+            i += 1
+        return GroupDescriptor(name, tuple(args))
 
     node = parse_node()
-    skip_ws()
-    if pos != len(s):
+    if i != len(tokens) - 1:
         fail("trailing characters")
     _check(node)
     return node
@@ -103,50 +97,20 @@ def parse_descriptor(text: str) -> GroupDescriptor:
 
 def _check(desc: GroupDescriptor) -> None:
     """Validate arity and argument ranges over the whole descriptor tree."""
-    name, args = desc.name, desc.args
-    ints = all(isinstance(a, int) for a in args)
-    if name == "cyclic":
-        if len(args) != 1 or not ints or args[0] < 1:
-            raise BadDescriptor(f"cyclic needs one integer >= 1, got {desc}")
-    elif name == "abelian":
-        if not args or not ints or any(a < 1 for a in args):
-            raise BadDescriptor(f"abelian needs integers >= 1, got {desc}")
-    elif name == "dihedral":
-        if len(args) != 1 or not ints or args[0] < 3:
-            raise BadDescriptor(f"dihedral needs one integer >= 3, got {desc}")
-    elif name == "dicyclic":
-        if len(args) != 1 or not ints or args[0] < 2:
-            raise BadDescriptor(f"dicyclic needs one integer >= 2, got {desc}")
-    elif name == "heisenberg":
-        if len(args) != 2 or not ints or args[1] < 1:
-            raise BadDescriptor(f"heisenberg needs integers (p, k) with k >= 1, got {desc}")
-        if not is_prime(args[0]):
-            raise BadDescriptor(f"heisenberg needs a prime first argument, got {desc}")
-    elif name == "product":
-        if len(args) < 2 or not all(isinstance(a, GroupDescriptor) for a in args):
-            raise BadDescriptor(f"product needs at least two nested descriptors, got {desc}")
-        for a in args:
-            _check(a)
-    else:
-        raise BadDescriptor(f"unknown family {name!r}")
+    row = _FAMILIES.get(desc.name)
+    if row is None:
+        raise BadDescriptor(f"unknown family {desc.name!r}")
+    if not row.takes(desc.args):
+        raise BadDescriptor(f"{desc.name} needs {row.rule}, got {desc}")
+    for sub in desc.args:
+        if isinstance(sub, GroupDescriptor):
+            _check(sub)
 
 
 def descriptor_order(desc: GroupDescriptor) -> int:
     """Group order implied by a descriptor, computed without building the table."""
     _check(desc)
-    name, args = desc.name, desc.args
-    if name == "cyclic":
-        return args[0]
-    if name == "abelian":
-        return int(np.prod([a for a in args], dtype=object))
-    if name == "dihedral":
-        return 2 * args[0]
-    if name == "dicyclic":
-        return 4 * args[0]
-    if name == "heisenberg":
-        p, k = args
-        return p ** (2 * k + 1)
-    return reduce(lambda a, b: a * b, (descriptor_order(a) for a in args))
+    return _FAMILIES[desc.name].order(*desc.args)
 
 
 # --- raw table builders ----------------------------------------------------------
@@ -204,43 +168,75 @@ def _heisenberg_table(p: int, k: int) -> np.ndarray:
     return out.reshape(m * p, m * p)
 
 
+# --- one row per family ---------------------------------------------------------
+
+class _Family(NamedTuple):
+    rule: str           # the arguments the family takes, as messages state them
+    takes: Callable     # whether an argument tuple meets the rule
+    order: Callable     # group order, from the arguments
+    center: Callable    # centre size, from the arguments
+    table: Callable     # raw table, from the arguments
+    # lines of candidate arguments for the catalog, orders rising along each
+    # line and over the lines' first entries; zip(count(1)) is (1,), (2,), ...
+    members: Callable = None
+
+
+def _ints(*least):
+    """Whether arguments are one integer per entry of ``least``, each at least it."""
+    return lambda args: len(args) == len(least) and all(
+        isinstance(a, int) and a >= m for a, m in zip(args, least))
+
+
+def _over_factors(field, combine):
+    """A product's field: the factors' values of it, combined left to right."""
+    return lambda *subs: reduce(combine, (getattr(_FAMILIES[d.name], field)(*d.args)
+                                          for d in subs))
+
+
+_FAMILIES = {
+    "cyclic": _Family("one integer >= 1", _ints(1), lambda n: n, lambda n: n, _cyclic_table),
+    "abelian": _Family(
+        "integers >= 1",
+        lambda args: args != () and all(isinstance(a, int) and a >= 1 for a in args),
+        lambda *ds: math.prod(ds), lambda *ds: math.prod(ds),
+        lambda *ds: reduce(product_table, map(_cyclic_table, ds))),
+    "dihedral": _Family("one integer >= 3", _ints(3), lambda k: 2 * k,
+                        lambda k: 2 - k % 2, _dihedral_table, lambda: [zip(count(1))]),
+    "dicyclic": _Family("one integer >= 2", _ints(2), lambda k: 4 * k,
+                        lambda k: 2, _dicyclic_table, lambda: [zip(count(1))]),
+    "heisenberg": _Family(
+        "integers (p, k) with p prime and k >= 1",
+        lambda args: _ints(2, 1)(args) and is_prime(args[0]),
+        lambda p, k: p ** (2 * k + 1), lambda p, k: p, _heisenberg_table,
+        lambda: (((p, k) for k in count(1)) for p in count(2))),
+    "product": _Family(
+        "at least two nested descriptors",
+        lambda args: len(args) >= 2 and all(isinstance(a, GroupDescriptor) for a in args),
+        _over_factors("order", operator.mul), _over_factors("center", operator.mul),
+        _over_factors("table", product_table)),
+}
+
+
+def family_members(name: str, max_order: int):
+    """Every descriptor of family ``name`` whose order is at most
+    ``max_order``; None for a family that lists no members."""
+    row = _FAMILIES.get(name)
+    if row is None or row.members is None:
+        return None
+    out = []
+    for line in row.members():
+        fits = list(takewhile(lambda args: row.order(*args) <= max_order, line))
+        if not fits:
+            break
+        out += [GroupDescriptor(name, args) for args in fits if row.takes(args)]
+    return out
+
+
 def _build_raw(desc: GroupDescriptor, max_order: int) -> np.ndarray:
     order = descriptor_order(desc)
     if order > max_order:
-        raise OrderOverflow(
-            f"{desc} has order {order}, above the cap {max_order}"
-        )
-    name, args = desc.name, desc.args
-    if name == "cyclic":
-        return _cyclic_table(args[0])
-    if name == "abelian":
-        raw = _cyclic_table(args[0])
-        for d in args[1:]:
-            raw = product_table(raw, _cyclic_table(d))
-        return raw
-    if name == "dihedral":
-        return _dihedral_table(args[0])
-    if name == "dicyclic":
-        return _dicyclic_table(args[0])
-    if name == "heisenberg":
-        return _heisenberg_table(*args)
-    raw = _build_raw(args[0], max_order)
-    for sub in args[1:]:
-        raw = product_table(raw, _build_raw(sub, max_order))
-    return raw
-
-
-def _expected_center_size(desc: GroupDescriptor) -> int:
-    name, args = desc.name, desc.args
-    if name in ("cyclic", "abelian"):
-        return descriptor_order(desc)
-    if name == "dihedral":
-        return 2 if args[0] % 2 == 0 else 1
-    if name == "dicyclic":
-        return 2
-    if name == "heisenberg":
-        return args[0]
-    return reduce(lambda a, b: a * b, (_expected_center_size(a) for a in args))
+        raise OrderOverflow(f"{desc} has order {order}, above the cap {max_order}")
+    return _FAMILIES[desc.name].table(*desc.args)
 
 
 def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
@@ -251,12 +247,10 @@ def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     against the closed form for the family.
     """
     desc = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
-    _check(desc)
     raw = _build_raw(desc, max_order)
     g = validate(raw, descriptor=str(desc))
-    if len(center(g)) != _expected_center_size(desc):
-        raise InternalInconsistency(
-            f"{desc}: centre size {len(center(g))} does not match the "
-            f"family's closed form {_expected_center_size(desc)}"
-        )
+    expected = _FAMILIES[desc.name].center(*desc.args)
+    if len(center(g)) != expected:
+        raise InternalInconsistency(f"{desc}: centre size {len(center(g))} does not "
+                                    f"match the family's closed form {expected}")
     return g

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import ncgraph as ng
 from ncgraph import canon, catalog
+from ncgraph.cayley import is_prime
 
 # sha256 of each default-scan class as [members, equal-orders verdict], in
 # report order; the certificate bytes do not enter it
@@ -18,6 +20,31 @@ SMALL = ng.CatalogConfig(
     max_order=64,
     cofactor_max=3,
 )
+
+# the catalog's family expansion written out by hand: the least argument
+# and the order per unit of argument of each ranged family, and the
+# Heisenberg groups from a loop over primes p and exponents p^(2k+1)
+RANGED = {"dihedral": (3, 2), "dicyclic": (2, 4)}
+
+
+def closed_form_instances(request, max_order):
+    if request in RANGED:
+        start, per = RANGED[request]
+        return {f"{request}({k})" for k in range(start, max_order // per + 1)}
+    if request == "heisenberg":
+        out, p = set(), 2
+        while p ** 3 <= max_order:
+            if is_prime(p):
+                k = 1
+                while p ** (2 * k + 1) <= max_order:
+                    out.add(f"heisenberg({p},{k})")
+                    k += 1
+            p += 1
+        return out
+    name, lo, hi = re.fullmatch(r"(\w+)\((\d+)\.\.(\d+)\)", request).groups()
+    per = RANGED[name][1]
+    return {f"{name}({k})" for k in range(int(lo), int(hi) + 1) if per * k <= max_order}
+
 
 # the default families widened to order 256 with larger cofactors: a
 # catalog in which the headline verdict meets nilpotent irregular entries
@@ -111,10 +138,22 @@ class TestEnumeration:
         with pytest.raises(ng.BadDescriptor):
             ng.enumerate_catalog(cfg)
 
-    def test_bad_range(self):
-        cfg = ng.CatalogConfig(families=("dihedral(2..5)",), max_order=64)
+    @pytest.mark.parametrize("request_text", ["dihedral(2..5)", "dihedral(\u0663..\u0665)"])
+    def test_bad_range(self, request_text):
+        # below the family's least argument; Arabic-Indic digits are not ASCII
+        cfg = ng.CatalogConfig(families=(request_text,), max_order=64)
         with pytest.raises(ng.BadDescriptor):
             ng.enumerate_catalog(cfg)
+
+    @pytest.mark.parametrize("request_text", [
+        "dihedral", "dicyclic", "heisenberg",
+        "dihedral(3..16)", "dicyclic(2..8)", "dihedral(5..400)",
+    ])
+    def test_expansion_matches_the_closed_forms(self, request_text):
+        for cap in (1, 5, 8, 24, 200, 256, 512, 1024, 2187):
+            got = [str(d) for d in catalog._family_instances(request_text, cap)]
+            assert len(got) == len(set(got)), (request_text, cap)
+            assert set(got) == closed_form_instances(request_text, cap), (request_text, cap)
 
     def test_duplicates_collapse(self):
         cfg = ng.CatalogConfig(families=("dihedral(3..4)", "dihedral(4)"),

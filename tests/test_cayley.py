@@ -238,7 +238,6 @@ class TestStructure:
         d4 = ng.construct("dihedral(4)")
         c = ng.centralizer(d4, 1)
         assert c.sorted_members == (0, 1, 2, 3)
-        assert c.subgroup_flag
         assert ng.centralizer_size(d4, 1) == 4
 
     def test_centralizer_index_error(self):
@@ -312,8 +311,8 @@ class TestStructure:
 
     def test_induced_group_rejects_non_subgroup(self):
         d4 = ng.construct("dihedral(4)")
-        bad = ng.ElementSet(parent=d4, members=frozenset({0, 1}), subgroup_flag=False)
-        with pytest.raises(ng.NotASubgroup):
+        bad = ng.ElementSet(parent=d4, members=frozenset({0, 1}))
+        with pytest.raises(ng.NotASubgroup, match="set is not closed: 1 \\* 1 escapes it"):
             ng.induced_group(d4, bad)
 
     def test_is_ac_group(self):
@@ -531,7 +530,7 @@ class TestProductsAndSylow:
         factors = ng.sylow_decomposition(h)
         assert [(f.prime, len(f.members), f.abelian) for f in factors] == [
             (2, 8, False), (3, 27, False)]
-        assert ng.nonabelian_sylow_count(h) == 2
+        assert sum(not f.abelian for f in factors) == 2
 
     def test_sylow_rejects_non_nilpotent(self):
         with pytest.raises(ng.NotNilpotent):
@@ -633,7 +632,7 @@ def derived_tables():
         "sylow 3 of product(d4,h3)": ng.induced_group(g, ng.sylow_decomposition(g)[1].members),
         "centralizer in heisenberg(2,4)": ng.induced_group(h, ng.centralizer(h, x)),
         "centralizer in dihedral(12)": ng.induced_group(d12, ng.centralizer(d12, 12)),
-        "trivial": ng.induced_group(d3, ng.ElementSet(d3, frozenset({0}), True)),
+        "trivial": ng.induced_group(d3, ng.ElementSet(d3, frozenset({0}))),
     }
 
 

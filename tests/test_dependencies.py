@@ -132,11 +132,31 @@ READERS = ([p for p in SOURCES if p.name != "__init__.py"]
            + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
 
 
-def used_names(tree):
-    """Every name a module reads or imports."""
-    yield from loaded_names(tree)
+def package_modules(tree):
+    """Names a module binds to the package or one of its modules:
+    ``import ncgraph as ng``, ``from ncgraph import catalog``,
+    ``from . import canon``."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names
+                        if alias.name.split(".")[0] == "ncgraph")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module is None if node.level else node.module == "ncgraph"):
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def used_names(tree):
+    """Every name a module reads bare, imports, or reads as an attribute of
+    the package or one of its modules.  An attribute of anything else, such
+    as a record field that shares an export's name, is not a use."""
+    modules = set(package_modules(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             yield from (alias.name.split(".")[-1] for alias in node.names)
 
 

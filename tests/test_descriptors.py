@@ -72,6 +72,11 @@ class TestParsing:
         "product(cyclic(2),product(dihedral(2),cyclic(5)))",  # nested invalid
         "dihedral(x)",
         "",
+        "dihedral(\u00b2)",     # a superscript two is not an ASCII digit
+        "dihedral(\u0663)",     # nor is an Arabic-Indic three
+        "dihedral(3\u00a0)",    # a no-break space is not ASCII whitespace
+        pytest.param("cyclic(" + "1" * 5000 + ")",   # more digits than int() takes
+                     id="cyclic(5000 digits)"),
     ])
     def test_bad_descriptors(self, text):
         with pytest.raises(ng.BadDescriptor):
