@@ -5,7 +5,9 @@ families plus their direct products with small abelian cofactors.  The scan
 groups catalog entries by graph certificate, verifies every same-certificate
 pair with an explicit bijection and the full pair audit, and renders the
 headline verdict: among nilpotent groups with irregular graphs, equal
-certificates must mean equal orders.
+certificates must mean equal orders.  Isomorphic graphs have equal vertex
+counts, so the catalog is walked one vertex count at a time, and only that
+count's groups are held.
 
 Certificates may come from an on-disk ``CertificateCache``.  A hit is
 trusted only once its stored canonical order realises its bytes on the
@@ -27,6 +29,7 @@ import re
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .descriptors import (
     GroupDescriptor,
     construct,
     descriptor_order,
+    descriptor_vertex_count,
     family_members,
     parse_descriptor,
 )
@@ -347,22 +351,48 @@ def _descriptors(config: CatalogConfig) -> list:
     return [descriptors[key] for key in sorted(descriptors)]
 
 
-def _enumerate(config: CatalogConfig) -> tuple:
-    """The catalog's groups keyed by descriptor, its entries sorted by
-    descriptor, and the descriptors the spot check sampled.
+def _enumerate(config: CatalogConfig, audit=None) -> tuple:
+    """The catalog's entries sorted by descriptor, the descriptors the spot
+    check sampled, and the classes ``audit`` made, if it is given.
 
-    Two guards run on the entries.  For a deterministic sample of entries
-    the certificate is recomputed on the graph with its vertex order
-    reversed, which misses every cache: a mismatch on a cached certificate
-    is a reject and a recompute, and on a computed one an
-    ``InternalInconsistency`` (the certificate depends on the labeling).
-    Then entries with equal degree profiles (so equal vertex counts) but
-    different certificates have their cached certificates recomputed, and
-    any that differs is a reject: isomorphic graphs share a profile, so no
-    cached certificate can split a class.
+    The catalog is walked one vertex count |G| - |Z(G)| at a time, in
+    ascending order, each count read from the descriptor before anything is
+    built (``construct`` checks the closed forms it comes from).  A
+    certificate begins with its vertex count, so no class spans two counts:
+    each count's groups are built, guarded, handed with their entries to
+    ``audit(groups, entries)`` and dropped before the next count's are built.
+
+    Two guards run on each count's entries.  For the first, middle and last
+    descriptor of the whole catalog the certificate is recomputed on the
+    graph with its vertex order reversed, which misses every cache: a
+    mismatch on a cached certificate is a reject and a recompute, and on a
+    computed one an ``InternalInconsistency`` (the certificate depends on the
+    labeling).  Then entries with equal degree profiles (so of one vertex
+    count) but different certificates have their cached certificates
+    recomputed, and any that differs is a reject: isomorphic graphs share a
+    profile, so no cached certificate can split a class.
     """
     cache = CertificateCache(config.cache_dir) if config.cache_dir else None
-    built = [_build_entry(desc, config.max_order, cache) for desc in _descriptors(config)]
+    descriptors = _descriptors(config)
+    sample = {str(descriptors[i]) for i in (0, len(descriptors) // 2, -1)
+              if descriptors}
+    by_count = {}
+    for desc in descriptors:
+        by_count.setdefault(descriptor_vertex_count(desc), []).append(desc)
+    entries, checked, classes = [], [], []
+    for n in sorted(by_count):
+        got = _enumerate_count(by_count[n], config.max_order, cache, sample, audit)
+        entries += got[0]
+        checked += got[1]
+        classes += got[2]
+    return sorted(entries, key=lambda e: e.descriptor), sorted(checked), classes
+
+
+def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) -> tuple:
+    """(entries, spot-checked descriptors, classes) for the descriptors of
+    one vertex count, guarded and audited as in ``_enumerate``; the groups
+    built here die with the call."""
+    built = [_build_entry(desc, max_order, cache) for desc in descriptors]
     groups = {entry.descriptor: g for g, entry, _ in built}
     entries = [entry for _, entry, _ in built]
     cached = [hit for _, _, hit in built]
@@ -381,9 +411,8 @@ def _enumerate(config: CatalogConfig) -> tuple:
             entries[i] = replace(entry, certificate=cert,
                                  certificate_sha256=hashlib.sha256(cert).hexdigest())
 
-    sample_idx = sorted({0, len(entries) // 2, len(entries) - 1}) if entries else []
     checked = []
-    for idx in sample_idx:
+    for idx in [i for i, e in enumerate(entries) if e.descriptor in sample]:
         entry = entries[idx]
         graph = build_nc_graph(groups[entry.descriptor])
         fresh = certificate(relabeled(graph, range(graph.num_vertices - 1, -1, -1)))
@@ -404,7 +433,7 @@ def _enumerate(config: CatalogConfig) -> tuple:
             for i in idxs:
                 if cached[i]:
                     recompute(i, "splits entries of one degree profile")
-    return groups, entries, checked
+    return entries, checked, audit(groups, entries) if audit else []
 
 
 def enumerate_catalog(config: CatalogConfig = None) -> list:
@@ -413,7 +442,7 @@ def enumerate_catalog(config: CatalogConfig = None) -> list:
     Cached certificates pass the same two guards as in ``scan_pairs``."""
     if config is None:
         config = CatalogConfig()
-    return _enumerate(config)[1]
+    return _enumerate(config)[0]
 
 
 @dataclass(frozen=True)
@@ -469,25 +498,39 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
     member orders differ are logged as cross-order candidates instead of
     violations.
 
-    Two guards run before entries are grouped (see ``_enumerate``): the
-    reversed-labeling spot check, and a recompute of cached certificates
-    that split entries of one degree profile.  A cached certificate that
-    fails either is rejected and rewritten; the scan never raises for it.
+    The catalog is walked and guarded one vertex count at a time (see
+    ``_enumerate``).  A cached certificate that fails a guard, the
+    reversed-labeling spot check or the degree-profile recompute, is
+    rejected and rewritten; the scan never raises for it.
     """
     if config is None:
         config = CatalogConfig()
-    groups, entries, checked = _enumerate(config)
-    spot = {"checked": checked, "ok": True}
+    entries, checked, classes = _enumerate(config, _audit_classes)
+    classes.sort(key=lambda c: c.members[0])
+    regular = {e.descriptor for e in entries if e.regular}
+    return ScanReport(
+        config=config,
+        entries=tuple(entries),
+        classes=tuple(classes),
+        regular_cross_order_candidates=tuple(
+            c.members for c in classes
+            if len(set(c.orders)) > 1 and regular.issuperset(c.members)),
+        cache_spot_check={"checked": checked, "ok": True},
+        violations=sum((c.nilpotent_irregular_equal_orders == "violation")
+                       + sum(a.verdict != "consistent"
+                             for a in c.pair_audits + c.same_prime_audits)
+                       for c in classes),
+    )
 
+
+def _audit_classes(groups: dict, entries: list) -> list:
+    """An ``IsoClass`` per certificate among ``entries``, which share one
+    vertex count and are sorted by descriptor; ``groups`` holds their groups."""
     by_cert = {}
     for entry in entries:
         by_cert.setdefault(entry.certificate, []).append(entry)
-
     classes = []
-    candidates = []
-    violations = 0
-    for cert in sorted(by_cert, key=lambda c: by_cert[c][0].descriptor):
-        members = sorted(by_cert[cert], key=lambda e: e.descriptor)
+    for members in by_cert.values():
         names = tuple(e.descriptor for e in members)
         orders = tuple(e.order for e in members)
         all_nilpotent = all(e.nilpotent for e in members)
@@ -496,40 +539,30 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
             verdict = "pass" if len(set(orders)) == 1 else "violation"
         else:
             verdict = "not-applicable"
-        if verdict == "violation":
-            violations += 1
-        if all(e.regular for e in members) and len(set(orders)) > 1:
-            candidates.append(names)
         pair_audits = []
         sp_audits = []
         sp_skips = []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                ea, eb = members[i], members[j]
-                ga, gb = groups[ea.descriptor], groups[eb.descriptor]
-                graph_a, graph_b = build_nc_graph(ga), build_nc_graph(gb)
-                phi = find_isomorphism(graph_a, graph_b)
-                if phi is None:
-                    raise InternalInconsistency(
-                        f"equal certificates but no isomorphism found: "
-                        f"{ea.descriptor} vs {eb.descriptor}"
-                    )
-                audit = audit_isomorphic_pair(ga, gb, phi, strict=False)
-                violations += audit.verdict != "consistent"
-                pair_audits.append(audit)
-                qualifies = (
-                    ea.nilpotent and eb.nilpotent
-                    and not ea.regular and not eb.regular
-                    and ea.nonabelian_sylow_count == 1
-                    and eb.nonabelian_sylow_count == 1
+        for ea, eb in combinations(members, 2):
+            ga, gb = groups[ea.descriptor], groups[eb.descriptor]
+            phi = find_isomorphism(build_nc_graph(ga), build_nc_graph(gb))
+            if phi is None:
+                raise InternalInconsistency(
+                    f"equal certificates but no isomorphism found: "
+                    f"{ea.descriptor} vs {eb.descriptor}"
                 )
-                sp, reason = (_same_prime(ga, gb, phi) if qualifies
-                              else (None, "shape does not qualify"))
-                if sp is None:
-                    sp_skips.append((ea.descriptor, eb.descriptor, reason))
-                else:
-                    violations += sp.verdict != "consistent"
-                    sp_audits.append(sp)
+            pair_audits.append(audit_isomorphic_pair(ga, gb, phi, strict=False))
+            qualifies = (
+                ea.nilpotent and eb.nilpotent
+                and not ea.regular and not eb.regular
+                and ea.nonabelian_sylow_count == 1
+                and eb.nonabelian_sylow_count == 1
+            )
+            sp, reason = (_same_prime(ga, gb, phi) if qualifies
+                          else (None, "shape does not qualify"))
+            if sp is None:
+                sp_skips.append((ea.descriptor, eb.descriptor, reason))
+            else:
+                sp_audits.append(sp)
         classes.append(IsoClass(
             certificate_sha256=members[0].certificate_sha256,
             members=names,
@@ -541,15 +574,7 @@ def scan_pairs(config: CatalogConfig = None) -> ScanReport:
             same_prime_audits=tuple(sp_audits),
             same_prime_skips=tuple(sp_skips),
         ))
-
-    return ScanReport(
-        config=config,
-        entries=tuple(entries),
-        classes=tuple(classes),
-        regular_cross_order_candidates=tuple(candidates),
-        cache_spot_check=spot,
-        violations=violations,
-    )
+    return classes
 
 
 def _same_prime(g_a, g_b, phi) -> tuple:

@@ -13,8 +13,8 @@ their derived forms are immutable, so concurrent reads are safe.
 
 from __future__ import annotations
 
-import math
 import traceback
+import weakref
 from dataclasses import dataclass
 from functools import partial, wraps
 
@@ -61,7 +61,7 @@ class CayleyTable:
     larger table and maps local indices back to parent indices.
     """
 
-    __slots__ = ("order", "table", "descriptor", "parent_map", "_memo")
+    __slots__ = ("order", "table", "descriptor", "parent_map", "_memo", "__weakref__")
 
     def __init__(self, order, table, descriptor, parent_map=None):
         self.order = int(order)
@@ -116,10 +116,15 @@ def _transpose_equal(t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A subset of a group's elements."""
+    """A subset of a group's elements.  ``parent`` is held as a weak
+    reference to the table, so a set memoised on the table keeps no
+    reference cycle alive: the table goes as soon as its last user does."""
 
     parent: CayleyTable
     members: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "parent", weakref.ref(self.parent))
 
     def __len__(self):
         return len(self.members)
@@ -506,7 +511,7 @@ def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
     The result's ``parent_map`` maps local indices back to parent indices;
     the parent identity comes first, so it stays at index 0.
     """
-    if s.parent is not g:
+    if s.parent() is not g:
         raise NotASubgroup("element set belongs to a different table")
     members = s.sorted_members
     if not members or members[0] != 0:
@@ -550,9 +555,24 @@ def has_uniform_class_sizes(g: CayleyTable):
     return False, None
 
 
+# the least strong pseudoprime to the first thirteen prime bases (Sorenson &
+# Webster 2015): below it, Miller-Rabin to those bases decides primality
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test (inputs here are small)."""
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin primality test; a ValueError from
+    ``PRIME_TEST_LIMIT`` on, where its answer would only be probable."""
+    if p >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{p} is past the exact prime test's limit {PRIME_TEST_LIMIT}")
+    if p < 2 or p % 2 == 0:
+        return p == 2
+    s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    return all(a % p == 0 or pow(a, d, p) == 1
+               or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 def prime_factorization(n: int) -> dict:

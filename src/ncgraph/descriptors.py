@@ -22,6 +22,7 @@ import numpy as np
 
 from .cayley import (
     DEFAULT_ORDER_CAP,
+    PRIME_TEST_LIMIT,
     CayleyTable,
     center,
     is_prime,
@@ -31,12 +32,32 @@ from .cayley import (
 from .errors import BadDescriptor, InternalInconsistency, OrderOverflow
 
 
+# the deepest a descriptor may nest: parsing it, its order and str()
+# recurse once per level
+MAX_NESTING = 100
+
+
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Parsed descriptor: a family name plus integer or nested-descriptor args."""
+    """A family name plus integer or nested-descriptor args.  Construction
+    checks the args against the family's rule and the nesting against
+    ``MAX_NESTING``, so every descriptor tree is valid."""
 
     name: str
     args: tuple
+
+    def __post_init__(self):
+        row = _FAMILIES.get(self.name)
+        if row is None:
+            raise BadDescriptor(f"unknown family {self.name!r}")
+        if not row.takes(self.args):
+            raise BadDescriptor(f"{self.name} needs {row.rule}, got {self}")
+        depth = 1 + max((a._depth for a in self.args if isinstance(a, GroupDescriptor)),
+                        default=0)
+        if depth > MAX_NESTING:
+            raise BadDescriptor(f"{self.name} nests {depth} levels deep, past the "
+                                f"limit of {MAX_NESTING}")
+        object.__setattr__(self, "_depth", depth)
 
     def __str__(self):
         inner = ",".join(str(a) for a in self.args)
@@ -51,7 +72,8 @@ _TOKEN = re.compile(r"\s*(?:([A-Za-z_]+)|([0-9]+)|(\S))", re.ASCII)
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
-    """Parse a descriptor string; raises BadDescriptor with a position on errors."""
+    """Parse a descriptor string; raises BadDescriptor with a position on
+    errors, nesting deeper than ``MAX_NESTING`` levels among them."""
     # (position, name, digits, other character) per token, then the end
     tokens = [(m.start(m.lastindex), *m.groups()) for m in _TOKEN.finditer(text)]
     tokens.append((len(text), None, None, None))
@@ -60,11 +82,13 @@ def parse_descriptor(text: str) -> GroupDescriptor:
     def fail(msg):
         raise BadDescriptor(f"{msg} at position {tokens[i][0]} in {text!r}")
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal i
         name = tokens[i][1]
         if not name:
             fail("expected a family name")
+        if depth > MAX_NESTING:
+            fail(f"nesting deeper than {MAX_NESTING} levels")
         if name not in _FAMILIES:
             fail(f"unknown family {name!r}")
         i += 1
@@ -74,7 +98,7 @@ def parse_descriptor(text: str) -> GroupDescriptor:
         args = []
         while tokens[i - 1][3] != ")":   # the last separator taken
             if tokens[i][1]:
-                args.append(parse_node())
+                args.append(parse_node(depth + 1))
             elif tokens[i][2]:
                 try:
                     args.append(int(tokens[i][2]))
@@ -88,29 +112,21 @@ def parse_descriptor(text: str) -> GroupDescriptor:
             i += 1
         return GroupDescriptor(name, tuple(args))
 
-    node = parse_node()
+    node = parse_node(1)
     if i != len(tokens) - 1:
         fail("trailing characters")
-    _check(node)
     return node
-
-
-def _check(desc: GroupDescriptor) -> None:
-    """Validate arity and argument ranges over the whole descriptor tree."""
-    row = _FAMILIES.get(desc.name)
-    if row is None:
-        raise BadDescriptor(f"unknown family {desc.name!r}")
-    if not row.takes(desc.args):
-        raise BadDescriptor(f"{desc.name} needs {row.rule}, got {desc}")
-    for sub in desc.args:
-        if isinstance(sub, GroupDescriptor):
-            _check(sub)
 
 
 def descriptor_order(desc: GroupDescriptor) -> int:
     """Group order implied by a descriptor, computed without building the table."""
-    _check(desc)
     return _FAMILIES[desc.name].order(*desc.args)
+
+
+def descriptor_vertex_count(desc: GroupDescriptor) -> int:
+    """|G| - |Z(G)|, the vertex count of the group's non-commuting graph,
+    computed without building the table."""
+    return descriptor_order(desc) - _FAMILIES[desc.name].center(*desc.args)
 
 
 # --- raw table builders ----------------------------------------------------------
@@ -205,8 +221,8 @@ _FAMILIES = {
     "dicyclic": _Family("one integer >= 2", _ints(2), lambda k: 4 * k,
                         lambda k: 2, _dicyclic_table, lambda: [zip(count(1))]),
     "heisenberg": _Family(
-        "integers (p, k) with p prime and k >= 1",
-        lambda args: _ints(2, 1)(args) and is_prime(args[0]),
+        f"integers (p, k) with p prime, p < {PRIME_TEST_LIMIT} and k >= 1",
+        lambda args: _ints(2, 1)(args) and args[0] < PRIME_TEST_LIMIT and is_prime(args[0]),
         lambda p, k: p ** (2 * k + 1), lambda p, k: p, _heisenberg_table,
         lambda: (((p, k) for k in count(1)) for p in count(2))),
     "product": _Family(
@@ -243,14 +259,16 @@ def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     """Build a family group from a descriptor string or tree.
 
     The raw table goes through the same full validation as any imported
-    table, associativity included, and the centre size is cross-checked
-    against the closed form for the family.
+    table, associativity included, and the order and centre size are
+    cross-checked against the family's closed forms, so the group's graph
+    has ``descriptor_vertex_count`` vertices.
     """
     desc = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
     raw = _build_raw(desc, max_order)
     g = validate(raw, descriptor=str(desc))
-    expected = _FAMILIES[desc.name].center(*desc.args)
-    if len(center(g)) != expected:
-        raise InternalInconsistency(f"{desc}: centre size {len(center(g))} does not "
-                                    f"match the family's closed form {expected}")
+    row = _FAMILIES[desc.name]
+    expected = (row.order(*desc.args), row.center(*desc.args))
+    if (g.order, len(center(g))) != expected:
+        raise InternalInconsistency(f"{desc}: order and centre size {g.order, len(center(g))} "
+                                    f"do not match the family's closed forms {expected}")
     return g

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
-from ncgraph import canon, catalog
+from ncgraph import canon, catalog, descriptors
 from ncgraph.cayley import is_prime
 
 # sha256 of each default-scan class as [members, equal-orders verdict], in
@@ -422,6 +424,45 @@ class TestScan:
         report = ng.scan_pairs(SMALL)
         assert any(c.pair_audits for c in report.classes)
         assert sorted(built) == sorted(e.descriptor for e in report.entries)
+
+    @pytest.mark.parametrize("walk", [ng.scan_pairs, ng.enumerate_catalog])
+    def test_walk_holds_one_vertex_count_at_a_time(self, walk, monkeypatch):
+        # with the cycle collector off, reference counting alone must have
+        # freed every group of a smaller vertex count by the time the first
+        # group of the next count is built
+        built = []   # (vertex count, weak reference) of each group constructed
+        real_construct = catalog.construct
+
+        def recording(descriptor, *args, **kwargs):
+            g = real_construct(descriptor, *args, **kwargs)
+            n = g.order - len(ng.center(g))
+            if built and n != built[-1][0]:
+                held = [str(ref()) for m, ref in built if m < n and ref() is not None]
+                assert not held, f"{descriptor} ({n} vertices) built while {held} live"
+            built.append((n, weakref.ref(g)))
+            return g
+
+        monkeypatch.setattr(catalog, "construct", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            walk(ng.CatalogConfig())
+        finally:
+            gc.enable()
+        counts = [n for n, _ in built]
+        assert len(counts) == 110 and counts == sorted(counts) and len(set(counts)) > 20
+
+    @pytest.mark.parametrize("form", ["order", "center"])
+    def test_wrong_closed_form_raises_instead_of_splitting_a_class(self, form,
+                                                                  monkeypatch):
+        # the vertex count a descriptor is filed under comes from these forms
+        row = descriptors._FAMILIES["dihedral"]
+        wrong = row._replace(**{form: lambda k: getattr(row, form)(k) + 1})
+        monkeypatch.setitem(descriptors._FAMILIES, "dihedral", wrong)
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"dihedral\(3\): order and centre size \(6, 1\) do not "
+                                 "match the family's closed forms"):
+            ng.scan_pairs(SMALL)
 
     def test_small_scan(self):
         report = ng.scan_pairs(SMALL)

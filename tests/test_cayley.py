@@ -1,9 +1,14 @@
+import gc
+import math
+import time
+import weakref
+
 import numpy as np
 import pytest
 
 import ncgraph as ng
 from ncgraph import cayley
-from ncgraph.cayley import is_prime
+from ncgraph.cayley import PRIME_TEST_LIMIT, is_prime
 
 # A 5x5 loop: Latin square with identity 0 that fails associativity at
 # (1*1)*2 = 0*2 = 2 versus 1*(1*2) = 1*3 = 4.
@@ -315,6 +320,27 @@ class TestStructure:
         with pytest.raises(ng.NotASubgroup, match="set is not closed: 1 \\* 1 escapes it"):
             ng.induced_group(d4, bad)
 
+    def test_induced_group_rejects_a_set_of_another_table(self):
+        d4, d4_again = ng.construct("dihedral(4)"), ng.construct("dihedral(4)")
+        with pytest.raises(ng.NotASubgroup, match="belongs to a different table"):
+            ng.induced_group(d4, ng.center(d4_again))
+
+    def test_memoised_sets_leave_their_table_free(self):
+        # the centre, the central series and the Sylow factors are memoised
+        # on the table and name it as their parent; reference counting alone
+        # must still free the table
+        g = ng.construct("dihedral(4)")
+        assert ng.center(g).parent() is g
+        ng.upper_central_series(g)
+        ng.sylow_decomposition(g)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_is_ac_group(self):
         assert ng.is_ac_group(ng.construct("dihedral(4)"))
         assert ng.is_ac_group(ng.construct("dihedral(8)"))
@@ -519,6 +545,26 @@ class TestProductsAndSylow:
     def test_is_prime(self):
         assert [p for p in range(-2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert is_prime(1_000_003) and not is_prime(1_000_001)
+
+    def test_is_prime_agrees_with_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+        assert all(is_prime(p) == trial(p) for p in range(20_000))
+
+    def test_is_prime_answers_large_inputs_at_once(self):
+        start = time.perf_counter()
+        assert is_prime(2 ** 61 - 1)
+        # a strong pseudoprime to the bases 2, 3, 5 and 7, a prime square,
+        # and the least strong pseudoprime to every prime base up to 37
+        assert not is_prime(3215031751)
+        assert not is_prime((2 ** 31 - 1) ** 2)
+        assert not is_prime(318665857834031151167461)
+        assert time.perf_counter() - start < 1.0
+
+    def test_is_prime_refuses_past_its_exact_range(self):
+        with pytest.raises(ValueError, match="past the exact prime test's limit"):
+            is_prime(PRIME_TEST_LIMIT)
 
     def test_sylow_cyclic_12(self):
         factors = ng.sylow_decomposition(ng.construct("cyclic(12)"))

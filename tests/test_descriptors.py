@@ -4,6 +4,7 @@ import pytest
 import ncgraph as ng
 from ncgraph import descriptors
 from ncgraph.cayley import product_table
+from ncgraph.descriptors import MAX_NESTING
 
 # Frozen from independent models: dihedral(3) from composing the six
 # symmetries of a triangle as corner permutations; dicyclic(2) from unit
@@ -37,6 +38,11 @@ HEISENBERG_2_1 = [
     [6, 7, 5, 4, 2, 3, 1, 0],
     [7, 6, 4, 5, 3, 2, 0, 1],
 ]
+
+
+def nested(levels):
+    """A descriptor ``levels`` deep: cyclic(1) inside levels - 1 products."""
+    return "product(" * (levels - 1) + "cyclic(1)" + ",cyclic(2))" * (levels - 1)
 
 
 class TestParsing:
@@ -86,6 +92,34 @@ class TestParsing:
         with pytest.raises(ng.BadDescriptor) as exc:
             ng.parse_descriptor("frobnicate(3)")
         assert "frobnicate" in str(exc.value)
+
+    def test_heisenberg_takes_large_primes_up_to_the_exact_test(self):
+        assert ng.parse_descriptor("heisenberg(2305843009213693951,1)").args == (2 ** 61 - 1, 1)
+        # a Mersenne prime past the range where the prime test is exact
+        with pytest.raises(ng.BadDescriptor, match="p < 3317044064679887385961981"):
+            ng.parse_descriptor(f"heisenberg({2 ** 89 - 1},1)")
+
+    def test_descriptor_at_the_nesting_limit(self):
+        text = nested(MAX_NESTING)
+        d = ng.parse_descriptor(text)
+        assert str(d) == text
+        assert ng.descriptor_order(d) == 2 ** (MAX_NESTING - 1)
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1200])
+    def test_descriptor_past_the_nesting_limit(self, levels):
+        # the name at nesting level MAX_NESTING + 1 follows MAX_NESTING "product("
+        with pytest.raises(ng.BadDescriptor, match=f"nesting deeper than {MAX_NESTING} "
+                                                   f"levels at position {8 * MAX_NESTING} "):
+            ng.parse_descriptor(nested(levels))
+
+    def test_invalid_trees_cannot_be_built(self):
+        d = ng.parse_descriptor(nested(MAX_NESTING))
+        with pytest.raises(ng.BadDescriptor, match="past the limit"):
+            ng.GroupDescriptor("product", (d, ng.GroupDescriptor("cyclic", (2,))))
+        with pytest.raises(ng.BadDescriptor, match="dihedral needs one integer >= 3"):
+            ng.GroupDescriptor("dihedral", (2,))
+        with pytest.raises(ng.BadDescriptor, match="unknown family 'frobnicate'"):
+            ng.GroupDescriptor("frobnicate", (3,))
 
     def test_descriptor_order_matches_construction(self):
         for text in ("dihedral(7)", "dicyclic(5)", "heisenberg(3,2)",
