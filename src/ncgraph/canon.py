@@ -19,17 +19,19 @@ The pipeline:
 3. Canonically label the final quotient by individualization-refinement:
    equitable refinement of the colour partition, branching on the first
    smallest non-singleton cell, keeping the lexicographically least leaf
-   encoding.  Refinement splits cells by neighbour counts into splitter
-   cells taken from a queue: every cell at the root, and below it only the
-   cell of the vertex just individualized, since the cells around it were
-   equitable.  A split cell queues all its pieces if it was still waiting,
-   and otherwise all but its first largest piece (Hopcroft's rule).  Each
-   leaf is compared with the first leaf and the best leaf found so far, and
-   with no other.  An equal encoding yields an automorphism, which is
-   verified and stored; the search then jumps back to the node where the
-   current path leaves that leaf's path, and at every node skips the
-   children in the orbit of an explored child under the stored
-   automorphisms that fix the node's base pointwise.
+   encoding.  A cell is the bitmask of its vertices, and each node hands
+   its refined cells to its children.  Refinement splits cells by neighbour
+   counts into splitter cells taken from a queue: every cell at the root,
+   and below it only the cell of the vertex just individualized, since the
+   cells around it were equitable.  A split cell queues all its pieces if
+   it was still waiting, and otherwise all but its first largest piece
+   (Hopcroft's rule).  Each leaf is compared with the first leaf and the
+   best leaf found so far, and with no other.  An equal encoding yields an
+   automorphism, which is verified and stored; the search then jumps back
+   to the node where the current path leaves that leaf's path.  Every node
+   grows its own orbits, folding in each newly stored automorphism that
+   fixes its base pointwise, and skips the children in the orbit of an
+   explored child.
 4. Expand the winning quotient order to a full-graph vertex order, each
    quotient vertex recursively into its class members (members ascending at
    every level), and emit the adjacency matrix under that order as the
@@ -49,8 +51,8 @@ leaves are images, under a verified automorphism, of leaves in a subtree
 already explored.
 
 Every step reads the graph's boolean adjacency matrix, the one form an
-``NcGraph`` holds; only the refinement in step 3 packs bitmask rows, once
-per search from the final quotient, and intersects those.
+``NcGraph`` holds; only step 3 packs bitmask rows, once per search from the
+final quotient, and splits its cells with ``&`` on them.
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ class TwinClass:
 
 
 def _rows(mat) -> list:
-    """Each row of a boolean matrix packed to bytes, as a hashable key."""
-    return list(map(bytes, np.packbits(mat, axis=1)))
+    """Each row of a boolean matrix as a hashable key: a slice of one packed buffer."""
+    packed = np.packbits(mat, axis=1)
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [buf[i * width:(i + 1) * width] for i in range(len(packed))]
 
 
 def _twin_classes(mat, colors) -> list:
@@ -172,40 +176,35 @@ class _QuotientSearch:
 
     def run(self):
         by_color = {}
-        for v in range(self.n):
-            by_color.setdefault(self.colors[v], []).append(v)
-        cells = [tuple(by_color[c]) for c in sorted(by_color)]
+        for v, color in enumerate(self.colors):
+            by_color[color] = by_color.get(color, 0) | 1 << v
+        cells, pos = [0] * self.n, 0
+        for color in sorted(by_color):
+            cells[pos] = by_color[color]
+            pos += cells[pos].bit_count()
         self._search(cells, ())
         return self.best[1]
 
-    def _refine(self, cells, queue=None):
+    def _refine(self, cell_at, queue=None):
         """Equitable refinement driven by a queue of splitter cells.
 
-        ``queue`` holds the start positions of the cells to split by, first
-        in first out; None queues every cell, as at the root.  A splitter
-        splits each cell by neighbour count into it, the pieces taking the
-        cell's place in increasing count order.  If the split cell was
-        still waiting, every piece waits; otherwise every piece but the
-        first largest one is queued (Hopcroft's rule: counts into that
-        piece are counts into the old cell minus counts into the others).
-        The queue and the cells are walked by position only, so the result
-        does not depend on the labeling.  A one-vertex splitter, the usual
-        kind below the root, splits a cell by one ``&`` of the cell's
-        bitmask with the vertex's row.
+        ``cell_at[t]`` is the bitmask of the cell starting at position t,
+        else 0; it is refined in place and returned.  ``queue`` holds the
+        starts of the cells to split by, first in first out; None queues
+        every cell, as at the root.  A splitter splits each cell by neighbour
+        count into it, the pieces taking the cell's place in increasing count
+        order.  If the split cell was still waiting, every piece waits;
+        otherwise every piece but the first largest one is queued (Hopcroft's
+        rule: counts into that piece are counts into the old cell minus
+        counts into the others).  Cells and queue are walked by position
+        only, so the result does not depend on the labeling.  Bit i of every
+        count is one bitmask ``planes[i]``, summed from the splitter's rows
+        with ``^`` and ``&``; a cell splits by ``&`` with each plane, top down.
         """
-        n = self.n
-        cell_at = [None] * n  # each cell at its start position
-        mask_at = [0] * n  # its vertex bitmask, or 0 until needed
-        waiting = [False] * n
-        open_starts = []  # starts of the cells with two or more vertices
-        pos = 0
-        for cell in cells:
-            cell_at[pos] = cell
-            if len(cell) > 1:
-                open_starts.append(pos)
-            pos += len(cell)
+        waiting = [False] * self.n
+        open_starts = [t for t, m in enumerate(cell_at) if m & (m - 1)]  # 2+ vertices
         if queue is None:
-            queue = [s for s in range(n) if cell_at[s]]
+            queue = [s for s, mask in enumerate(cell_at) if mask]
         for s in queue:
             waiting[s] = True
         queue = deque(queue)
@@ -213,45 +212,41 @@ class _QuotientSearch:
         while queue and open_starts:
             s = queue.popleft()
             waiting[s] = False
-            splitter = cell_at[s]
-            row = adj[splitter[0]] if len(splitter) == 1 else None
-            smask = sum(1 << v for v in splitter)
+            planes = []
+            for v in _members(cell_at[s]):
+                carry = adj[v]
+                for i, plane in enumerate(planes):
+                    planes[i], carry = plane ^ carry, plane & carry
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            planes.reverse()
             still_open = []
             for t in open_starts:
-                cell = cell_at[t]
-                if row is not None:  # counts are 0 or 1: compare masks
-                    mask = mask_at[t] or sum(1 << v for v in cell)
-                    hit = mask & row
-                    if not hit or hit == mask:
-                        mask_at[t] = mask
-                        still_open.append(t)
-                        continue
-                    pieces = [tuple(v for v in cell if not hit >> v & 1),
-                              tuple(v for v in cell if hit >> v & 1)]
-                    masks = [mask ^ hit, hit]
-                else:
-                    groups = {}
-                    for v in cell:
-                        groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                    if len(groups) == 1:
-                        still_open.append(t)
-                        continue
-                    pieces = [tuple(groups[count]) for count in sorted(groups)]
-                    masks = [0] * len(pieces)
+                mask = cell_at[t]
+                for k, plane in enumerate(planes):
+                    if (hit := mask & plane) and hit != mask:
+                        break
+                else:  # every plane is constant on the cell
+                    still_open.append(t)
+                    continue
+                pieces = [mask]
+                for plane in planes[k:]:
+                    pieces = [p for q in pieces for p in (q & ~plane, q & plane) if p]
                 # a waiting cell's entry now stands for its first piece
-                sizes = [len(p) for p in pieces]
+                sizes = [piece.bit_count() for piece in pieces]
                 skip = 0 if waiting[t] else sizes.index(max(sizes))
-                for k, (piece, mask) in enumerate(zip(pieces, masks)):
+                for k, (piece, size) in enumerate(zip(pieces, sizes)):
                     cell_at[t] = piece
-                    mask_at[t] = mask
                     if k != skip:
                         queue.append(t)
                         waiting[t] = True
-                    if len(piece) > 1:
+                    if size > 1:
                         still_open.append(t)
-                    t += len(piece)
+                    t += size
             open_starts = still_open
-        return [c for c in cell_at if c]
+        return cell_at
 
     def _search(self, cells, base, queue=None):
         """Explore the subtree below the individualized sequence ``base``,
@@ -261,36 +256,33 @@ class _QuotientSearch:
         equivalent to the first or the best leaf, else None.
         """
         cells = self._refine(cells, queue)
-        if all(len(c) == 1 for c in cells):
-            return self._leaf(tuple(c[0] for c in cells), base)
-        size = min(len(c) for c in cells if len(c) > 1)
-        ti = next(i for i, c in enumerate(cells) if len(c) == size)
-        target = cells[ti]
-        start = sum(len(c) for c in cells[:ti])
-        depth = len(base)
+        targets = [(m.bit_count(), t) for t, m in enumerate(cells) if m & (m - 1)]
+        if not targets:
+            return self._leaf(tuple(m.bit_length() - 1 for m in cells), base)
+        start = min(targets)[1]  # the first smallest non-singleton cell
+        target = cells[start]
         explored = []
-        orbits, known = None, -1
-        for v in target:
+        roots, folded = np.arange(self.n), 0  # this node's orbits, and the auts in them
+        for v in _members(target):
             if explored:
-                if known != len(self.auts):
-                    orbits, known = self._orbits(base), len(self.auts)
-                if orbits[v] in {orbits[u] for u in explored}:
+                roots, folded = self._grow_orbits(roots, folded, base)
+                if roots[v] in {roots[u] for u in explored}:
                     continue
-            rest = tuple(u for u in target if u != v)
             # the cells were equitable, so only (v,) can split them
-            jump = self._search(cells[:ti] + [(v,), rest] + cells[ti + 1:], base + (v,),
-                                [start])
+            child = cells.copy()
+            child[start], child[start + 1] = 1 << v, target ^ 1 << v
+            jump = self._search(child, base + (v,), [start])
             explored.append(v)
-            if jump is not None and jump < depth:
+            if jump is not None and jump < len(base):
                 return jump
         return None
 
-    def _orbits(self, base):
-        """Least member of each vertex's orbit under the stored automorphisms
-        that fix every vertex of ``base``."""
-        base = list(base)
-        auts = np.array(self.auts, dtype=np.intp).reshape(-1, self.n)
-        return _orbit_roots(auts[(auts[:, base] == base).all(axis=1)]).tolist()
+    def _grow_orbits(self, roots, folded, base):
+        """Orbit ``roots`` joined with the stored automorphisms after the first
+        ``folded`` that fix ``base`` pointwise, and how many are folded in now."""
+        fixing = [g for g in self.auts[folded:] if all(g[b] == b for b in base)]
+        grown = _orbit_roots(np.array(fixing, dtype=np.intp), roots) if fixing else roots
+        return grown, len(self.auts)
 
     def _leaf(self, pi, path):
         enc = self._encode(pi)
@@ -300,11 +292,9 @@ class _QuotientSearch:
         for ref_enc, ref_pi, ref_path in (self.first, self.best):
             if enc != ref_enc:
                 continue
-            gamma = [0] * self.n
-            for k in range(self.n):
-                gamma[ref_pi[k]] = pi[k]
+            gamma = tuple(v for _, v in sorted(zip(ref_pi, pi)))  # ref_pi[k] -> pi[k]
             self._verify_automorphism(gamma)
-            self.auts.append(tuple(gamma))
+            self.auts.append(gamma)
             # two distinct leaves' paths differ before either one ends
             return next(i for i, (x, y) in enumerate(zip(path, ref_path)) if x != y)
         if enc < self.best[0]:
@@ -330,6 +320,17 @@ class _QuotientSearch:
     def _encode(self, pi):
         head = b"".join(self.color_codes[v] for v in pi)
         return head + _upper_bits(self.mat, pi)
+
+
+_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+
+
+def _members(mask: int) -> list:
+    """The set bits of a non-empty bitmask, ascending, a byte at a time."""
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1]
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
 def _upper_bits(mat, order) -> bytes:
@@ -397,7 +398,6 @@ class Isomorphism:
                 f"adjacency not preserved at vertex {i}",
                 witness=(i, int(np.argmax(bad[i]))),
             )
-
 
 
 def find_isomorphism(a: NcGraph, b: NcGraph):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -395,9 +396,33 @@ class TestSearchOracles:
         for gamma in ((1, 0, 2, 3), (0, 1, 3, 2)):
             search._verify_automorphism(gamma)
             search.auts.append(gamma)
-        assert search._orbits((0,)) == [0, 1, 2, 2]
-        assert search._orbits((2,)) == [0, 0, 2, 3]
-        assert search._orbits(()) == [0, 0, 2, 2]
+
+        def orbits(base):
+            roots, folded = search._grow_orbits(np.arange(4), 0, base)
+            assert folded == 2
+            return roots.tolist()
+
+        assert orbits((0,)) == [0, 1, 2, 2]
+        assert orbits((2,)) == [0, 0, 2, 3]
+        assert orbits(()) == [0, 0, 2, 2]
+
+    def test_orbits_grown_in_steps_match_orbits_from_scratch(self):
+        # a node folds in only the automorphisms stored since it last looked;
+        # on six isolated vertices, below the base (5,) the 3-cycle and the
+        # transposition merge {0, 1, 2} and {3, 4}, while (4 5) is left out
+        search = canon._QuotientSearch(unpack_masks((0,) * 6), (b"a",) * 6)
+        steps = [(1, 2, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4), (0, 1, 2, 4, 3, 5)]
+        roots, folded = np.arange(6), 0
+        for k, gamma in enumerate(steps, 1):
+            search._verify_automorphism(gamma)
+            search.auts.append(gamma)
+            roots, folded = search._grow_orbits(roots, folded, (5,))
+            scratch, _ = search._grow_orbits(np.arange(6), 0, (5,))
+            assert folded == k
+            assert roots.tolist() == scratch.tolist()
+        assert roots.tolist() == [0, 0, 0, 3, 3, 5]
+        # nothing new: the roots come back as they were
+        assert search._grow_orbits(roots, folded, (5,))[0] is roots
 
     def test_verify_automorphism_matches_the_loop(self):
         rng = np.random.default_rng(67)
@@ -455,10 +480,58 @@ def old_refine(adj, cells):
             return cells
 
 
+def queue_refine(adj, cells, queue):
+    """The splitter-queue refinement on vertex tuples, counting each vertex's
+    neighbours in the splitter one by one: the refined cells, in order."""
+    n = len(adj)
+    cell_at, waiting = [None] * n, [False] * n
+    pos = 0
+    for cell in cells:
+        cell_at[pos] = cell
+        pos += len(cell)
+    queue = deque([s for s in range(n) if cell_at[s]] if queue is None else queue)
+    for s in queue:
+        waiting[s] = True
+    while queue:
+        s = queue.popleft()
+        waiting[s] = False
+        smask = sum(1 << v for v in cell_at[s])
+        for t in [t for t in range(n) if cell_at[t] and len(cell_at[t]) > 1]:
+            groups = {}
+            for v in cell_at[t]:
+                groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                continue
+            pieces = [tuple(groups[count]) for count in sorted(groups)]
+            sizes = [len(piece) for piece in pieces]
+            skip = 0 if waiting[t] else sizes.index(max(sizes))
+            for k, piece in enumerate(pieces):
+                cell_at[t] = piece
+                if k != skip:
+                    queue.append(t)
+                    waiting[t] = True
+                t += len(piece)
+    return [c for c in cell_at if c]
+
+
+def positional(cells, n):
+    """Cells as _refine takes and returns them: each cell's bitmask at the
+    position where it starts, 0 elsewhere."""
+    masks, pos = [0] * n, 0
+    for cell in cells:
+        masks[pos] = sum(1 << v for v in cell)
+        pos += len(cell)
+    return masks
+
+
 def assert_equitable_and_agrees(search, cells, queue):
     """Refine by the queue; the result must be the restart loop's set
-    partition, and every cell must have uniform counts into every cell."""
-    got = search._refine(cells, queue)
+    partition and, cell for cell in order, the tuple-and-count queue's, and
+    every cell must have uniform counts into every cell."""
+    refined = search._refine(positional(cells, search.n), queue)
+    got = [tuple(iter_bits(mask)) for mask in refined if mask]
+    assert positional(got, search.n) == refined
+    assert got == queue_refine(search.adj, cells, queue)
     assert sorted(v for c in got for v in c) == list(range(search.n))
     assert sorted(map(sorted, got)) == sorted(map(sorted, old_refine(search.adj, cells)))
     for splitter in got:
@@ -496,6 +569,13 @@ class TestRefineOracle:
         rng = np.random.default_rng(71)
         for k in range(200):
             adj, colors = random_quotient(rng, 1 + k % 40)
+            assert_refinements_agree(unpack_masks(adj), colors)
+
+    def test_masks_wider_than_a_machine_word(self):
+        # 65-130 vertices: cell masks and count planes span several words
+        rng = np.random.default_rng(73)
+        for n in range(65, 131, 5):
+            adj, colors = random_quotient(rng, n)
             assert_refinements_agree(unpack_masks(adj), colors)
 
 
@@ -718,6 +798,50 @@ def test_bare_family_certificates_are_pinned():
             digest.update(ng.certificate(ng.relabeled(graph, perm)))
     assert canon.CERT_VERSION == 3
     assert digest.hexdigest() == PINNED_FAMILY_DIGEST
+
+
+def test_graphs_of_at_most_two_vertices_have_fixed_certificates():
+    # built directly: no group has a non-commuting graph this small
+    empty, point, pair = (to_ncgraph(np.zeros((n, n), dtype=bool)) for n in range(3))
+    edge = to_ncgraph(~np.eye(2, dtype=bool))
+    assert ng.certificate(empty) == b"\0\0\0\0"
+    assert ng.certificate(point) == b"\0\0\0\1"
+    assert ng.certificate(pair) == b"\0\0\0\2\0"
+    assert ng.certificate(edge) == b"\0\0\0\2\x80"
+    assert [ng.canonical_order(g) for g in (empty, point, pair, edge)] == [
+        (), (0,), (0, 1), (0, 1)]
+
+
+def search_counts(graph, monkeypatch):
+    """(refinements, leaves, stored automorphisms) of one canonical
+    labeling of the graph's final twin quotient."""
+    calls = {"_refine": 0, "_leaf": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(canon._QuotientSearch, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            m.setattr(canon._QuotientSearch, name, counted)
+        qmat, colors, _ = canon._contract_to_fixpoint(graph.matrix)
+        search = canon._QuotientSearch(qmat, colors)
+        search.run()
+    return calls["_refine"], calls["_leaf"], len(search.auts)
+
+
+# Search counters of the natural labeling and of one seeded relabeling: a
+# change that only makes nodes cheaper must visit the same nodes.
+@pytest.mark.parametrize("name, natural, relabeled", [
+    ("heisenberg(2,2)", (20, 7, 6), (17, 6, 5)),
+    ("product(dihedral(3),dihedral(3))", (21, 6, 5), (21, 6, 5)),
+    ("heisenberg(3,2)", (36, 9, 8), (31, 8, 7)),
+    ("heisenberg(2,3)", (49, 13, 12), (40, 11, 10)),
+    ("heisenberg(2,4)", (99, 21, 20), (65, 15, 14)),
+])
+def test_search_counters_are_pinned(name, natural, relabeled, monkeypatch):
+    graph = ng.build_nc_graph(ng.construct(name))
+    perm = np.random.default_rng(7).permutation(graph.num_vertices)
+    assert search_counts(graph, monkeypatch) == natural
+    assert search_counts(ng.relabeled(graph, perm), monkeypatch) == relabeled
 
 
 def test_heisenberg_2_4_relabelings_share_one_certificate():
