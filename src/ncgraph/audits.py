@@ -68,10 +68,10 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 class Record:
     """Base of the report dataclasses: ``to_dict`` is the JSON form of the
-    fields in declaration order, leaving out fields declared ``repr=False``."""
+    fields in declaration order."""
 
     def to_dict(self):
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.repr}
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def _plain(value):

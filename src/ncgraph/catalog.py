@@ -9,18 +9,20 @@ certificates must mean equal orders.  Isomorphic graphs have equal vertex
 counts, so the catalog is walked one vertex count at a time, and only that
 count's groups are held.
 
-Certificates may come from an on-disk ``CertificateCache``.  A hit is
-trusted only once its stored canonical order realises its bytes on the
-entry's graph, and it then seeds the graph's canonical form, so pair
-searches compose stored orders and a warm scan labels no catalog graph.
-Every enumeration then recomputes a cached certificate that fails the
-reversed-labeling spot check or that splits a degree profile; either is a
-logged reject, and its file is rewritten.  No reject raises out of a scan.
+Certificates may come from an on-disk ``CertificateCache`` of canonical
+orders.  A hit rebuilds its certificate on the entry's graph and seeds the
+graph's canonical form, so a warm scan labels no catalog graph.  An entry
+keeps only its certificate's sha256; the bytes stay with the graph, where
+each pair of a class is proved.  Every enumeration recomputes a cached
+certificate that fails the reversed-labeling spot check or that splits a
+degree profile; either is a logged reject, and its file is rewritten.  No
+reject raises out of a scan.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -28,7 +30,7 @@ import os
 import re
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -133,21 +135,18 @@ class CertificateCache:
 
     One file per descriptor string and certificate version, written via a
     temp file and an atomic rename.  A file is one frame: magic, certificate
-    version, vertex count n, the canonical order (n big-endian uint32), the
-    certificate, and a sha256 of all that.  ``get`` trusts a frame only once
-    its digest, magic, version and n match and its order, a permutation,
-    realises the certificate on the graph: the graph's matrix under that
-    order is the certificate's matrix, the O(n^2) step certificates end
-    with.  A file that fails a check is a reject: it is logged on the
-    ``ncgraph`` logger, and the caller recomputes and rewrites it.
+    version, vertex count n, the canonical order (n big-endian uint32), and
+    a sha256 of all that.  ``get`` trusts a frame once its digest, magic,
+    version, n and length match and its order is a permutation; the
+    certificate is the graph's matrix in that order.  A file that fails a
+    check is a reject: it is logged on the ``ncgraph`` logger, and the
+    caller recomputes and rewrites it.
 
-    The limit of the guarantee: realisation does not prove that the bytes
-    are the canonical ones.  A forged, well-framed file whose order realises
-    its bytes can at most change the digest of an entry with a unique degree
-    profile.  It cannot merge two classes, since equal bytes realised on two
-    graphs define an isomorphism (and ``Isomorphism`` re-checks every edge),
-    and the catalog enumeration recomputes every cached certificate that
-    splits a degree profile, so it cannot split one either.
+    A forged, well-framed permutation that is not canonical can at most
+    change the digest of an entry with a unique degree profile.  It cannot
+    merge two classes, since equal bytes on two graphs define an isomorphism
+    (``Isomorphism`` re-checks every edge), and the enumeration recomputes
+    every cached certificate that splits a degree profile.
     """
 
     def __init__(self, directory: str):
@@ -160,8 +159,8 @@ class CertificateCache:
         return os.path.join(self.directory, digest + ".cert")
 
     def get(self, descriptor: str, graph: NcGraph):
-        """The stored (canonical order, certificate) of ``graph``, proved on
-        it; None if no file is stored or the stored one is rejected."""
+        """The stored canonical order of ``graph`` and the certificate it
+        gives there; None if no file is stored or the stored one is rejected."""
         try:
             with open(self._path(descriptor), "rb") as fh:
                 frame = fh.read()
@@ -173,9 +172,9 @@ class CertificateCache:
             return None
         return form
 
-    def put(self, descriptor: str, order, cert: bytes) -> None:
+    def put(self, descriptor: str, order) -> None:
         body = (_MAGIC + CERT_VERSION.to_bytes(4, "big") + len(order).to_bytes(4, "big")
-                + np.asarray(order, dtype=">u4").tobytes() + cert)
+                + np.asarray(order, dtype=">u4").tobytes())
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -197,7 +196,7 @@ _DIGEST = 32
 
 
 def _read_frame(frame: bytes, graph: NcGraph):
-    """(order, certificate) from a frame proved on ``graph``, or the reason
+    """(order, certificate) from a frame's order on ``graph``, or the reason
     the frame is rejected."""
     body, digest = frame[:-_DIGEST], frame[-_DIGEST:]
     if len(body) < _HEAD or hashlib.sha256(body).digest() != digest:
@@ -209,15 +208,12 @@ def _read_frame(frame: bytes, graph: NcGraph):
         return f"certificate version {version}, not {CERT_VERSION}"
     if n != graph.num_vertices:
         return f"{n} vertices, the graph has {graph.num_vertices}"
-    if len(body) < _HEAD + 4 * n:
+    if len(body) != _HEAD + 4 * n:
         return "bad frame length"
-    order = np.frombuffer(body, dtype=">u4", count=n, offset=_HEAD)
+    order = np.frombuffer(body, dtype=">u4", offset=_HEAD)
     if not np.array_equal(np.sort(order), np.arange(n)):
         return "order is not a permutation"
-    form = _certified(graph, tuple(order.tolist()))
-    if body[_HEAD + 4 * n:] != form[1]:
-        return "order does not realise the certificate"
-    return form
+    return _certified(graph, tuple(order.tolist()))
 
 
 def _family_instances(request: str, max_order: int) -> list:
@@ -263,8 +259,7 @@ def _cofactor_descriptors(max_cofactor: int) -> list:
 
 @dataclass(frozen=True)
 class CatalogEntry(Record):
-    """Everything the scan needs to know about one group, recomputable from
-    the descriptor alone; the certificate bytes ride along in memory."""
+    """What the scan needs to know about one group, recomputable from its descriptor."""
 
     descriptor: str
     order: int
@@ -278,8 +273,7 @@ class CatalogEntry(Record):
     ac: bool
     nonabelian_sylow_count: object
     nonabelian_sylow_prime: object
-    certificate: bytes = field(repr=False, compare=False)
-    certificate_sha256: str = ""
+    certificate_sha256: str
 
 
 def _rle(values) -> tuple:
@@ -303,7 +297,7 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
     else:
         cert = certificate(graph)
         if cache is not None:
-            cache.put(key, canonical_order(graph), cert)
+            cache.put(key, canonical_order(graph))
     nilp, nclass = is_nilpotent(g)
     if nilp:
         na_factors = _nonabelian_sylow_factors(g)
@@ -326,7 +320,6 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
         ac=is_ac_group(g),
         nonabelian_sylow_count=na_count,
         nonabelian_sylow_prime=na_prime,
-        certificate=cert,
         certificate_sha256=hashlib.sha256(cert).hexdigest(),
     ), form is not None
 
@@ -404,21 +397,21 @@ def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) ->
         entry = entries[i]
         graph = build_nc_graph(groups[entry.descriptor])
         graph._memo.pop(_canon.key, None)
-        cert = certificate(graph)
-        if cert != entry.certificate:
+        digest = hashlib.sha256(certificate(graph)).hexdigest()
+        if digest != entry.certificate_sha256:
             cache.reject(entry.descriptor, reason)
-            cache.put(entry.descriptor, canonical_order(graph), cert)
-            entries[i] = replace(entry, certificate=cert,
-                                 certificate_sha256=hashlib.sha256(cert).hexdigest())
+            cache.put(entry.descriptor, canonical_order(graph))
+            entries[i] = replace(entry, certificate_sha256=digest)
 
     checked = []
     for idx in [i for i, e in enumerate(entries) if e.descriptor in sample]:
         entry = entries[idx]
         graph = build_nc_graph(groups[entry.descriptor])
-        fresh = certificate(relabeled(graph, range(graph.num_vertices - 1, -1, -1)))
-        if fresh != entry.certificate and cached[idx]:
+        backwards = relabeled(graph, range(graph.num_vertices - 1, -1, -1))
+        fresh = hashlib.sha256(certificate(backwards)).hexdigest()
+        if fresh != entry.certificate_sha256 and cached[idx]:
             recompute(idx, "differs from the reversed-labeling spot check")
-        if fresh != entries[idx].certificate:
+        if fresh != entries[idx].certificate_sha256:
             raise InternalInconsistency(
                 f"certificate of {entry.descriptor} differs from a fresh "
                 f"recomputation on the reversed labeling"
@@ -429,7 +422,7 @@ def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) ->
     for i, entry in enumerate(entries):
         by_profile.setdefault(entry.degree_profile, []).append(i)
     for idxs in by_profile.values():
-        if len({entries[i].certificate for i in idxs}) > 1:
+        if len({entries[i].certificate_sha256 for i in idxs}) > 1:
             for i in idxs:
                 if cached[i]:
                     recompute(i, "splits entries of one degree profile")
@@ -462,7 +455,7 @@ class IsoClass(Record):
 
 @dataclass(frozen=True)
 class ScanReport(Record):
-    """Full scan output; to_json() is deterministic byte-for-byte."""
+    """Full scan output; write(fp) streams to_json()'s deterministic text."""
 
     config: CatalogConfig
     entries: tuple
@@ -483,8 +476,14 @@ class ScanReport(Record):
             **body,
         }
 
+    def write(self, fp) -> None:
+        json.dump(self.to_dict(), fp, indent=2)
+        fp.write("\n")
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        out = io.StringIO()
+        self.write(out)
+        return out.getvalue()
 
 
 def scan_pairs(config: CatalogConfig = None) -> ScanReport:
@@ -528,9 +527,9 @@ def _audit_classes(groups: dict, entries: list) -> list:
     vertex count and are sorted by descriptor; ``groups`` holds their groups."""
     by_cert = {}
     for entry in entries:
-        by_cert.setdefault(entry.certificate, []).append(entry)
+        by_cert.setdefault(entry.certificate_sha256, []).append(entry)
     classes = []
-    for members in by_cert.values():
+    for digest, members in by_cert.items():
         names = tuple(e.descriptor for e in members)
         orders = tuple(e.order for e in members)
         all_nilpotent = all(e.nilpotent for e in members)
@@ -564,7 +563,7 @@ def _audit_classes(groups: dict, entries: list) -> list:
             else:
                 sp_audits.append(sp)
         classes.append(IsoClass(
-            certificate_sha256=members[0].certificate_sha256,
+            certificate_sha256=digest,
             members=names,
             orders=orders,
             all_nilpotent=all_nilpotent,

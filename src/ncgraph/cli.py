@@ -77,14 +77,13 @@ def _cmd_scan(args) -> int:
     else:
         config = CatalogConfig()
     report = scan_pairs(config)
-    text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(text)
+            report.write(fh)
         print(f"wrote report ({report.violations} violations, "
               f"{len(report.classes)} classes) to {args.report}")
     else:
-        sys.stdout.write(text)
+        report.write(sys.stdout)
     return 2 if report.violations else 0
 
 

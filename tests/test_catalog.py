@@ -3,7 +3,7 @@ import hashlib
 import json
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -210,19 +210,24 @@ PLANTED_REASONS = {
     "truncation": "bad digest",
     "other-version": "certificate version 2, not 3",
     "other-graph": "24 vertices, the graph has 14",
-    "long-certificate": "order does not realise the certificate",
+    "trailing-byte": "bad frame length",
     "short-order": "bad frame length",
+    "certificate-after-order": "bad frame length",
     "natural-order": "splits entries of one degree profile",
 }
 
 
-def frame(order, cert, version=canon.CERT_VERSION):
-    """A cache file as CertificateCache writes it: magic, version, n, the
-    order as big-endian uint32, the certificate, then a sha256 of all that."""
-    n = len(order)
-    body = (b"NCGC" + version.to_bytes(4, "big") + n.to_bytes(4, "big")
-            + np.asarray(order, dtype=">u4").tobytes() + cert)
+def framed(body):
+    """``body`` followed by its sha256, as every cache file ends."""
     return body + hashlib.sha256(body).digest()
+
+
+def frame(order, version=canon.CERT_VERSION):
+    """A cache file as CertificateCache writes it: magic, version, n, the
+    order as big-endian uint32, then a sha256 of all that."""
+    n = len(order)
+    return framed(b"NCGC" + version.to_bytes(4, "big") + n.to_bytes(4, "big")
+                  + np.asarray(order, dtype=">u4").tobytes())
 
 
 def realised_form(descriptor, reverse=False):
@@ -234,13 +239,23 @@ def realised_form(descriptor, reverse=False):
 
 
 def flip_last_bit(body):
-    """A frame without its digest, with the last adjacency bit of its
-    certificate flipped (the bits are zero-padded to whole bytes)."""
-    n = int.from_bytes(body[8:12], "big")
-    last = n * (n - 1) // 2 - 1
+    """A frame without its digest, with the lowest bit of its order's last
+    vertex flipped: the order then names a vertex twice, or one past n - 1."""
     out = bytearray(body)
-    out[12 + 4 * n + 4 + last // 8] ^= 0x80 >> last % 8
+    out[-1] ^= 1
     return bytes(out)
+
+
+def held_values(value):
+    """Every scalar that the records in ``value`` hold, at any depth."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from held_values(getattr(value, f.name))
+    elif isinstance(value, (tuple, list, dict)):
+        for v in (value.values() if isinstance(value, dict) else value):
+            yield from held_values(v)
+    else:
+        yield value
 
 
 def rejects(caplog):
@@ -254,11 +269,22 @@ class TestCache:
         graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
         assert cache.get("dihedral(4)", graph) is None
         form = (ng.canonical_order(graph), ng.certificate(graph))
-        cache.put("dihedral(4)", *form)
+        cache.put("dihedral(4)", form[0])
         (path,) = tmp_path.glob("*.cert")
-        assert path.read_bytes() == frame(*form)
+        assert path.read_bytes() == frame(form[0])
         fresh = ng.build_nc_graph(ng.construct("dihedral(4)"))
         assert cache.get("dihedral(4)", fresh) == form
+
+    def test_each_certificate_is_held_once(self, tmp_path):
+        # the bytes stay with the graphs: the report holds their sha256
+        # and a cache file only the canonical order, n big-endian uint32
+        report = ng.scan_pairs(ng.CatalogConfig(cache_dir=str(tmp_path)))
+        assert not any(isinstance(v, bytes) for v in held_values(report))
+        cache = ng.CertificateCache(str(tmp_path))
+        for e in report.entries:
+            n = e.order - e.center_size
+            assert Path(cache._path(e.descriptor)).stat().st_size == 12 + 4 * n + 32
+        assert len(list(tmp_path.glob("*.cert"))) == len(report.entries) == 110
 
     def test_scan_with_cache_is_stable(self, tmp_path):
         cfg = ng.CatalogConfig(families=("dihedral(3..6)", "dicyclic(2..3)"),
@@ -275,7 +301,7 @@ class TestCache:
                                max_order=32, cofactor_max=1,
                                cache_dir=str(tmp_path))
         cold = ng.scan_pairs(cfg).to_json()
-        certs = {e.descriptor: e.certificate
+        certs = {e.descriptor: e.certificate_sha256
                  for e in ng.enumerate_catalog(replace(cfg, cache_dir=None))}
         names = sorted(certs)
         graphs = {name: ng.build_nc_graph(ng.construct(name)) for name in names}
@@ -298,7 +324,8 @@ class TestCache:
         assert ng.scan_pairs(cfg).to_json() == cold
         assert len(list(tmp_path.glob("*.cert"))) == 3 * len(names)
         assert all(p.read_bytes() == b"stale" for p in stale)
-        assert all(cache.get(name, graphs[name])[1] == certs[name] for name in names)
+        assert all(hashlib.sha256(cache.get(name, graphs[name])[1]).hexdigest() == certs[name]
+                   for name in names)
 
     @pytest.mark.parametrize("plant", list(PLANTED_REASONS))
     def test_planted_cache_file_is_rejected_and_rewritten(self, tmp_path, caplog, plant):
@@ -313,23 +340,25 @@ class TestCache:
             planted = stored[:len(stored) // 2]
         elif plant == "other-version":
             graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
-            planted = frame(ng.canonical_order(graph), ng.certificate(graph), version=2)
+            planted = frame(ng.canonical_order(graph), version=2)
         elif plant == "other-graph":
-            planted = frame(*realised_form("heisenberg(3,1)"))
-        elif plant == "long-certificate":
-            order, cert = realised_form("dihedral(8)")
-            planted = frame(order, cert + b"\x00")
+            planted = frame(realised_form("heisenberg(3,1)")[0])
+        elif plant == "trailing-byte":
+            planted = framed(stored[:-32] + b"\x00")
         elif plant == "short-order":
             # a head that claims 14 vertices, then room for 13 of them
-            body = (b"NCGC" + canon.CERT_VERSION.to_bytes(4, "big")
-                    + (14).to_bytes(4, "big") + bytes(4 * 13))
-            planted = body + hashlib.sha256(body).digest()
+            planted = framed(b"NCGC" + canon.CERT_VERSION.to_bytes(4, "big")
+                             + (14).to_bytes(4, "big") + bytes(4 * 13))
+        elif plant == "certificate-after-order":
+            # the earlier layout: the order, then the certificate it realises
+            graph = ng.build_nc_graph(ng.construct("dihedral(8)"))
+            planted = framed(stored[:-32] + ng.certificate(graph))
         else:
-            # the order realises its bytes, so only the profile guard can
-            # tell that they are not canonical: dicyclic(4) has the same graph
+            # a permutation, so only the profile guard can tell that its
+            # bytes are not canonical: dicyclic(4) has the same graph
             order, cert = realised_form("dihedral(8)")
             assert cert != ng.certificate(ng.build_nc_graph(ng.construct("dicyclic(4)")))
-            planted = frame(order, cert)
+            planted = frame(order)
         path.write_bytes(planted)
         with caplog.at_level("WARNING", logger="ncgraph"):
             report = ng.scan_pairs(cfg)
@@ -347,7 +376,7 @@ class TestCache:
         cfg = replace(PLANT, cache_dir=str(tmp_path))
         cold = ng.enumerate_catalog(cfg)
         path = Path(ng.CertificateCache(str(tmp_path))._path("dihedral(8)"))
-        path.write_bytes(frame(*realised_form("dihedral(8)")))
+        path.write_bytes(frame(realised_form("dihedral(8)")[0]))
         with caplog.at_level("WARNING", logger="ncgraph"):
             warm = ng.enumerate_catalog(cfg)
         assert [e.certificate_sha256 for e in warm] == [e.certificate_sha256 for e in cold]
@@ -362,7 +391,7 @@ class TestCache:
         cache = ng.CertificateCache(str(tmp_path))
         order, cert = realised_form("dihedral(9)", reverse=True)
         assert cert != ng.certificate(ng.build_nc_graph(ng.construct("dihedral(9)")))
-        Path(cache._path("dihedral(9)")).write_bytes(frame(order, cert))
+        Path(cache._path("dihedral(9)")).write_bytes(frame(order))
         with caplog.at_level("WARNING", logger="ncgraph"):
             assert ng.scan_pairs(cfg).to_json() == cold
         (record,) = rejects(caplog)
@@ -398,17 +427,16 @@ class TestCache:
             assert ng.scan_pairs(cfg).to_json() == cold
         assert len(runs) == 3
         assert rejects(caplog) == []
-        # a flipped last certificate bit with a digest made to match: the
-        # frame is well formed, but its order no longer realises its bytes
+        # a flipped order bit with a digest made to match: the frame is well
+        # formed, but its order is no longer a permutation
         path = Path(ng.CertificateCache(str(tmp_path))._path("dihedral(8)"))
-        body = flip_last_bit(path.read_bytes()[:-32])
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        path.write_bytes(framed(flip_last_bit(path.read_bytes()[:-32])))
         with caplog.at_level("WARNING", logger="ncgraph"):
             report = ng.scan_pairs(cfg)
         assert (len(report.classes), report.violations) == (61, 0)
         assert report.to_json() == cold
         (record,) = rejects(caplog)
-        assert "order does not realise the certificate" in record.getMessage()
+        assert "order is not a permutation" in record.getMessage()
 
 
 class TestScan:

@@ -160,6 +160,20 @@ class TestScan:
         assert data["class_count"] == 1
         assert data["classes"][0]["members"] == ["dicyclic(2)", "dihedral(4)"]
 
+    def test_scan_streams_the_report_bytes(self, capsys, tmp_path):
+        cfg = {"families": ["dihedral(3..6)", "dicyclic(2..3)"],
+               "max_order": 32, "cofactor_max": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        report = ng.scan_pairs(ng.CatalogConfig.from_dict(cfg))
+        expected = report.to_json()
+        assert expected == json.dumps(report.to_dict(), indent=2) + "\n"
+        report_path = tmp_path / "report.json"
+        run(capsys, "scan", "--config", str(cfg_path), "--report", str(report_path))
+        assert report_path.read_bytes() == expected.encode()
+        code, stdout, _ = run(capsys, "scan", "--config", str(cfg_path))
+        assert (code, stdout) == (0, expected)
+
     def test_scan_bad_config_key(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"max_order": 16, "bogus": True}))

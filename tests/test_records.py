@@ -47,7 +47,7 @@ def test_every_record_type_is_covered(records):
 def test_keys_are_the_shown_fields_in_order(records):
     for record in records:
         d = record.to_dict()
-        assert list(d) == [f.name for f in fields(record) if f.repr]
+        assert list(d) == [f.name for f in fields(record)]
         assert json.loads(json.dumps(d)) == d
 
 
