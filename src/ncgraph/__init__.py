@@ -67,7 +67,6 @@ from .audits import (
     CentralizerWitness,
     CrossPrimeScan,
     PairAudit,
-    PrimePowerSplit,
     SamePrimeAudit,
     TwoSylowAudit,
     audit_isomorphic_pair,
@@ -75,7 +74,6 @@ from .audits import (
     cross_prime_scan,
     large_centralizer_witness,
     same_prime_audit,
-    split_one_nonabelian_sylow,
     two_nonabelian_sylow_audit,
 )
 from .repunits import (
@@ -129,8 +127,8 @@ __all__ = [
     # audits
     "AuditItem", "PairAudit", "audit_isomorphic_pair",
     "CentralizerChain", "centralizer_chain",
-    "CentralizerWitness", "large_centralizer_witness", "PrimePowerSplit",
-    "split_one_nonabelian_sylow", "SamePrimeAudit", "same_prime_audit",
+    "CentralizerWitness", "large_centralizer_witness",
+    "SamePrimeAudit", "same_prime_audit",
     "TwoSylowAudit", "two_nonabelian_sylow_audit", "CrossPrimeScan",
     "cross_prime_scan",
     # repunits

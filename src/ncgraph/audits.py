@@ -4,9 +4,8 @@ Both sides of each identity come from each group's own commuting matrix (read
 through ``centralizer_data``, which is computed from that matrix and nothing
 else) -- never from the other group or from the graph -- so the audits double
 as an independent oracle on the group and graph modules.  All arithmetic is
-exact integers; a failed identity on genuinely verified inputs is treated as
-an internal bug (InternalInconsistency), because each identity is a proved
-statement about such inputs.
+exact integers; a failed identity is recorded as a ``violation`` verdict,
+which the catalog scan counts and the command line turns into exit status 2.
 """
 
 from __future__ import annotations
@@ -104,16 +103,6 @@ def _verdict(items) -> tuple:
     return "consistent", None
 
 
-def _raise_on_violation(items, context: str):
-    verdict, witness = _verdict(items)
-    if verdict == "violation":
-        failed = [i.name for i in items if i.passed is False]
-        raise InternalInconsistency(
-            f"{context}: identities {failed} failed on verified inputs",
-            witness=witness,
-        )
-
-
 # --- pair audit -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -159,8 +148,8 @@ def _divisibility_rows(na, za, zb, elems_a, ca, cb) -> tuple:
     return tuple(zip(elems_a.tolist(), cb.tolist(), dividend.tolist(), ok))
 
 
-def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
-                          *, strict: bool = True) -> PairAudit:
+def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable,
+                          phi: Isomorphism) -> PairAudit:
     """Evaluate the per-vertex identities that any graph isomorphism between
     non-commuting graphs must satisfy.
 
@@ -181,9 +170,7 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
 
     The per-vertex quantities are gathered from each group's
     ``centralizer_data`` through the bijection; every witness is the first
-    failing vertex in source order.  With strict=True (default) a failed item
-    raises InternalInconsistency, since on verified inputs every item is a
-    proven identity.
+    failing vertex in source order.
     """
     _check_graph_fit(g_a, phi.source, "source")
     _check_graph_fit(g_b, phi.target, "target")
@@ -269,7 +256,7 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
     items.append(AuditItem("divisibility", div_ok, None, None, witness=div_witness))
 
     verdict, witness = _verdict(items)
-    audit = PairAudit(
+    return PairAudit(
         descriptor_a=g_a.descriptor,
         descriptor_b=g_b.descriptor,
         order_a=na, order_b=nb, center_a=za, center_b=zb,
@@ -281,9 +268,6 @@ def audit_isomorphic_pair(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
         verdict=verdict,
         witness=witness,
     )
-    if strict:
-        _raise_on_violation(items, f"pair audit {g_a.descriptor} / {g_b.descriptor}")
-    return audit
 
 
 # --- centralizer chains -----------------------------------------------------------
@@ -397,18 +381,6 @@ def large_centralizer_witness(g: CayleyTable):
 
 # --- same-prime shape audit ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimePowerSplit:
-    """G = P x A with P the unique non-abelian Sylow p-part and A abelian."""
-
-    prime: int
-    order_exp: int      # |P| = prime ** order_exp
-    center_exp: int     # |Z(P)| = prime ** center_exp
-    cofactor: int       # |A|
-    class_exps: tuple   # ascending e with some class of size prime ** e
-    p_part: CayleyTable
-
-
 def _nonabelian_sylow_shape(g: CayleyTable, k: int) -> list:
     """The non-abelian Sylow factors of ``g``, which must be nilpotent with
     exactly ``k`` (1 or 2) of them."""
@@ -423,8 +395,10 @@ def _nonabelian_sylow_shape(g: CayleyTable, k: int) -> list:
     return factors
 
 
-def split_one_nonabelian_sylow(g: CayleyTable) -> PrimePowerSplit:
-    """Decompose a nilpotent group with exactly one non-abelian Sylow factor."""
+def _prime_power_split(g: CayleyTable) -> tuple:
+    """Split G = P x A, P its one non-abelian Sylow p-part and A abelian, into
+    (p, n, r, |A|, class exponents): |P| = p^n, |Z(P)| = p^r, and the
+    ascending e with some conjugacy class of size p^e."""
     factor, = _nonabelian_sylow_shape(g, 1)
     p = factor.prime
 
@@ -440,7 +414,7 @@ def split_one_nonabelian_sylow(g: CayleyTable) -> PrimePowerSplit:
     cofactor = g.order // p_part.order
     exps = {exponent(len(cls), f"{g.descriptor}: class size {len(cls)} is not a power of {p}")
             for cls in conjugacy_classes(g) if len(cls) > 1}
-    return PrimePowerSplit(p, n, r, cofactor, tuple(sorted(exps)), p_part)
+    return p, n, r, cofactor, tuple(sorted(exps))
 
 
 @dataclass(frozen=True)
@@ -461,8 +435,8 @@ class SamePrimeAudit(Record):
     witness: object
 
 
-def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
-                     *, strict: bool = True) -> SamePrimeAudit:
+def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable,
+                     phi: Isomorphism) -> SamePrimeAudit:
     """Audit the shape where both groups are (non-abelian p-group) x (abelian)
     for one shared prime p and both graphs are irregular.
 
@@ -485,17 +459,10 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
     _check_graph_fit(g_b, phi.target, "target")
     if phi.source.is_regular or phi.target.is_regular:
         raise RegularGraph("this audit requires both graphs irregular")
-    split_a = split_one_nonabelian_sylow(g_a)
-    split_b = split_one_nonabelian_sylow(g_b)
-    if split_a.prime != split_b.prime:
-        raise PrimeMismatch(
-            f"non-abelian Sylow primes differ: {split_a.prime} vs {split_b.prime}"
-        )
-    p = split_a.prime
-    n, r, size_a, a_exps = (split_a.order_exp, split_a.center_exp,
-                            split_a.cofactor, split_a.class_exps)
-    m, s, size_b, b_exps = (split_b.order_exp, split_b.center_exp,
-                            split_b.cofactor, split_b.class_exps)
+    p, n, r, size_a, a_exps = _prime_power_split(g_a)
+    q, m, s, size_b, b_exps = _prime_power_split(g_b)
+    if p != q:
+        raise PrimeMismatch(f"non-abelian Sylow primes differ: {p} vs {q}")
     if len(a_exps) < 2 or len(b_exps) < 2:
         raise RegularGraph("irregular graphs need at least two distinct class sizes")
     items = []
@@ -556,16 +523,13 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable, phi: Isomorphism,
         items.append(AuditItem("p_part_orders_equal", n == m, n, m))
 
     verdict, witness = _verdict(items)
-    audit = SamePrimeAudit(
+    return SamePrimeAudit(
         prime=p,
         order_exp_a=n, center_exp_a=r, order_exp_b=m, center_exp_b=s,
         cofactor_a=size_a, cofactor_b=size_b,
         class_exps_a=a_exps, class_exps_b=b_exps,
         items=tuple(items), verdict=verdict, witness=witness,
     )
-    if strict:
-        _raise_on_violation(items, f"same-prime audit {g_a.descriptor} / {g_b.descriptor}")
-    return audit
 
 
 # --- two non-abelian Sylow factors ----------------------------------------------------
@@ -595,7 +559,7 @@ def _abelian_centralizer_element(q: CayleyTable):
     return _first((data.sizes < q.order) & data.abelian)
 
 
-def two_nonabelian_sylow_audit(h: CayleyTable, *, strict: bool = True) -> TwoSylowAudit:
+def two_nonabelian_sylow_audit(h: CayleyTable) -> TwoSylowAudit:
     """Audit a nilpotent group H = Q1 x Q2 x B with exactly two non-abelian
     Sylow factors Q1, Q2 (primes ascending) and abelian remainder B.
 
@@ -663,7 +627,7 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, strict: bool = True) -> TwoSyl
         valuations.append((item.name, "rhs", _valuation(item.rhs, p)))
 
     verdict, witness = _verdict(items)
-    audit = TwoSylowAudit(
+    return TwoSylowAudit(
         descriptor=h.descriptor,
         prime_1=nonabelian[0].prime, prime_2=nonabelian[1].prime,
         order_q1=q1.order, order_q2=q2.order, cofactor=cofactor,
@@ -671,9 +635,6 @@ def two_nonabelian_sylow_audit(h: CayleyTable, *, strict: bool = True) -> TwoSyl
         items=tuple(items), valuations=tuple(valuations),
         valuation_prime=p, verdict=verdict, witness=witness,
     )
-    if strict:
-        _raise_on_violation(items, f"two-Sylow audit {h.descriptor}")
-    return audit
 
 
 # --- cross-prime parameter scan ---------------------------------------------------------

@@ -372,19 +372,18 @@ def _enumerate(config: CatalogConfig, audit=None) -> tuple:
     by_count = {}
     for desc in descriptors:
         by_count.setdefault(descriptor_vertex_count(desc), []).append(desc)
-    entries, checked, classes = [], [], []
+    entries, classes = [], []
     for n in sorted(by_count):
         got = _enumerate_count(by_count[n], config.max_order, cache, sample, audit)
         entries += got[0]
-        checked += got[1]
-        classes += got[2]
-    return sorted(entries, key=lambda e: e.descriptor), sorted(checked), classes
+        classes += got[1]
+    return sorted(entries, key=lambda e: e.descriptor), sorted(sample), classes
 
 
 def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) -> tuple:
-    """(entries, spot-checked descriptors, classes) for the descriptors of
-    one vertex count, guarded and audited as in ``_enumerate``; the groups
-    built here die with the call."""
+    """(entries, classes) for the descriptors of one vertex count, guarded
+    and audited as in ``_enumerate``; the groups built here die with the
+    call."""
     built = [_build_entry(desc, max_order, cache) for desc in descriptors]
     groups = {entry.descriptor: g for g, entry, _ in built}
     entries = [entry for _, entry, _ in built]
@@ -403,7 +402,6 @@ def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) ->
             cache.put(entry.descriptor, canonical_order(graph))
             entries[i] = replace(entry, certificate_sha256=digest)
 
-    checked = []
     for idx in [i for i, e in enumerate(entries) if e.descriptor in sample]:
         entry = entries[idx]
         graph = build_nc_graph(groups[entry.descriptor])
@@ -416,7 +414,6 @@ def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) ->
                 f"certificate of {entry.descriptor} differs from a fresh "
                 f"recomputation on the reversed labeling"
             )
-        checked.append(entry.descriptor)
 
     by_profile = {}
     for i, entry in enumerate(entries):
@@ -426,7 +423,7 @@ def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) ->
             for i in idxs:
                 if cached[i]:
                     recompute(i, "splits entries of one degree profile")
-    return entries, checked, audit(groups, entries) if audit else []
+    return entries, audit(groups, entries) if audit else []
 
 
 def enumerate_catalog(config: CatalogConfig = None) -> list:
@@ -549,7 +546,7 @@ def _audit_classes(groups: dict, entries: list) -> list:
                     f"equal certificates but no isomorphism found: "
                     f"{ea.descriptor} vs {eb.descriptor}"
                 )
-            pair_audits.append(audit_isomorphic_pair(ga, gb, phi, strict=False))
+            pair_audits.append(audit_isomorphic_pair(ga, gb, phi))
             qualifies = (
                 ea.nilpotent and eb.nilpotent
                 and not ea.regular and not eb.regular
@@ -579,7 +576,7 @@ def _audit_classes(groups: dict, entries: list) -> list:
 def _same_prime(g_a, g_b, phi) -> tuple:
     """(the same-prime audit, None), or (None, why the pair's shape was skipped)."""
     try:
-        return same_prime_audit(g_a, g_b, phi, strict=False), None
+        return same_prime_audit(g_a, g_b, phi), None
     except (WrongShape, RegularGraph, PrimeMismatch) as exc:
         return None, str(exc)
 
@@ -615,7 +612,7 @@ def audit_pair_files(path_a: str, path_b: str) -> dict:
         result["reason"] = {"invariant": "canonical certificate"}
         return result
     result["isomorphic"] = True
-    audit = audit_isomorphic_pair(g_a, g_b, phi, strict=False)
+    audit = audit_isomorphic_pair(g_a, g_b, phi)
     result["pair_audit"] = audit.to_dict()
     sp, reason = _same_prime(g_a, g_b, phi)
     result["same_prime_audit"] = sp.to_dict() if sp is not None else None

@@ -365,18 +365,23 @@ def center(g: CayleyTable) -> ElementSet:
     return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]))
 
 
+def _element_index(g: CayleyTable, x) -> int:
+    """x as an element index of g: an int or numpy integer in 0..|G|-1, and
+    not a bool."""
+    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+            or not 0 <= x < g.order):
+        raise IndexOutOfRange(f"element index {x!r} is not an integer in 0..{g.order - 1}")
+    return int(x)
+
+
 def centralizer(g: CayleyTable, x: int) -> ElementSet:
     """All elements commuting with x."""
-    if not 0 <= x < g.order:
-        raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
-    mask = g.commuting[x]
+    mask = g.commuting[_element_index(g, x)]
     return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]))
 
 
 def centralizer_size(g: CayleyTable, x: int) -> int:
-    if not 0 <= x < g.order:
-        raise IndexOutOfRange(f"element index {x} outside 0..{g.order - 1}")
-    return int(centralizer_data(g).sizes[x])
+    return int(centralizer_data(g).sizes[_element_index(g, x)])
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,17 @@ class TestStructure:
             with pytest.raises(ng.IndexOutOfRange):
                 ng.centralizer_size(d4, x)
 
+    def test_centralizer_index_must_be_a_non_bool_integer(self):
+        # True is not element 1, and a float is not an index, even a whole one
+        d4 = ng.construct("dihedral(4)")
+        for x in (True, np.bool_(True), 2.0, 2.5, "1", None, -1, d4.order):
+            with pytest.raises(ng.IndexOutOfRange):
+                ng.centralizer(d4, x)
+            with pytest.raises(ng.IndexOutOfRange):
+                ng.centralizer_size(d4, x)
+        assert ng.centralizer(d4, np.int64(2)).members == ng.centralizer(d4, 2).members
+        assert ng.centralizer_size(d4, np.int64(2)) == ng.centralizer_size(d4, 2)
+
     def test_conjugacy_classes_dihedral_8(self):
         d4 = ng.construct("dihedral(4)")
         assert sorted(len(c) for c in ng.conjugacy_classes(d4)) == [1, 1, 2, 2, 2]

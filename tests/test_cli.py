@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -226,3 +227,37 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["goormaghtigh", "--max-base", "twelve", "--max-exp", "5"])
         assert exc.value.code == 1
+
+
+class TestViolationExitCode:
+    """A violation reaches the user only as an audit's verdict: both commands
+    that run the pair audit exit 2 on one."""
+
+    @pytest.fixture
+    def violating_pair_audit(self, monkeypatch):
+        audit = ng.catalog.audit_isomorphic_pair
+
+        def violating(*args):
+            return dataclasses.replace(audit(*args), verdict="violation")
+
+        monkeypatch.setattr(ng.catalog, "audit_isomorphic_pair", violating)
+
+    def test_audit_exits_2(self, capsys, tmp_path, violating_pair_audit):
+        a, b = tmp_path / "a.cay", tmp_path / "b.cay"
+        ng.export_group(ng.construct("dihedral(8)"), str(a))
+        ng.export_group(ng.construct("dicyclic(4)"), str(b))
+        code, stdout, _ = run(capsys, "audit", "--a", str(a), "--b", str(b))
+        assert code == 2
+        result = json.loads(stdout)
+        assert result["pair_audit"]["verdict"] == "violation"
+        assert result["violation"] is True
+
+    def test_scan_exits_2(self, capsys, tmp_path, violating_pair_audit):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"families": ["dihedral(8)", "dicyclic(4)"], "max_order": 16,
+             "cofactor_max": 1}))
+        code, stdout, _ = run(capsys, "scan", "--config", str(cfg_path))
+        assert code == 2
+        assert '"violations": 1' in stdout
+        assert json.loads(stdout)["violations"] == 1

@@ -1,6 +1,7 @@
 """The package's runtime dependency stays numpy only, with no hidden caches,
-one way to hold a derived form, no dead private names and no export that
-nothing outside the tests uses."""
+one way to hold a derived form, no dead private names, no export that
+nothing outside the tests uses and no option that every caller sets the same
+way."""
 
 import ast
 import re
@@ -167,3 +168,68 @@ def test_every_export_has_a_caller():
     uncalled = sorted(name for name in ncgraph.__all__
                       if not name.startswith("__") and name not in used | readme)
     assert not uncalled, f"exported but never used outside the tests: {uncalled}"
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, default) for every parameter with a default of
+    every function a module defines, methods and nested functions included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            yield from ((node.name, arg.arg, d) for arg, d in zip(defaulted, args.defaults))
+            yield from ((node.name, arg.arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None)
+
+
+def positional_parameters(tree):
+    """(function, positional parameter names without self/cls) per definition."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = (a.arg for a in node.args.posonlyargs + node.args.args)
+            yield node.name, tuple(n for n in names if n not in ("self", "cls"))
+
+
+def passed_arguments(tree, signatures):
+    """(function, parameter, argument) for every argument a call passes by
+    keyword, or by position to a function name defined once with one
+    signature.  A call is matched to a definition by name alone."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name is None:
+            continue
+        yield from ((name, kw.arg, kw.value) for kw in node.keywords if kw.arg is not None)
+        if len(signatures.get(name, ())) == 1:
+            (params,) = signatures[name]
+            yield from ((name, p, v) for p, v in zip(params, node.args)
+                        if not isinstance(v, ast.Starred))
+
+
+def constant(node):
+    """A literal's type and value, so that True and 1 differ; None otherwise."""
+    return (type(node.value), node.value) if isinstance(node, ast.Constant) else None
+
+
+def test_no_option_that_every_caller_sets_the_same_way():
+    # a defaulted parameter that every call site in the package sets to one
+    # constant, not its default, is an option with one value in use: the
+    # other behaviour lives on only for the tests
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    defaults, signatures, passed = {}, {}, {}
+    for tree in trees:
+        for func, param, default in defaulted_parameters(tree):
+            defaults.setdefault((func, param), set()).add(constant(default))
+        for func, params in positional_parameters(tree):
+            signatures.setdefault(func, set()).add(params)
+    for tree in trees:
+        for func, param, value in passed_arguments(tree, signatures):
+            if (func, param) in defaults:
+                passed.setdefault((func, param), set()).add(constant(value))
+    knobs = sorted(f"{func}.{param}" for (func, param), values in passed.items()
+                   if None not in values and len(values) == 1
+                   and values != defaults[(func, param)])
+    assert not knobs, f"every call site sets these to the same non-default constant: {knobs}"
