@@ -11,6 +11,7 @@ which the catalog scan counts and the command line turns into exit status 2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -322,7 +323,9 @@ def centralizer_chain(g: CayleyTable, picker=None) -> CentralizerChain:
                 "non-abelian centralizer"
             )
         x = candidates[0] if picker is None else picker(current, candidates)
-        if x not in candidates:
+        # True == 1 and 1.0 == 1, so membership alone lets them through
+        if (isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Integral)
+                or x not in candidates):
             raise ValueError("picker returned a non-candidate element")
         nxt = induced_group(current, centralizer(current, x))
         if nxt.order >= current.order:

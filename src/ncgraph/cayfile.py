@@ -10,14 +10,17 @@ longer token is a ``CayParseError`` naming its line and entry.
 
 The rows are parsed by one numpy kernel over the bytes of the text, a block
 of about ``_BLOCK_BYTES`` of text at a time, straight into an n-by-n int64
-table.  Per block, a 256-entry byte-class table gives the digit and
-whitespace masks, token boundaries come from neighbouring mask bytes,
-per-row token counts from ``searchsorted`` against the newline positions,
-and values from one pass per digit position.  Working in blocks keeps every
-temporary a small multiple of one block: masks over the whole text, or an
-int64 array per byte, would cost several times the table itself.  When a
-block fails a check, a walk over its rows raises the error of the first bad
-row; the walk never builds a table.
+table.  Per block, ``bytes.translate`` checks the alphabet (ASCII digits
+and whitespace); one digit mask over the space-padded block marks each
+token's last digit; ``searchsorted`` of those ends against the newlines
+gives the token count at each row end; and the digits are gathered right
+to left, one pass per position, under a mask of the tokens still live,
+until no token has a digit left.  A token still live at its 19th digit
+fails the block.  Blocks are 128 KiB because the temporaries, a few bytes
+per byte of text, then stay in the cache; 1 MiB blocks made several MB of
+them per block, on fresh pages.  When a block fails a check, a walk over
+its rows raises the error of the first bad row; the walk never builds a
+table.
 
 Import runs the full validator, as construction does, so a .cay file from
 any source cannot smuggle in a non-group.
@@ -33,16 +36,13 @@ from .cayley import CayleyTable, _cleared_on_error, validate
 from .errors import CayParseError, InternalInconsistency
 
 # Text per kernel block, in bytes; every temporary scales with it.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 17
 # 10**18 - 1 is the widest digit string below 2**63.
 _MAX_DIGITS = 18
-
-# byte classes: 0 is neither, 1 an ASCII character str.split() separates
-# on, 2 a decimal digit
-_SPACE, _DIGIT = 1, 2
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _SPACE
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+# the bytes a row block may hold: what str.split() separates on, and digits
+_ALPHABET = bytes(c for c in range(128) if chr(c).isspace() or chr(c).isdigit())
+# read before a block's first token, so every digit read stays in the array
+_PAD = b" " * _MAX_DIGITS
 
 
 def format_group(g: CayleyTable) -> str:
@@ -103,34 +103,34 @@ def _parse_block(rows, first: int, n: int, out: np.ndarray) -> None:
         buf = "\n".join(rows).encode("ascii")
     except UnicodeEncodeError:
         raise _block_error(rows, first, n) from None
-    b = np.frombuffer(buf, dtype=np.uint8)
-    cls = _BYTE_CLASS.take(b)
-    if not cls.all():
+    if buf.translate(None, _ALPHABET):
         raise _block_error(rows, first, n)
-    # edges[k] is +1 where a token starts at byte k, -1 where one ends
-    digit = (cls == _DIGIT).view(np.int8)
-    edges = np.diff(digit, prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
+    # every byte is a digit or whitespace, and whitespace sorts below "0"
+    b = np.frombuffer(_PAD + buf + b" ", dtype=np.uint8)
+    text = b[_MAX_DIGITS:]
+    digit = text >= ord("0")
+    # the offset of each token's last digit
+    ends = np.flatnonzero(digit[:-1] > digit[1:])
     # tokens before each newline, so the running count at each row end
-    per_row = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
-    if starts.size != out.size or np.any(per_row != np.arange(1, len(rows)) * n):
+    per_row = np.searchsorted(ends, np.flatnonzero(text == ord("\n")), side="right")
+    if ends.size != out.size or np.any(per_row != np.arange(1, len(rows)) * n):
         raise _block_error(rows, first, n)
-    widths = ends - starts
-    width = int(widths.max())
-    if width > _MAX_DIGITS:
-        raise _block_error(rows, first, n)
-    widths = widths.astype(np.uint8)
-    # digit k from the right of every token at once; the byte read for a
-    # token narrower than k + 1 is not its own, so it is zeroed.  The zero
-    # pad keeps the reads of the first token inside the buffer.
-    padded = np.concatenate([np.full(width, ord("0"), dtype=np.uint8), b])
+    # digit k from the right of every token at once; a token whose byte
+    # there is not a digit has run out of digits, and its later reads,
+    # which belong to the token before it or the pad, are zeroed
+    d = text.take(ends)
+    live = np.ones(ends.size, dtype=bool)
     out[:] = 0
-    for k in range(width):
-        d = padded[width - 1 - k:].take(ends)   # b[ends - 1 - k]
+    for k in range(_MAX_DIGITS + 1):
+        live &= d >= ord("0")
+        if not live.any():
+            return
+        if k == _MAX_DIGITS:
+            raise _block_error(rows, first, n)
         d -= np.uint8(ord("0"))
-        d[widths <= k] = 0
+        d *= live
         out += np.multiply(d, 10**k, dtype=np.int64)
+        b[_MAX_DIGITS - k - 1:].take(ends, out=d)
 
 
 def parse_group(text: str, descriptor: str = None) -> CayleyTable:

@@ -291,6 +291,21 @@ class TestCentralizerChain:
         with pytest.raises(ValueError):
             ng.centralizer_chain(g, picker=lambda grp, candidates: -1)
 
+    @pytest.mark.parametrize("choice", [True, np.True_, 1.0, np.float64(1)],
+                             ids=["True", "np.True_", "1.0", "np.float64"])
+    def test_picker_must_return_an_integer(self, choice):
+        # element 1 is a candidate, and True, 1.0 and 1 compare equal
+        g = ng.construct("product(dihedral(4),dihedral(4))")
+        with pytest.raises(ValueError):
+            ng.centralizer_chain(g, picker=lambda grp, candidates: choice)
+
+    def test_picker_may_return_a_numpy_integer(self):
+        g = ng.construct("product(dihedral(4),dihedral(4))")
+        chain = ng.centralizer_chain(g, picker=lambda grp, cands: np.int64(cands[-1]))
+        plain = ng.centralizer_chain(g, picker=lambda grp, cands: cands[-1])
+        assert chain.chosen == plain.chosen and chain.orders == plain.orders
+        assert all(type(x) is int for x in chain.chosen)
+
     def test_deterministic_default(self):
         g = ng.construct("heisenberg(3,2)")
         a = ng.centralizer_chain(g)

@@ -267,6 +267,59 @@ class TestKernelOracle:
         bad = mutate(text, kind, row, np.random.default_rng(row))
         self.assert_same_error(raw_parse, bad)
 
+    @staticmethod
+    def wide_token_text(n, layout):
+        """An order-n text whose tokens run through every width from 1 to
+        18 digits, leading zeros included, in the given layout."""
+        rng = np.random.default_rng(n)
+        rows = [" ".join("".join(map(str, rng.integers(10, size=(i * n + j) % 18 + 1)))
+                         for j in range(n)) for i in range(n)]
+        return "\n".join([str(n), *map(LAYOUTS.get(layout, str), rows)]) + "\n"
+
+    @staticmethod
+    def blocks(text):
+        """(first, last) table row of each kernel block of ``text``."""
+        out, first, size = [], 0, 0
+        rows = text.splitlines()[1:]
+        for i, row in enumerate(rows):
+            size += len(row) + 1
+            if size >= cayfile._BLOCK_BYTES or i == len(rows) - 1:
+                out.append((first, i))
+                first, size = i + 1, 0
+        return out
+
+    # 150 rows of about 1.6 kB make two default blocks; 12 rows of about
+    # 130 bytes make blocks of two rows at 256 bytes
+    @pytest.mark.parametrize("block_bytes, n", [(None, 150), (256, 12)])
+    @pytest.mark.parametrize("layout", ["format_group", *LAYOUTS])
+    def test_tokens_of_every_width_in_one_block(self, raw_parse, monkeypatch,
+                                                block_bytes, n, layout):
+        if block_bytes:
+            monkeypatch.setattr(cayfile, "_BLOCK_BYTES", block_bytes)
+        text = self.wide_token_text(n, layout)
+        blocks = self.blocks(text)
+        assert len(blocks) >= 2
+        first, last = blocks[1]
+        widths = {len(tok) for row in text.splitlines()[first + 1:last + 2]
+                  for tok in row.split()}
+        assert widths == set(range(1, 19))
+        self.assert_same_parse(raw_parse, text)
+        # a 19-digit token as the first, a middle and the last token of
+        # the second block
+        for row, j in ((first, 0), ((first + last) // 2, n // 2), (last, n - 1)):
+            for tok in ("0" * 10 + "9" * 9, "1" + "0" * 18):
+                lines = text.splitlines()
+                cells = lines[row + 1].split()
+                cells[j] = tok
+                lines[row + 1] = LAYOUTS.get(layout, str)(" ".join(cells))
+                bad = "\n".join(lines) + "\n"
+                assert reference_rows(bad)[row][j] == int(tok)
+                with pytest.raises(ng.CayParseError) as exc:
+                    raw_parse(bad)
+                assert str(exc.value).startswith(
+                    f"line {row + 2}: entry {j} has more than 18 digits: "
+                )
+
     @pytest.mark.parametrize("token", ["+3", "1_0", "٣", "-1"])
     def test_tokens_int_accepted_are_rejected(self, raw_parse, token):
         # Python's int() reads each of these, so the old loop passed them
