@@ -26,7 +26,6 @@ from .errors import (
 from .cayley import (
     DEFAULT_ORDER_CAP,
     CayleyTable,
-    ElementSet,
     CentralizerData,
     SylowFactor,
     center,
@@ -111,7 +110,7 @@ __all__ = [
     "RegularGraph", "PrimeMismatch", "Overflow", "CapExceeded",
     "CayParseError", "InternalInconsistency",
     # groups
-    "DEFAULT_ORDER_CAP", "CayleyTable", "ElementSet", "SylowFactor",
+    "DEFAULT_ORDER_CAP", "CayleyTable", "SylowFactor",
     "validate", "center", "centralizer", "centralizer_size",
     "CentralizerData", "centralizer_data",
     "conjugacy_classes", "upper_central_series", "is_nilpotent",

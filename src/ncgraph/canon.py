@@ -64,7 +64,7 @@ import numpy as np
 
 from .cayley import _memoised, _orbit_roots
 from .errors import InternalInconsistency, NotAnIsomorphism
-from .graphs import NcGraph, pack_rows
+from .graphs import NcGraph, _permutation, pack_rows
 
 # Bumped whenever the certificate bytes of some graph change; stores of
 # certificates key on it so that they never hand back bytes of another version.
@@ -374,7 +374,9 @@ def degree_profile(graph: NcGraph) -> tuple:
 
 @dataclass(frozen=True)
 class Isomorphism:
-    """A verified vertex bijection; construction re-checks every edge."""
+    """A verified vertex bijection; construction re-checks every edge.
+    ``mapping[i]`` is the target position of source vertex i, held as
+    Python ints (numpy integers are accepted, bools and floats are not)."""
 
     source: NcGraph
     target: NcGraph
@@ -386,9 +388,11 @@ class Isomorphism:
             raise NotAnIsomorphism(
                 f"vertex counts differ: {n} vs {self.target.num_vertices}"
             )
-        if sorted(self.mapping) != list(range(n)):
+        mapping = _permutation(self.mapping, n)
+        if mapping is None:
             raise NotAnIsomorphism("mapping is not a bijection on vertex positions")
-        m = np.array(self.mapping, dtype=np.int64)
+        object.__setattr__(self, "mapping", mapping)
+        m = np.array(mapping, dtype=np.int64)
         image = self.source.matrix[:, np.argsort(m)]  # row i: m(N(i))
         bad = image != self.target.matrix[m]
         rows = np.flatnonzero(bad.any(axis=1))

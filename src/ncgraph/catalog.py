@@ -87,7 +87,8 @@ _REQUEST_RE = re.compile(r"\s*(\w+)(?:\((\d+)\.\.(\d+)\))?\s*", re.ASCII)
 
 @dataclass(frozen=True)
 class CatalogConfig(Record):
-    """What to enumerate: base families, order cap, and abelian cofactors."""
+    """What to enumerate: base families, order cap, and abelian cofactors.
+    A field of the wrong type, or a count below 1, is a ValueError."""
 
     families: tuple = DEFAULT_FAMILIES
     max_order: int = 256
@@ -95,31 +96,37 @@ class CatalogConfig(Record):
     coprime_cofactors: bool = True
     cache_dir: str = None
 
+    def __post_init__(self):
+        for key, (expected, ok) in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"config {key!r} must be {expected}, got {value!r}")
+            if key in _COUNT_KEYS and value < 1:
+                raise ValueError(f"config {key!r} must be a positive integer, got {value!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "CatalogConfig":
-        """Config from parsed JSON; a key of the wrong type, or a count below
-        1, is a ValueError."""
+        """Config from parsed JSON, whose ``families`` is a list; an unknown
+        key is a ValueError, and so is a field that fails the checks above."""
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(data) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            expected, ok = _CONFIG_TYPES[key]
-            if not ok(value):
-                raise ValueError(f"config {key!r} must be {expected}, got {value!r}")
-            if key in _COUNT_KEYS and value < 1:
-                raise ValueError(f"config {key!r} must be a positive integer, got {value!r}")
         kwargs = dict(data)
         if "families" in kwargs:
+            if not isinstance(kwargs["families"], list):
+                expected = _CONFIG_TYPES["families"][0]
+                raise ValueError(f"config 'families' must be {expected}, "
+                                 f"got {kwargs['families']!r}")
             kwargs["families"] = tuple(kwargs["families"])
         return cls(**kwargs)
 
 
-# each config key's JSON type: its name in messages, and a test (bools are
+# each field's type: its name in messages (JSON's), and a test (bools are
 # ints in Python, so they are kept out of the integer keys explicitly)
 _CONFIG_TYPES = {
-    "families": ("a list of strings", lambda v: isinstance(v, list)
+    "families": ("a list of strings", lambda v: isinstance(v, tuple)
                  and all(isinstance(f, str) for f in v)),
     "max_order": ("an integer", lambda v: type(v) is int),
     "cofactor_max": ("an integer", lambda v: type(v) is int),

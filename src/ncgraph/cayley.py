@@ -14,7 +14,7 @@ their derived forms are immutable, so concurrent reads are safe.
 from __future__ import annotations
 
 import traceback
-import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial, wraps
 
@@ -115,34 +115,12 @@ def _transpose_equal(t) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ElementSet:
-    """A subset of a group's elements.  ``parent`` is held as a weak
-    reference to the table, so a set memoised on the table keeps no
-    reference cycle alive: the table goes as soon as its last user does."""
-
-    parent: CayleyTable
-    members: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "parent", weakref.ref(self.parent))
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
-
-    @property
-    def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members))
-
-
-@dataclass(frozen=True)
 class SylowFactor:
-    """One Sylow subgroup of a nilpotent group, as an element set."""
+    """One Sylow subgroup of a nilpotent group: its prime, its elements as
+    ascending indices, and whether it is abelian."""
 
     prime: int
-    members: ElementSet
+    members: tuple
     abelian: bool
 
 
@@ -359,10 +337,9 @@ def _validate(raw, descriptor):
 # --- centre, centralizers, conjugacy -----------------------------------------
 
 @_memoised
-def center(g: CayleyTable) -> ElementSet:
-    """The set of elements commuting with everything."""
-    mask = g.commuting.all(axis=1)
-    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]))
+def center(g: CayleyTable) -> tuple:
+    """The elements commuting with everything, as ascending indices."""
+    return tuple(np.flatnonzero(g.commuting.all(axis=1)).tolist())
 
 
 def _element_index(g: CayleyTable, x) -> int:
@@ -374,10 +351,9 @@ def _element_index(g: CayleyTable, x) -> int:
     return int(x)
 
 
-def centralizer(g: CayleyTable, x: int) -> ElementSet:
-    """All elements commuting with x."""
-    mask = g.commuting[_element_index(g, x)]
-    return ElementSet(g, frozenset(int(i) for i in np.nonzero(mask)[0]))
+def centralizer(g: CayleyTable, x: int) -> tuple:
+    """The elements commuting with x, as ascending indices."""
+    return tuple(np.flatnonzero(g.commuting[_element_index(g, x)]).tolist())
 
 
 def centralizer_size(g: CayleyTable, x: int) -> int:
@@ -467,6 +443,7 @@ def conjugacy_classes(g: CayleyTable) -> tuple:
 @_memoised
 def upper_central_series(g: CayleyTable) -> tuple:
     """Ascending central series Z_0 = {e} <= Z_1 <= ...; stops at a stall or at G.
+    Each level is its elements as ascending indices.
 
     Membership step: x lies in the next level iff its commutator
     x^-1 s^-1 x s with every generator s lands in the current level (the
@@ -488,7 +465,7 @@ def upper_central_series(g: CayleyTable) -> tuple:
             break
         current = nxt
         levels.append(current)
-    return tuple(ElementSet(g, frozenset(np.flatnonzero(m).tolist())) for m in levels)
+    return tuple(tuple(np.flatnonzero(m).tolist()) for m in levels)
 
 
 @_memoised
@@ -509,16 +486,17 @@ def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return (t1[:, None, :, None] * m + t2[None, :, None, :]).reshape(nm, nm)
 
 
-def induced_group(g: CayleyTable, s: ElementSet) -> CayleyTable:
-    """Relabel a subgroup as a group of its own; a set that is not one
-    (no identity, or not closed) is NotASubgroup.
-
-    The result's ``parent_map`` maps local indices back to parent indices;
-    the parent identity comes first, so it stays at index 0.
+def induced_group(g: CayleyTable, members) -> CayleyTable:
+    """Relabel a subgroup, any iterable of g's element indices, as a group
+    of its own.  Indices are checked as by ``centralizer``, duplicates
+    collapse; a non-iterable, or a set that is not a subgroup (no identity,
+    or not closed), is NotASubgroup.  The result's ``parent_map`` maps local
+    indices back to parent indices, ascending; the parent identity comes
+    first, so it stays at index 0.
     """
-    if s.parent() is not g:
-        raise NotASubgroup("element set belongs to a different table")
-    members = s.sorted_members
+    if not isinstance(members, Iterable):
+        raise NotASubgroup(f"{members!r} is not a set of element indices")
+    members = tuple(sorted({_element_index(g, x) for x in members}))
     if not members or members[0] != 0:
         raise NotASubgroup("subgroup must contain the identity")
     k = len(members)
@@ -612,13 +590,12 @@ def sylow_decomposition(g: CayleyTable) -> tuple:
     n = g.order
     t = g.table
     factors = []
-    member_lists = []
     for p, e in sorted(prime_factorization(n).items()):
         power, base, k = np.zeros(n, dtype=np.intp), np.arange(n), p ** e
         while k:   # x^(p^e) for every x, by repeated squaring
             power, base, k = t[power, base] if k & 1 else power, t[base, base], k >> 1
         mask = power == 0
-        members = np.flatnonzero(mask).tolist()
+        members = tuple(np.flatnonzero(mask).tolist())
         if len(members) != p ** e:
             raise InternalInconsistency(
                 f"p-power-order elements at p={p} number {len(members)}, "
@@ -630,12 +607,10 @@ def sylow_decomposition(g: CayleyTable) -> tuple:
                 f"p-power-order elements at p={p} are not closed"
             )
         sub = t[np.array(gens)][:, gens]
-        eset = ElementSet(g, frozenset(members))
-        factors.append(SylowFactor(p, eset, bool((sub == sub.T).all())))
-        member_lists.append(members)
+        factors.append(SylowFactor(p, members, bool((sub == sub.T).all())))
     products = np.zeros(1, dtype=np.int64)   # every product x_1 * x_2 * ... in turn
-    for members in member_lists:
-        products = t[products][:, members].ravel()
+    for f in factors:
+        products = t[products][:, f.members].ravel()
     hits = np.bincount(products, minlength=n)
     if (hits > 1).any():
         raise InternalInconsistency("Sylow product map is not injective")

@@ -158,18 +158,32 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
     return graph
 
 
+def _permutation(perm, n: int):
+    """``perm`` as a tuple of Python ints if it is a sequence of n ints or
+    numpy integers, none of them a bool, that permutes range(n); else None."""
+    p = np.asarray(perm, dtype=object)   # keeps each entry's own type
+    if p.shape != (n,):
+        return None
+    entries = p.tolist()
+    types = set(map(type, entries))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        return None
+    out = tuple(map(int, entries))
+    return out if sorted(out) == list(range(n)) else None
+
+
 def relabeled(graph: NcGraph, perm) -> NcGraph:
     """The same abstract graph with local vertices renamed by ``perm``.
 
     ``perm[i]`` is the new position of old vertex i; ``perm`` must be a
-    permutation of ``range(n)``.  Parent metadata is kept; the parent-element
-    list is permuted alongside the vertices, so vertex ``perm[i]`` still
-    refers to the same group element.
+    permutation of ``range(n)`` in ints or numpy integers, not bools.
+    Parent metadata is kept; the parent-element list is permuted alongside
+    the vertices, so vertex ``perm[i]`` still refers to the same group
+    element.
     """
     n = graph.num_vertices
-    p = np.asarray(perm)
-    if (p.shape != (n,) or (n and p.dtype.kind not in "iu")
-            or not np.array_equal(np.sort(p), np.arange(n))):
+    p = _permutation(perm, n)
+    if p is None:
         raise ValueError(f"perm is not a permutation of range({n})")
     old = np.argsort(p)  # old[k] is the vertex that moves to position k
     mat = np.take(graph.matrix[old], old, axis=1)

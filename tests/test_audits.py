@@ -129,8 +129,8 @@ def old_pair_audit(g_a, g_b, phi):
     seen = {}
     graph_ok, graph_witness = True, None
     for elem_a, elem_b, ca, cb in vertex_pairs:
-        mem_a = ng.centralizer(g_a, elem_a).sorted_members
-        mem_b = ng.centralizer(g_b, elem_b).sorted_members
+        mem_a = ng.centralizer(g_a, elem_a)
+        mem_b = ng.centralizer(g_b, elem_b)
         sub_a = comm_a[np.ix_(mem_a, mem_a)]
         sub_b = comm_b[np.ix_(mem_b, mem_b)]
         ab_a, ab_b = bool(sub_a.all()), bool(sub_b.all())

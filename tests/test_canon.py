@@ -933,10 +933,29 @@ class TestIsomorphism:
             ng.Isomorphism(source=a, target=b, mapping=tuple(bad))
         assert exc.value.witness is not None
 
+    def test_mapping_is_held_as_python_ints(self):
+        a = ng.build_nc_graph(ng.construct("dihedral(8)"))
+        b = ng.build_nc_graph(ng.construct("dicyclic(4)"))
+        phi = ng.find_isomorphism(a, b)
+        again = ng.Isomorphism(a, b, np.array(phi.mapping))
+        assert again.mapping == phi.mapping
+        assert all(type(v) is int for v in again.mapping)
+        assert ng.audit_isomorphic_pair(ng.construct("dihedral(8)"), ng.construct("dicyclic(4)"),
+                                        again).verdict == "consistent"
+
     def test_non_bijection_rejected(self):
         a = ng.build_nc_graph(ng.construct("dihedral(4)"))
-        with pytest.raises(ng.NotAnIsomorphism):
-            ng.Isomorphism(source=a, target=a, mapping=(0, 0, 1, 2, 3, 4))
+        # no bool is read as a position, nor a float, even a whole one
+        d16 = ng.build_nc_graph(ng.construct("dihedral(8)"))
+        q16 = ng.build_nc_graph(ng.construct("dicyclic(4)"))
+        floats = tuple(map(float, ng.find_isomorphism(d16, q16).mapping))
+        for source, target, bad in ((a, a, (0, 0, 1, 2, 3, 4)),
+                                    (a, a, (False, True, 2, 3, 4, 5)),
+                                    (a, a, (np.bool_(False), 1, 2, 3, 4, 5)),
+                                    (a, a, None), (a, a, "012345"), (d16, q16, floats)):
+            with pytest.raises(ng.NotAnIsomorphism,
+                               match="mapping is not a bijection on vertex positions"):
+                ng.Isomorphism(source=source, target=target, mapping=bad)
 
     def test_degree_profile_prefilter(self):
         a = ng.build_nc_graph(ng.construct("dihedral(4)"))

@@ -80,6 +80,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="config"):
             ng.CatalogConfig.from_dict(data)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_order": -5}, "config 'max_order' must be a positive integer, got -5"),
+        ({"max_order": True}, "config 'max_order' must be an integer, got True"),
+        ({"max_order": "64"}, "config 'max_order' must be an integer, got '64'"),
+        ({"max_order": np.int64(64)}, f"config 'max_order' must be an integer, got {np.int64(64)!r}"),
+        ({"cofactor_max": -3}, "config 'cofactor_max' must be a positive integer, got -3"),
+        ({"cofactor_max": 2.0}, "config 'cofactor_max' must be an integer, got 2.0"),
+        ({"coprime_cofactors": "no"}, "config 'coprime_cofactors' must be true or false, got 'no'"),
+        ({"families": "dihedral(3..4)"},
+         "config 'families' must be a list of strings, got 'dihedral(3..4)'"),
+        ({"families": ("dihedral(4)", 5)},
+         "config 'families' must be a list of strings, got ('dihedral(4)', 5)"),
+        ({"cache_dir": 3}, "config 'cache_dir' must be a string or null, got 3"),
+    ])
+    def test_direct_construction_runs_the_same_checks(self, kwargs, message):
+        # a config built in Python is checked field by field, as one read
+        # from JSON is, and so never reaches a scan
+        with pytest.raises(ValueError) as exc:
+            ng.scan_pairs(ng.CatalogConfig(**{"families": ("dihedral(3..4)",), **kwargs}))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(ng.CatalogConfig(), **kwargs)
+
     def test_single_cofactor_bound_accepted(self):
         cfg = ng.CatalogConfig.from_dict({"max_order": 1, "cofactor_max": 1})
         assert (cfg.max_order, cfg.cofactor_max) == (1, 1)

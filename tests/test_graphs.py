@@ -244,12 +244,18 @@ class TestOperations:
         assert graph.num_vertices == 6
         for bad in ([0, 0, 1, 2, 3, 4], list(range(7)), list(range(5)),
                     [5, 4, 3, 2, 1, 6], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-                    [[0, 1, 2], [3, 4, 5]]):
+                    [[0, 1, 2], [3, 4, 5]],
+                    # no bool is read as a position, nor a float among ints
+                    [True, False, 2, 3, 4, 5], [np.bool_(False), 1, 2, 3, 4, 5],
+                    [1, 0, 2, 3, 4, 5.0], ["1", 0, 2, 3, 4, 5], [None] * 6):
             with pytest.raises(ValueError, match=r"not a permutation of range\(6\)"):
                 ng.relabeled(graph, bad)
         reversed_graph = ng.relabeled(graph, range(5, -1, -1))
         assert reversed_graph.vertices == graph.vertices[::-1]
         assert ng.relabeled(graph, np.arange(6)) == graph
+        swapped = ng.relabeled(graph, [np.int64(1), 0, 2, 3, 4, 5])
+        assert swapped == ng.relabeled(graph, [1, 0, 2, 3, 4, 5])
+        assert swapped.vertices == (graph.vertices[1], graph.vertices[0], *graph.vertices[2:])
 
     def test_adjacency_matrix_is_held_and_read_only(self):
         graph = ng.build_nc_graph(ng.construct("dihedral(5)"))

@@ -1,5 +1,6 @@
 """Randomized invariants over the group families, graphs, and repunits."""
 
+import numpy as np
 import pytest
 
 hyp = pytest.importorskip("hypothesis")
@@ -99,3 +100,70 @@ def test_search_finds_every_cross_base_repunit_match(x, y, m, n):
         return
     found = ng.goormaghtigh_search(max_base=30, max_exp=15)
     assert any(s.x == x and s.y == y and s.m == m and s.n == n for s in found)
+
+
+# --- typed errors at the boundary ---------------------------------------------
+
+D4 = ng.construct("dihedral(4)")
+D4_GRAPH = ng.build_nc_graph(D4)   # 6 vertices
+
+SCALAR = st.one_of(
+    st.integers(-10, 10), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.floats(), st.none(), st.text(max_size=2),
+    st.integers(-2, 9).map(np.int64), st.booleans().map(np.bool_),
+)
+# near misses of index sets and permutations, as well as arbitrary lists
+SEQUENCE = st.one_of(
+    st.lists(SCALAR, max_size=8),
+    st.lists(st.integers(0, 8), max_size=8),
+    st.permutations(range(6)),
+    st.permutations(range(6)).map(lambda p: [np.int64(v) for v in p]),
+    st.permutations(range(6)).map(np.array),
+    st.permutations(range(6)).map(lambda p: [float(v) for v in p]),
+    st.permutations([False, True, 2, 3, 4, 5]),
+).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+CONFIG_FIELDS = {
+    "families": lambda v: type(v) is tuple and all(type(f) is str for f in v),
+    "max_order": lambda v: type(v) is int,
+    "cofactor_max": lambda v: type(v) is int,
+    "coprime_cofactors": lambda v: type(v) is bool,
+    "cache_dir": lambda v: v is None or type(v) is str,
+}
+
+
+def accepted(call, rejection):
+    """``call()``, or None if it raises ``rejection``; any other error escapes."""
+    try:
+        return call()
+    except rejection:
+        return None
+
+
+def indices(value) -> bool:
+    """Whether value is a sequence of ints or numpy integers, no bools."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value)
+
+
+@given(st.one_of(SCALAR, SEQUENCE))
+@settings(max_examples=300, deadline=None)
+def test_boundaries_raise_only_typed_errors(value):
+    # each entry point rejects a value with a package error, or with the
+    # ValueError it documents, and holds what it accepts as Python ints
+    sub = accepted(lambda: ng.induced_group(D4, value), ng.Error)
+    if sub is not None:
+        assert indices(value) and all(type(x) is int for x in sub.parent_map)
+    c = accepted(lambda: ng.centralizer(D4, value), ng.Error)
+    size = accepted(lambda: ng.centralizer_size(D4, value), ng.Error)
+    assert (c is None) == (size is None)
+    if c is not None:
+        assert indices([value]) and all(type(x) is int for x in c) and size == len(c)
+    phi = accepted(lambda: ng.Isomorphism(D4_GRAPH, D4_GRAPH, value), ng.Error)
+    graph = accepted(lambda: ng.relabeled(D4_GRAPH, value), ValueError)
+    for held in (phi, graph):
+        if held is not None:
+            assert indices(value) and sorted(value) == list(range(6))
+    if phi is not None:
+        assert all(type(v) is int for v in phi.mapping)
+    for field, held_as in CONFIG_FIELDS.items():
+        config = accepted(lambda: ng.CatalogConfig(**{field: value}), ValueError)
+        assert config is None or held_as(getattr(config, field))
