@@ -9,21 +9,25 @@ it always fits an int64; a sign, an underscore, a non-ASCII digit or a
 longer token is a ``CayParseError`` naming its line and entry.
 
 The rows are parsed by one numpy kernel over the bytes of the text, a block
-of about ``_BLOCK_BYTES`` of text at a time, straight into an n-by-n int64
-table.  Per block, ``bytes.translate`` checks the alphabet (ASCII digits
-and whitespace); one digit mask over the space-padded block marks each
-token's last digit; ``searchsorted`` of those ends against the newlines
-gives the token count at each row end; and the digits are gathered right
-to left, one pass per position, under a mask of the tokens still live,
-until no token has a digit left.  A token still live at its 19th digit
+of about ``_BLOCK_BYTES`` of text at a time, into one block-sized int64
+scratch whose values are then stored in the n-by-n int32 table.  Per
+block, ``bytes.translate`` checks the alphabet (ASCII digits and
+whitespace); one digit mask over the space-padded block marks each token's
+last digit; ``searchsorted`` of those ends against the newlines gives the
+token count at each row end; and the digits are gathered right to left,
+one pass per position, under a mask of the tokens still live, until no
+token has a digit left.  A token still live at its 19th digit
 fails the block.  Blocks are 128 KiB because the temporaries, a few bytes
 per byte of text, then stay in the cache; 1 MiB blocks made several MB of
 them per block, on fresh pages.  When a block fails a check, a walk over
 its rows raises the error of the first bad row; the walk never builds a
-table.
+table.  The first entry beyond n - 1 is kept with its exact int64 value
+(int32 may wrap it into range) and raised as ``NotClosed`` once every row
+and the text after them have parsed, so a ``CayParseError`` comes first.
 
-Import runs the full validator, as construction does, so a .cay file from
-any source cannot smuggle in a non-group.
+Import then runs the rest of the full validator on the int32 table, as
+construction does, so a .cay file from any source cannot smuggle in a
+non-group.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ import os
 
 import numpy as np
 
-from .cayley import CayleyTable, _cleared_on_error, validate
+# ``validate`` is not called here; it stays importable from this module for
+# bench/worker.py, whose tracer wraps it by this name
+from .cayley import (
+    CayleyTable, _adopt, _cleared_on_error, _not_closed, _table_name, validate,
+)
 from .errors import CayParseError, InternalInconsistency
 
 # Text per kernel block, in bytes; every temporary scales with it.
@@ -156,18 +164,31 @@ def _parse_group(text, descriptor):
         raise _row_error(rows, 0, n) or CayParseError(
             f"line {len(rows) + 2}: missing row {len(rows)} of {n}"
         )
-    table = np.empty((n, n), dtype=np.int64)
+    name = _table_name(descriptor, n)
+    table = np.empty((n, n), dtype=np.int32)
     flat = table.reshape(-1)
+    # rows of at least 2n - 1 characters and a line end fill a block within
+    # this many; a block of shorter rows, which fails, ends there too
+    most = min(n, _BLOCK_BYTES // (2 * n) + 1)
+    scratch = np.empty(most * n, dtype=np.int64)
+    outside = None   # the first entry (i, j, value) beyond n - 1
     first, size = 0, 0
     for i, row in enumerate(rows):
         size += len(row) + 1
-        if size >= _BLOCK_BYTES or i == n - 1:
-            _parse_block(rows[first:i + 1], first, n, flat[first * n:(i + 1) * n])
+        if size >= _BLOCK_BYTES or i + 1 - first == most or i == n - 1:
+            values = scratch[:(i + 1 - first) * n]
+            _parse_block(rows[first:i + 1], first, n, values)
+            if outside is None and values.max() >= n:
+                k = int(np.argmax(values >= n))
+                outside = (first + k // n, k % n, int(values[k]))
+            flat[first * n:(i + 1) * n] = values
             first, size = i + 1, 0
     for extra in range(n + 1, len(lines)):
         if lines[extra].strip():
             raise CayParseError(f"line {extra + 1}: unexpected content after the table")
-    return validate(table, descriptor=descriptor)
+    if outside is not None:
+        raise _not_closed(name, n, *outside)
+    return _adopt(table, name)
 
 
 def import_group(path: str) -> CayleyTable:

@@ -4,11 +4,12 @@ A group of order n lives in an n-by-n table of element indices with the
 identity pinned at index 0.  Every table, whatever its source, passes the
 full group-axiom check in ``validate``; associativity is proved with Light's
 test over a generating set (O(n^2) per generator, at most log2(n)
-generators for a group).  Those generators stay on the table, and the
-central series, conjugacy classes and Sylow closure run on them instead of
-on n-by-n passes.  Derived data (inverses, centre, conjugacy
-classes, ...) is memoised on the table object by ``_memoised``; tables and
-their derived forms are immutable, so concurrent reads are safe.
+generators for a group), a block of rows at a time, so the check holds no
+n-by-n array but the table itself.  Those generators stay on the table,
+and the centre, central series, conjugacy classes and Sylow closure run on
+them instead of on n-by-n passes.  Derived data (inverses, centre,
+conjugacy classes, ...) is memoised on the table object by ``_memoised``;
+tables and their derived forms are immutable, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .errors import (
 
 # Default ceiling for construction-type operations (tables are O(n^2) memory).
 DEFAULT_ORDER_CAP = 512
+# Entries per row block of the table checks' scratch (Light's two buffers are
+# 256 KiB of int32 each); every scratch array scales with it.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _memoised(fn):
@@ -73,7 +77,11 @@ class CayleyTable:
     @property
     @_memoised
     def inverses(self) -> np.ndarray:
-        inv = self.table.argmin(axis=1)   # each row holds 0 once, at x^-1
+        # each row holds 0 once, at x^-1; argmin would copy the whole
+        # read-only table, so a block of rows is searched at a time
+        t, step = self.table, _block_rows(self.order)
+        inv = np.concatenate([np.argmax(t[s:s + step] == 0, axis=1)
+                              for s in range(0, self.order, step)])
         inv.flags.writeable = False
         return inv
 
@@ -179,33 +187,50 @@ def _check_associative(arr, identity, name) -> tuple:
     closure until it is the whole table.  Each checked a must make x -> x*a
     a permutation, so that the cover holds only products of generators,
     each with a left inverse: a table that passes is a group, so a Latin
-    square.  A group takes at most log2(n) generators, each checked with two
-    n-by-n gathers.  The first one that fails sends the table through
-    ``_check_latin``, whose errors come first; past it, the witness is the
-    first ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``, generators in index
-    order and ``(x, y)`` in row-major order.  Returns the generators.
+    square.  A group takes at most log2(n) generators, each checked a block
+    of rows at a time in two block buffers.  The first one that fails sends
+    the table through ``_check_latin``, whose errors come first; past it,
+    the witness is the first ``(x, a, y)`` with ``(x*a)*y != x*(a*y)``,
+    generators in index order and ``(x, y)`` in row-major order.  Returns
+    the generators.
     """
-    # the two n-by-n buffers are reused by every generator; a partial, not
-    # a closure, so that clearing the frames of an error releases them
-    light = partial(_light, arr, np.empty_like(arr), np.empty_like(arr), name)
-    return _cover(arr, identity, np.ones(arr.shape[0], dtype=bool), light)
+    n, rows = len(arr), _block_rows(len(arr))
+    # the two block buffers are reused by every block and generator; a
+    # partial, not a closure, so that clearing the frames of an error
+    # releases them
+    light = partial(_light, arr, np.empty((rows, n), arr.dtype),
+                    np.empty((rows, n), arr.dtype), name)
+    return _cover(arr, identity, np.ones(n, dtype=bool), light)
+
+
+def _block_rows(n) -> int:
+    """Rows of an n-by-n table per block of about ``_BLOCK_ENTRIES`` entries."""
+    return min(n, max(1, _BLOCK_ENTRIES // n))
 
 
 def _light(arr, left, right, name, a) -> None:
-    """Light's check of one element ``a``, in the buffers ``left`` and ``right``."""
-    if not np.bincount(arr[:, a], minlength=len(arr)).all():
+    """Light's check of one element ``a``, a block of rows at a time in the
+    buffers ``left`` and ``right``; blocks go in row order, so the first
+    block that differs holds the first failing ``(x, y)``."""
+    column = arr[:, a]
+    if not np.bincount(column, minlength=len(arr)).all():
         _check_latin(arr, name)   # column a repeats a value, so this raises
-    # entries are range-checked already, so "clip" never clips; it spares
-    # the extra buffer that the default mode uses with out=
-    np.take(arr, arr[:, a], axis=0, out=left, mode="clip")  # (x*a)*y
-    np.take(arr, arr[a], axis=1, out=right, mode="clip")    # x*(a*y)
-    if not np.array_equal(left, right):
-        _check_latin(arr, name)
-        x, y = map(int, np.argwhere(left != right)[0])
-        raise NotAssociative(
-            f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
-            witness=(x, a, y),
-        )
+    step = len(left)
+    for s in range(0, len(arr), step):
+        block = arr[s:s + step]
+        lhs, rhs = left[:len(block)], right[:len(block)]
+        # entries are range-checked already, so "clip" never clips; it
+        # spares the extra buffer that the default mode uses with out=
+        np.take(arr, column[s:s + step], axis=0, out=lhs, mode="clip")  # (x*a)*y
+        np.take(block, arr[a], axis=1, out=rhs, mode="clip")            # x*(a*y)
+        if not np.array_equal(lhs, rhs):
+            _check_latin(arr, name)
+            i, y = map(int, np.argwhere(lhs != rhs)[0])
+            x = s + i
+            raise NotAssociative(
+                f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
+                witness=(x, a, y),
+            )
 
 
 def _check_latin(arr, name) -> None:
@@ -280,17 +305,39 @@ def validate(raw, descriptor=None) -> CayleyTable:
     beyond int64, bools) is walked entry by entry, so 0.5 is never truncated
     and True is never read as 1.
 
-    A raised error holds no reference to the checks' n-by-n arrays.
+    Beside the input, the checks hold one int32 copy of the table, which
+    becomes the group's, and scratch of a few row blocks.  A raised error
+    holds no reference to either.
     """
     return _cleared_on_error(_validate, raw, descriptor)
 
 
+def _table_name(descriptor, n) -> str:
+    return descriptor if descriptor is not None else f"table(order={n})"
+
+
+def _not_closed(name, n, i, j, v) -> NotClosed:
+    return NotClosed(f"{name}: entry {v} at ({i}, {j}) is outside 0..{n - 1}",
+                     witness=(i, j, v))
+
+
+def _check_closed(arr, name) -> None:
+    """``NotClosed`` at the first entry (row-major) of a square integer
+    table that is outside 0..n-1."""
+    n = len(arr)
+    if arr.min() < 0 or arr.max() >= n:
+        i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
+        raise _not_closed(name, n, i, j, int(arr[i, j]))
+
+
 def _validate(raw, descriptor):
+    """Stage one of ``validate``, for a table passed in: its entries are
+    checked as indices and copied once, to the int32 table that stage two
+    (``_adopt``) owns."""
     arr = np.asarray(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError("expected a square table of order >= 1")
-    n = arr.shape[0]
-    name = descriptor if descriptor is not None else f"table(order={n})"
+    name = _table_name(descriptor, arr.shape[0])
 
     if arr.dtype.kind in "iu" and not isinstance(raw, np.ndarray):
         # np.asarray reads True as 1 among ints: look at a list's entries for bools
@@ -299,16 +346,17 @@ def _validate(raw, descriptor):
             arr = entries
     if arr.dtype.kind not in "iu":
         arr = _index_entries(arr, name)
-    if arr.min() < 0 or arr.max() >= n:
-        i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
-        raise NotClosed(
-            f"{name}: entry {int(arr[i, j])} at ({i}, {j}) is outside 0..{n - 1}",
-            witness=(i, j, int(arr[i, j])),
-        )
-    # every entry is now an index, and the returned table is int32: narrow
-    # early so the checks below move half the bytes
-    arr = arr.astype(np.int32, order="C")
+    _check_closed(arr, name)
+    return _adopt(arr.astype(np.int32, order="C"), name)
 
+
+def _adopt(arr, name) -> CayleyTable:
+    """Stage two of ``validate``: the group on ``arr``, a C-ordered int32
+    table of indices in 0..n-1 that the caller hands over.  The checks run
+    on it in place, the identity is swapped to index 0 in place, and it is
+    frozen as the group's table.  Callers run it under
+    ``_cleared_on_error``."""
+    n = len(arr)
     # an identity e has e*0 = 0, so only those rows are compared in full
     idx = np.arange(n)
     identity = next((int(e) for e in np.flatnonzero(arr[:, 0] == 0)
@@ -320,12 +368,16 @@ def _validate(raw, descriptor):
 
     if identity != 0:
         # relabel by the transposition (0 identity): swap the two rows, the
-        # two columns and the two values
+        # two columns and, a block of rows at a time, the two values
         swap = [identity, 0]
         arr[[0, identity]] = arr[swap]
         arr[:, [0, identity]] = arr[:, swap]
-        zeros, es = arr == 0, arr == identity
-        arr[zeros], arr[es] = identity, 0
+        step = _block_rows(n)
+        for s in range(0, n, step):
+            block = arr[s:s + step]
+            zeros = block == 0
+            np.copyto(block, 0, where=block == identity)
+            np.copyto(block, identity, where=zeros)
         gens = tuple({0: identity, identity: 0}.get(a, a) for a in gens)
 
     arr.flags.writeable = False
@@ -338,8 +390,10 @@ def _validate(raw, descriptor):
 
 @_memoised
 def center(g: CayleyTable) -> tuple:
-    """The elements commuting with everything, as ascending indices."""
-    return tuple(np.flatnonzero(g.commuting.all(axis=1)).tolist())
+    """The elements commuting with everything, as ascending indices: those
+    that commute with every generator, an n-by-k comparison."""
+    t, gens = g.table, list(g.generators)
+    return tuple(np.flatnonzero((t[:, gens] == t[gens].T).all(axis=1)).tolist())
 
 
 def _element_index(g: CayleyTable, x) -> int:

@@ -20,10 +20,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# ``validate`` is not called here; it stays importable from this module for
+# bench/worker.py, whose tracer wraps it by this name
 from .cayley import (
     DEFAULT_ORDER_CAP,
     PRIME_TEST_LIMIT,
     CayleyTable,
+    _adopt,
+    _check_closed,
+    _cleared_on_error,
     center,
     is_prime,
     product_table,
@@ -132,8 +137,12 @@ def descriptor_vertex_count(desc: GroupDescriptor) -> int:
 # --- raw table builders ----------------------------------------------------------
 
 def _circulant(m: int, starts) -> np.ndarray:
-    """The int32 m-by-m block whose row i is starts[i], starts[i]+1, ... mod m."""
-    return (np.asarray(starts, dtype=np.int32)[:, None] + np.arange(m, dtype=np.int32)) % m
+    """The int32 m-by-m block whose row i is starts[i], starts[i]+1, ... mod m,
+    for starts in 0..m-1: each sum is below 2m, so one subtraction of m
+    where it reaches m reduces it."""
+    out = np.asarray(starts, dtype=np.int32)[:, None] + np.arange(m, dtype=np.int32)
+    np.subtract(out, m, out=out, where=out >= m)
+    return out
 
 
 def _cyclic_table(k: int) -> np.ndarray:
@@ -249,23 +258,31 @@ def family_members(name: str, max_order: int):
 
 
 def _build_raw(desc: GroupDescriptor, max_order: int) -> np.ndarray:
+    """A fresh C-ordered int32 table of the group, for ``construct`` to own."""
     order = descriptor_order(desc)
     if order > max_order:
         raise OrderOverflow(f"{desc} has order {order}, above the cap {max_order}")
     return _FAMILIES[desc.name].table(*desc.args)
 
 
+def _validated_raw(desc: GroupDescriptor, max_order: int) -> CayleyTable:
+    raw = _build_raw(desc, max_order)
+    _check_closed(raw, str(desc))
+    return _adopt(raw, str(desc))
+
+
 def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     """Build a family group from a descriptor string or tree.
 
     The raw table goes through the same full validation as any imported
-    table, associativity included, and the order and centre size are
-    cross-checked against the family's closed forms, so the group's graph
-    has ``descriptor_vertex_count`` vertices.
+    table, associativity included: the range check of ``validate``, then
+    its second stage on the table just built, which becomes the group's
+    without a copy.  The order and centre size are cross-checked against
+    the family's closed forms, so the group's graph has
+    ``descriptor_vertex_count`` vertices.
     """
     desc = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
-    raw = _build_raw(desc, max_order)
-    g = validate(raw, descriptor=str(desc))
+    g = _cleared_on_error(_validated_raw, desc, max_order)
     row = _FAMILIES[desc.name]
     expected = (row.order(*desc.args), row.center(*desc.args))
     if (g.order, len(center(g))) != expected:

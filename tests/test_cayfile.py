@@ -205,9 +205,28 @@ def error_line(exc):
 
 @pytest.fixture
 def raw_parse(monkeypatch):
-    """parse_group without validate: the int64 table the kernel built."""
-    monkeypatch.setattr(cayfile, "validate", lambda table, descriptor=None: table)
-    return cayfile.parse_group
+    """parse_group without the group checks: the int64 blocks the kernel
+    filled, stacked into the n-by-n table, entries beyond n - 1 included."""
+    kernel = cayfile._parse_block
+    blocks = []
+
+    def recording(rows, first, n, out):
+        kernel(rows, first, n, out)
+        blocks.append((n, out.copy()))
+
+    monkeypatch.setattr(cayfile, "_parse_block", recording)
+    monkeypatch.setattr(cayfile, "_adopt", lambda table, name: None)
+
+    def parse(text):
+        blocks.clear()
+        try:
+            cayfile.parse_group(text)
+        except ng.NotClosed:
+            pass   # raised once every block has parsed
+        n = blocks[0][0]
+        return np.concatenate([out for _, out in blocks]).reshape(n, n)
+
+    return parse
 
 
 class TestKernelOracle:
@@ -371,6 +390,58 @@ class TestBoundaryErrors:
         with pytest.raises(ng.CayParseError) as exc:
             ng.parse_group("999999999999\n0 1\n")
         assert str(exc.value).startswith("line 2: expected 999999999999 entries")
+
+
+def group_text(t):
+    return f"{len(t)}\n" + "\n".join(" ".join(map(str, row)) for row in t) + "\n"
+
+
+class TestOutsideEntries:
+    """An entry beyond n - 1 is held with its exact value until the whole
+    text has parsed, then raised as ``validate`` raises it."""
+
+    def test_parse_errors_come_first(self):
+        t = ng.construct("dicyclic(3)").table.tolist()
+        t[3][5] = 12
+        bad_token = [row[:] for row in t]
+        bad_token[8][1] = "x"
+        with pytest.raises(ng.CayParseError) as exc:
+            ng.parse_group(group_text(bad_token))
+        assert str(exc.value).startswith("line 10: entry 1 ")
+        with pytest.raises(ng.CayParseError) as exc:
+            ng.parse_group(group_text(t) + "5\n")
+        assert str(exc.value) == "line 14: unexpected content after the table"
+        with pytest.raises(ng.NotClosed) as exc:
+            ng.parse_group(group_text(t))
+        assert exc.value.witness == (3, 5, 12)
+        assert str(exc.value) == "table(order=12): entry 12 at (3, 5) is outside 0..11"
+
+    def test_parse_errors_in_later_blocks_come_first(self):
+        t = ng.construct("dihedral(512)", max_order=1024).table.tolist()
+        t[3][7] = 1024
+        t[900][2] = "1q"
+        with pytest.raises(ng.CayParseError) as exc:
+            ng.parse_group(group_text(t))
+        assert str(exc.value).startswith("line 902: entry 2 ")
+
+    @pytest.mark.parametrize("value", [10**18 - 1, 2**32 + 1, 2**31, 2**63 // 10])
+    def test_values_past_int32_are_reported_exactly(self, value):
+        # 2**32 + 1 is 1 in int32, an index; only the int64 read sees it
+        t = ng.construct("dihedral(512)", max_order=1024).table.tolist()
+        t[700][11] = value
+        t[950][3] = 1024
+        with pytest.raises(ng.NotClosed) as exc:
+            ng.parse_group(group_text(t), descriptor="d")
+        assert exc.value.witness == (700, 11, value)
+        assert str(exc.value) == f"d: entry {value} at (700, 11) is outside 0..1023"
+
+    def test_first_outside_entry_is_row_major_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(cayfile, "_BLOCK_BYTES", 64)
+        t = ng.construct("dihedral(10)").table.tolist()
+        t[17][2], t[6][19], t[6][4] = 99, 20, 21
+        with pytest.raises(ng.NotClosed) as exc:
+            ng.parse_group(group_text(t))
+        assert exc.value.witness == (6, 4, 21)
 
 
 class TestWriter:

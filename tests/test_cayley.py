@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1064,3 +1065,130 @@ class TestReplacedKernelOracles:
                     outcomes.add(expected[0].split()[1])
                     calls.clear()
         assert outcomes == {"row", "column"}
+
+
+# --- the row blocks that replaced whole-table scratch ---------------------------
+
+def whole_table_light(arr, left, right, name, a):
+    """Light's check of ``a`` with the two n-by-n gathers the row blocks
+    replaced; ``left`` and ``right`` go unused."""
+    if not np.bincount(arr[:, a], minlength=len(arr)).all():
+        cayley._check_latin(arr, name)
+    lhs, rhs = arr[arr[:, a]], arr[:, arr[a]]
+    if not np.array_equal(lhs, rhs):
+        cayley._check_latin(arr, name)
+        x, y = map(int, np.argwhere(lhs != rhs)[0])
+        raise ng.NotAssociative(f"{name}: ({x}*{a})*{y} != {x}*({a}*{y})",
+                                witness=(x, a, y))
+
+
+def plant(t, x, w, u):
+    """``t`` with rows x and x*w exchanged on the columns u and w*u, for w
+    of order 2: still a Latin square with the same identity, but not
+    associative."""
+    cols = [int(t[0, u]), int(t[w, u])]
+    bad = t.copy()
+    xw = int(t[x, w])
+    bad[x, cols], bad[xw, cols] = t[xw, cols], t[x, cols]
+    return bad
+
+
+def failing_rows(t, a):
+    return np.flatnonzero((t[t[:, a]] != t[:, t[a]]).any(axis=1))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The tracemalloc peak of one call, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    # product(dihedral(64), cyclic(8)) at g*8 + c: index 1 = (e, 1) is the
+    # first generator Light's test checks, and index 4 = (e, 4) has order 2,
+    # so a fault planted at x = g*8 + c fails only rows of x's run of 8
+    PRODUCT = "product(dihedral(64),cyclic(8))"
+
+    def planted(self, x):
+        t = ng.construct(self.PRODUCT, max_order=1024).table
+        bad = plant(t, x, 4, 8)
+        assert set(failing_rows(bad, 1).tolist()) <= set(range(x - x % 8, x - x % 8 + 8))
+        return bad
+
+    def outcomes(self, table, monkeypatch):
+        """validate's outcome with Light's test in row blocks, then with the
+        whole-table reference."""
+        blocked = validation_outcome(table)
+        with monkeypatch.context() as m:
+            m.setattr(cayley, "_light", whole_table_light)
+            whole = validation_outcome(table)
+        return blocked, whole
+
+    def test_fault_in_the_last_block(self, monkeypatch):
+        bad = self.planted(1018)
+        n, rows = len(bad), cayley._block_rows(len(bad))
+        blocked, whole = self.outcomes(bad, monkeypatch)
+        assert blocked == whole
+        kind, _, (x, a, y) = blocked
+        assert kind == "NotAssociative" and a == 1
+        assert x >= n - rows and x // rows == (n - 1) // rows
+        assert bad[bad[x, a], y] != bad[x, bad[a, y]]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7])
+    def test_fault_straddling_a_block_boundary(self, monkeypatch, rows):
+        bad = self.planted(1018)
+        n = len(bad)
+        monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", rows * n)
+        assert cayley._block_rows(n) == rows
+        failing = failing_rows(bad, 1)
+        assert failing[0] // rows < failing[-1] // rows
+        blocked, whole = self.outcomes(bad, monkeypatch)
+        assert blocked == whole
+        assert blocked[0] == "NotAssociative"
+        assert blocked[2][0] == failing[0]
+
+    @pytest.mark.parametrize("block_entries", [1, 7 * 12, 1 << 16])
+    def test_relabeled_tables_match_the_whole_table_check(self, monkeypatch,
+                                                          block_entries):
+        monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(83)
+        for desc in ["dihedral(6)", "heisenberg(3,1)", "dicyclic(7)",
+                     "product(dihedral(4),cyclic(3))"]:
+            t = np.array(relabel(ng.construct(desc).table, rng))
+            for table in (t, corrupt(t, rng), corrupt(t, rng)):
+                blocked, whole = self.outcomes(table, monkeypatch)
+                assert blocked == whole, desc
+
+    def test_center_reads_the_generators(self, catalog_groups):
+        for g in catalog_groups.values():
+            assert ng.center(g) == tuple(np.flatnonzero(g.commuting.all(axis=1)).tolist())
+
+    @pytest.mark.parametrize("desc", ["dihedral(512)", "heisenberg(2,4)", "dicyclic(128)"])
+    def test_center_and_inverses_of_relabeled_imports(self, desc, monkeypatch):
+        g = relabeled_import(desc, 89)
+        assert ng.center(g) == tuple(np.flatnonzero(g.commuting.all(axis=1)).tolist())
+        monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", 7 * g.order)
+        assert np.array_equal(g.inverses, g.table.argmin(axis=1))
+
+    def test_construct_leaves_the_commuting_matrix_lazy(self):
+        g = ng.construct("dihedral(512)", max_order=1024)
+        assert len(ng.center(g)) == 2
+        assert cayley.CayleyTable.commuting.fget.key not in g._memo
+
+    def test_order_1024_peaks(self):
+        # beside the 4 MiB int32 input (or result), one int32 table and
+        # row blocks; the whole-table checks peaked at 13, 17 and 25 MiB
+        g = ng.construct("dihedral(512)", max_order=1024)
+        t = np.array(relabel(g.table, np.random.default_rng(97)), dtype=np.int32)
+        assert traced_peak(ng.validate, t) < 6
+        # argmin on the read-only table would copy all 4 MiB of it
+        h = ng.validate(t)
+        assert traced_peak(lambda: h.inverses) < 0.5
+        assert traced_peak(ng.construct, "dihedral(512)", max_order=1024) < 10
+        text = f"{len(t)}\n" + "\n".join(" ".join(map(str, row)) for row in t.tolist())
+        assert traced_peak(ng.parse_group, text) < 12

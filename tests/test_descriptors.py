@@ -1,3 +1,5 @@
+import traceback
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,22 @@ class TestFullValidation:
             ng.construct("dihedral(100)")
         i, j, k = exc.value.witness
         assert bad[bad[i, j], k] != bad[i, bad[j, k]]
+
+    def test_a_kept_error_holds_no_table(self, monkeypatch):
+        # construct's own frame is part of the traceback too
+        from ncgraph import descriptors
+
+        good = descriptors._build_raw(ng.parse_descriptor("dihedral(100)"), 512)
+        bad = good.copy()
+        bad[3, [107, 127]] = good[3, [127, 107]]
+        monkeypatch.setattr(descriptors, "_build_raw", lambda desc, max_order: bad.copy())
+        with pytest.raises((ng.NotLatin, ng.NotAssociative)) as exc:
+            ng.construct("dihedral(100)")
+        held = [name for frame, _ in traceback.walk_tb(exc.value.__traceback__)
+                if frame.f_globals["__name__"].startswith("ncgraph")
+                for name, value in frame.f_locals.items()
+                if isinstance(value, np.ndarray) and value.size >= 200]
+        assert held == []
 
 
 # --- the element-wise builders that the block builders replaced ----------------
