@@ -8,9 +8,11 @@ token, the order included, is a string of 1 to 18 ASCII decimal digits, so
 it always fits an int64; a sign, an underscore, a non-ASCII digit or a
 longer token is a ``CayParseError`` naming its line and entry.
 
-The rows are parsed by one numpy kernel over the bytes of the text, a block
+The lines are split from the text a window of about ``_BLOCK_BYTES``
+characters at a time (``_lines``), so no list of every line is built.  The
+rows are parsed by one numpy kernel over the bytes of the text, a block
 of about ``_BLOCK_BYTES`` of text at a time, into one block-sized int64
-scratch whose values are then stored in the n-by-n int32 table.  Per
+scratch whose values are then stored in the n-by-n uint16 table.  Per
 block, ``bytes.translate`` checks the alphabet (ASCII digits and
 whitespace); one digit mask over the space-padded block marks each token's
 last digit; ``searchsorted`` of those ends against the newlines gives the
@@ -22,10 +24,13 @@ per byte of text, then stay in the cache; 1 MiB blocks made several MB of
 them per block, on fresh pages.  When a block fails a check, a walk over
 its rows raises the error of the first bad row; the walk never builds a
 table.  The first entry beyond n - 1 is kept with its exact int64 value
-(int32 may wrap it into range) and raised as ``NotClosed`` once every row
+(uint16 may wrap it into range) and raised as ``NotClosed`` once every row
 and the text after them have parsed, so a ``CayParseError`` comes first.
+No table is allocated for a text shorter than n(2n - 1) characters, which
+fails some row, and an order above 65,536, the most a uint16 table
+indexes, raises ``OrderOverflow``.
 
-Import then runs the rest of the full validator on the int32 table, as
+Import then runs the rest of the full validator on the uint16 table, as
 construction does, so a .cay file from any source cannot smuggle in a
 non-group.
 """
@@ -33,13 +38,15 @@ non-group.
 from __future__ import annotations
 
 import os
+from itertools import islice
 
 import numpy as np
 
 # ``validate`` is not called here; it stays importable from this module for
 # bench/worker.py, whose tracer wraps it by this name
 from .cayley import (
-    CayleyTable, _adopt, _cleared_on_error, _not_closed, _table_name, validate,
+    CayleyTable, _adopt, _check_order, _cleared_on_error, _not_closed, _table_name,
+    validate,
 )
 from .errors import CayParseError, InternalInconsistency
 
@@ -51,6 +58,8 @@ _MAX_DIGITS = 18
 _ALPHABET = bytes(c for c in range(128) if chr(c).isspace() or chr(c).isdigit())
 # read before a block's first token, so every digit read stays in the array
 _PAD = b" " * _MAX_DIGITS
+# the characters that end a line for str.splitlines; "\r\n" is one line end
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def format_group(g: CayleyTable) -> str:
@@ -143,49 +152,82 @@ def _parse_block(rows, first: int, n: int, out: np.ndarray) -> None:
 
 def parse_group(text: str, descriptor: str = None) -> CayleyTable:
     """Parse .cay text; errors carry 1-based line numbers.  A raised error
-    holds no reference to the line list, the table or a check's scratch."""
+    holds no reference to the rows, the table or a check's scratch."""
     return _cleared_on_error(_parse_group, text, descriptor)
 
 
+def _lines(text):
+    """The lines of ``text``, as ``str.splitlines`` gives them, split a
+    window of about ``_BLOCK_BYTES`` characters at a time.  The line that a
+    window cuts is split again, whole, from the next window, which widens
+    until it holds a line end; a cut ``\\r\\n`` is one line end."""
+    start, end, width = 0, len(text), _BLOCK_BYTES
+    while start < end:
+        stop = start + width
+        window = text[start:stop]
+        lines = window.splitlines()
+        if stop < end:
+            if window[-1] not in _LINE_ENDS:
+                if len(lines) == 1:   # the window holds no line end
+                    width *= 2
+                    continue
+                stop -= len(lines.pop())
+            elif window[-1] == "\r" and text[stop] == "\n":
+                stop += 1
+        yield from lines
+        start, width = stop, _BLOCK_BYTES
+
+
+def _last_rows_error(rows, first: int, n: int) -> CayParseError:
+    """The error of a text whose last rows are ``rows``, from row ``first``
+    on: the first bad row, else the first missing one."""
+    return _row_error(rows, first, n) or CayParseError(
+        f"line {first + len(rows) + 2}: missing row {first + len(rows)} of {n}"
+    )
+
+
 def _parse_group(text, descriptor):
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    lines = _lines(text)
+    head = next(lines, "").strip()
+    if not head:
         raise CayParseError("line 1: expected the group order")
-    head = lines[0].strip()
     if not _is_token(head):
         raise _token_error(1, "order", head)
     n = int(head)
     if n < 1:
         raise CayParseError(f"line 1: order must be >= 1, got {n}")
-    rows = lines[1:n + 1]
     # a row of n tokens has at least 2n - 1 characters; so a shorter text
     # fails some row, and the table is never allocated for it
-    if len(rows) < n or sum(map(len, rows)) < n * (2 * n - 1):
-        raise _row_error(rows, 0, n) or CayParseError(
-            f"line {len(rows) + 2}: missing row {len(rows)} of {n}"
-        )
+    if len(text) < n * (2 * n - 1):
+        raise _last_rows_error(list(islice(lines, n)), 0, n)
     name = _table_name(descriptor, n)
-    table = np.empty((n, n), dtype=np.int32)
+    _check_order(n, name)
+    table = np.empty((n, n), dtype=np.uint16)
     flat = table.reshape(-1)
     # rows of at least 2n - 1 characters and a line end fill a block within
     # this many; a block of shorter rows, which fails, ends there too
     most = min(n, _BLOCK_BYTES // (2 * n) + 1)
     scratch = np.empty(most * n, dtype=np.int64)
     outside = None   # the first entry (i, j, value) beyond n - 1
-    first, size = 0, 0
-    for i, row in enumerate(rows):
+    block, size, first = [], 0, 0
+    # zip draws from range first, so the lines after row n - 1 stay in
+    # ``lines`` for the trailing-content check
+    for i, row in zip(range(n), lines):
+        block.append(row)
         size += len(row) + 1
-        if size >= _BLOCK_BYTES or i + 1 - first == most or i == n - 1:
-            values = scratch[:(i + 1 - first) * n]
-            _parse_block(rows[first:i + 1], first, n, values)
+        if size >= _BLOCK_BYTES or len(block) == most or i == n - 1:
+            values = scratch[:len(block) * n]
+            _parse_block(block, first, n, values)
             if outside is None and values.max() >= n:
                 k = int(np.argmax(values >= n))
                 outside = (first + k // n, k % n, int(values[k]))
             flat[first * n:(i + 1) * n] = values
-            first, size = i + 1, 0
-    for extra in range(n + 1, len(lines)):
-        if lines[extra].strip():
-            raise CayParseError(f"line {extra + 1}: unexpected content after the table")
+            block, size, first = [], 0, i + 1
+    if first < n:
+        raise _last_rows_error(block, first, n)
+    for lineno, line in enumerate(lines, start=n + 2):
+        if line.strip():
+            raise CayParseError(f"line {lineno}: unexpected content after the table")
     if outside is not None:
         raise _not_closed(name, n, *outside)
     return _adopt(table, name)
@@ -202,6 +244,7 @@ def import_group(path: str) -> CayleyTable:
         raise CayParseError(
             f"line {line}: non-ASCII byte 0x{data[exc.start]:02x}"
         ) from None
+    del data   # the parse holds the text alone
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_group(text, descriptor=f"imported({name})")
 

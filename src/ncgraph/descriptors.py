@@ -19,6 +19,7 @@ from itertools import count, takewhile
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # ``validate`` is not called here; it stays importable from this module for
 # bench/worker.py, whose tracer wraps it by this name
@@ -28,6 +29,7 @@ from .cayley import (
     CayleyTable,
     _adopt,
     _check_closed,
+    _check_order,
     _cleared_on_error,
     center,
     is_prime,
@@ -137,12 +139,14 @@ def descriptor_vertex_count(desc: GroupDescriptor) -> int:
 # --- raw table builders ----------------------------------------------------------
 
 def _circulant(m: int, starts) -> np.ndarray:
-    """The int32 m-by-m block whose row i is starts[i], starts[i]+1, ... mod m,
-    for starts in 0..m-1: each sum is below 2m, so one subtraction of m
-    where it reaches m reduces it."""
-    out = np.asarray(starts, dtype=np.int32)[:, None] + np.arange(m, dtype=np.int32)
-    np.subtract(out, m, out=out, where=out >= m)
-    return out
+    """The uint16 m-by-m block whose row i is starts[i], starts[i]+1, ... mod m,
+    for starts in 0..m-1: row i is the m-wide window at starts[i] of
+    0, 1, ..., m-1 written twice, so no entry is computed."""
+    half = np.arange(m, dtype=np.uint16)
+    cycle = np.concatenate([half, half])
+    # row s of the view is cycle[s:s + m], inside the 2m entries for s < m;
+    # the gather copies the rows it takes
+    return as_strided(cycle, (m, m), cycle.strides * 2)[starts]
 
 
 def _cyclic_table(k: int) -> np.ndarray:
@@ -156,8 +160,10 @@ def _dihedral_table(k: int) -> np.ndarray:
     circulants, (i+j) mod k and (j-i) mod k, placed in four blocks.
     """
     plus, minus = _cyclic_table(k), _circulant(k, -np.arange(k) % k)
-    out = np.empty((2, k, 2, k), dtype=np.int32)   # [e, i, e', j]
-    out[0, :, 0], out[0, :, 1], out[1, :, 0], out[1, :, 1] = plus, minus + k, plus + k, minus
+    out = np.empty((2, k, 2, k), dtype=np.uint16)   # [e, i, e', j]
+    out[0, :, 0], out[1, :, 1] = plus, minus
+    np.add(minus, k, out=out[0, :, 1])
+    np.add(plus, k, out=out[1, :, 0])
     return out.reshape(2 * k, 2 * k)
 
 
@@ -169,8 +175,10 @@ def _dicyclic_table(k: int) -> np.ndarray:
     """
     m, i = 2 * k, np.arange(2 * k)
     plus, minus, twisted = _cyclic_table(m), _circulant(m, -i % m), _circulant(m, (k - i) % m)
-    out = np.empty((2, m, 2, m), dtype=np.int32)   # [e, i, e', j]
-    out[0, :, 0], out[0, :, 1], out[1, :, 0], out[1, :, 1] = plus, minus + m, plus + m, twisted
+    out = np.empty((2, m, 2, m), dtype=np.uint16)   # [e, i, e', j]
+    out[0, :, 0], out[1, :, 1] = plus, twisted
+    np.add(minus, m, out=out[0, :, 1])
+    np.add(plus, m, out=out[1, :, 0])
     return out.reshape(2 * m, 2 * m)
 
 
@@ -179,18 +187,23 @@ def _heisenberg_table(p: int, k: int) -> np.ndarray:
 
     The product is (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a . b')
     with everything mod p; the index packs the digits (a_1..a_k, b_1..b_k, c)
-    in base p, most significant first.  So the table is an (n/p)-by-(n/p)
-    block over the (a, b) part, digitwise addition mod p, with a p-by-p
-    inner block (c + c' + a . b') mod p at each entry.
+    in base p, most significant first.  So entry [a, b, c, a', b', c'] of
+    the table is p times the index of (a + a', b + b') plus
+    (a . b' + c + c') mod p, and each of the p^2 (c, c') slices is filled
+    by one broadcast add of a q^4 block (q = p^k) and a q-by-q block
+    [a, b'] -> (a . b' + c + c') mod p.
     """
-    m = p ** (2 * k)
-    outer = reduce(product_table, [_cyclic_table(p)] * (2 * k))
-    digits = np.arange(m)[:, None] // p ** np.arange(2 * k - 1, -1, -1) % p
-    dot = digits[:, :k] @ digits[:, k:].T % p
-    c = np.arange(p, dtype=np.int32)
-    inner = (c[:, None, None] + c[:, None] + c) % p   # [d, c, c'] -> d + c + c'
-    out = (outer * p)[:, None, :, None] + inner[dot].transpose(0, 2, 1, 3)
-    return out.reshape(m * p, m * p)
+    q = p ** k
+    digits = np.arange(q)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+    dot = (digits @ digits.T % p).astype(np.uint16)   # [a, b'] -> a . b' mod p
+    sums = reduce(product_table, [_cyclic_table(p)] * k)   # digitwise a + a' mod p
+    outer = (product_table(sums, sums) * p).reshape(q, q, q, q)   # [a, b, a', b']
+    out = np.empty((q, q, p, q, q, p), dtype=np.uint16)   # [a, b, c, a', b', c']
+    for s in range(p):
+        shift = ((dot + s) % p)[:, None, None, :]
+        for c in range(p):
+            np.add(outer, shift, out=out[:, :, c, :, :, (s - c) % p])
+    return out.reshape(q * q * p, q * q * p)
 
 
 # --- one row per family ---------------------------------------------------------
@@ -258,10 +271,13 @@ def family_members(name: str, max_order: int):
 
 
 def _build_raw(desc: GroupDescriptor, max_order: int) -> np.ndarray:
-    """A fresh C-ordered int32 table of the group, for ``construct`` to own."""
+    """A C-ordered uint16 table of the group with its identity at 0, built
+    for ``construct`` alone; ``OrderOverflow`` before it is built for an
+    order above ``max_order`` or the uint16 limit."""
     order = descriptor_order(desc)
     if order > max_order:
         raise OrderOverflow(f"{desc} has order {order}, above the cap {max_order}")
+    _check_order(order, str(desc))
     return _FAMILIES[desc.name].table(*desc.args)
 
 

@@ -643,16 +643,17 @@ class TestProductsAndSylow:
 def n2_conjugates(g):
     """[x, y] -> y^-1 * x * y, gathered from the flat table."""
     n = g.order
-    idx = g.table[g.inverses].T * np.int32(n)   # [x, y] -> (y^-1 * x) * n
-    idx += np.arange(n, dtype=np.int32)
-    return g.table.ravel()[idx]
+    t = g.table.astype(np.int64)
+    idx = t[g.inverses].T * n   # [x, y] -> (y^-1 * x) * n
+    idx += np.arange(n)
+    return t.ravel()[idx]
 
 
 def n2_upper_central_series(g):
     """The series from the n-by-n commutator matrix, as member sets."""
     n = g.order
     commutators = n2_conjugates(g)
-    commutators += (g.inverses.astype(np.int32) * np.int32(n))[:, None]
+    commutators += (g.inverses.astype(np.int64) * n)[:, None]
     commutators = g.table.ravel()[commutators]  # [x, y] -> x^-1 * y^-1 * x * y
     current = np.zeros(n, dtype=bool)
     current[0] = True
@@ -874,7 +875,7 @@ class TestCommutingArrays:
         ("dihedral(512)", None), ("dihedral(512)", 41), ("heisenberg(3,2)", 42),
         ("dihedral(150)", 43)])
     def test_tiled_transpose_matches_the_plain_comparison(self, desc, relabel_seed):
-        # orders 1024 (a 4 KiB row stride, so commuting tiles), and 243 and
+        # orders 1024 (a 2 KiB row stride, so commuting tiles), and 243 and
         # 300, whose last row and column of tiles are cut short
         if relabel_seed is None:
             t = ng.construct(desc, max_order=1024).table
@@ -1192,3 +1193,68 @@ class TestRowBlocks:
         assert traced_peak(ng.construct, "dihedral(512)", max_order=1024) < 10
         text = f"{len(t)}\n" + "\n".join(" ".join(map(str, row)) for row in t.tolist())
         assert traced_peak(ng.parse_group, text) < 12
+
+
+class TestUint16Tables:
+    """Every table is a read-only, C-ordered uint16 array, and a group of
+    order above 2**16 is refused before anything n-by-n is allocated."""
+
+    def test_every_source_gives_a_read_only_c_ordered_uint16_table(self, tmp_path):
+        g = ng.construct("product(dihedral(4),cyclic(3))")
+        path = tmp_path / "g.cay"
+        ng.export_group(g, str(path))
+        moved = relabel(g.table, np.random.default_rng(5))
+        tables = {
+            **{desc: ng.construct(desc).table for desc in [
+                "cyclic(7)", "abelian(4,2)", "dihedral(5)", "dicyclic(3)",
+                "heisenberg(3,1)", "heisenberg(2,2)", "product(dihedral(4),cyclic(3))"]},
+            "validate(int64)": ng.validate(g.table.astype(np.int64)).table,
+            "validate(list)": ng.validate(moved).table,
+            "validate(float)": ng.validate(g.table.astype(float)).table,
+            "parse_group": ng.parse_group(ng.format_group(g)).table,
+            "import_group": ng.import_group(str(path)).table,
+            "product_table": cayley.product_table(g.table, g.table),
+            "induced_group": ng.induced_group(g, ng.centralizer(g, 1)).table,
+        }
+        for source, t in tables.items():
+            assert t.dtype == np.uint16, source
+            assert t.flags.c_contiguous and not t.flags.writeable, source
+
+    def test_validate_refuses_an_order_above_the_limit_before_reading(self):
+        # a zero-stride view: nothing of its 65537^2 entries is allocated
+        raw = np.broadcast_to(np.int64(0), (65537, 65537))
+        with pytest.raises(ng.OrderOverflow, match="has order 65537, above the limit 65536"):
+            ng.validate(raw)
+
+    def test_construct_and_products_refuse_an_order_above_the_limit(self):
+        for desc in ["cyclic(65537)", "product(dihedral(128),dicyclic(64),cyclic(2))"]:
+            with pytest.raises(ng.OrderOverflow, match="above the limit 65536"):
+                ng.construct(desc, max_order=10**6)
+        with pytest.raises(ng.OrderOverflow, match="order 65792, above the limit"):
+            cayley.product_table(np.zeros((257, 257), np.uint16), np.zeros((256, 256), np.uint16))
+
+    def test_the_limit_is_inclusive_and_checked_after_the_short_text(self, monkeypatch):
+        six, seven = ng.construct("dihedral(3)"), ng.construct("cyclic(7)")
+        text = ng.format_group(seven)
+        monkeypatch.setattr(cayley, "_MAX_ORDER", 6)
+        assert ng.validate(six.table).order == 6
+        assert ng.parse_group(ng.format_group(six)).order == 6
+        with pytest.raises(ng.OrderOverflow, match="table\\(order=7\\) has order 7"):
+            ng.parse_group(text)
+        with pytest.raises(ng.OrderOverflow):
+            ng.validate(seven.table)
+        with pytest.raises(ng.OrderOverflow):
+            ng.construct("cyclic(7)")
+        # a text too short for the order fails its first short row first
+        with pytest.raises(ng.CayParseError, match="^line 3: expected 7 entries, found 2$"):
+            ng.parse_group("\n".join(text.splitlines()[:2] + ["0 1"]))
+
+    def test_order_1024_peaks(self):
+        # beside the int32 input, one uint16 table and row blocks; with int32
+        # tables these peaked at 4.6, 8.0 and 9.5 MiB
+        g = ng.construct("dihedral(512)", max_order=1024)
+        t = np.array(relabel(g.table, np.random.default_rng(97)), dtype=np.int32)
+        assert traced_peak(ng.validate, t) < 3
+        assert traced_peak(ng.construct, "dihedral(512)", max_order=1024) < 4
+        text = f"{len(t)}\n" + "\n".join(" ".join(map(str, row)) for row in t.tolist())
+        assert traced_peak(ng.parse_group, text) < 5

@@ -316,7 +316,7 @@ class TestBuilderOracles:
         assert_same_raw_table(text, max_order=1024)
 
 
-# --- the block builders that direct int32 fills replaced -----------------------
+# --- the block builders that direct uint16 fills replaced ----------------------
 
 def window_circulant(m, starts):
     cycle = np.tile(np.arange(m, dtype=np.int32), 2)
@@ -336,13 +336,13 @@ def block_dicyclic_table(k):
 
 
 class TestDirectFillOracles:
-    """The int32 fills against the sliding-window and np.block builders."""
+    """The uint16 fills against the int32 sliding-window and np.block builders."""
 
     def test_bare_families(self, bare_family_groups):
         for text in bare_family_groups:
             desc = ng.parse_descriptor(text)
             new = descriptors._build_raw(desc, 256)
-            assert new.dtype == np.int32 and new.flags.c_contiguous, text
+            assert new.dtype == np.uint16 and new.flags.c_contiguous, text
             if desc.name == "dihedral":
                 assert np.array_equal(new, block_dihedral_table(*desc.args)), text
             elif desc.name == "dicyclic":
@@ -353,17 +353,18 @@ class TestDirectFillOracles:
         rng = np.random.default_rng(k)
         starts = rng.integers(0, k, size=k)
         new = descriptors._circulant(k, starts)
-        assert new.dtype == np.int32
+        assert new.dtype == np.uint16
         assert np.array_equal(new, window_circulant(k, starts))
         assert np.array_equal(descriptors._dihedral_table(k), block_dihedral_table(k))
         assert np.array_equal(descriptors._dicyclic_table(k), block_dicyclic_table(k))
 
-    def test_product_tables_keep_their_dtype(self, catalog_entries):
+    def test_product_tables_are_uint16(self, catalog_entries):
         for entry in catalog_entries:
             new = descriptors._build_raw(ng.parse_descriptor(entry.descriptor), 256)
-            assert new.dtype == np.int32, entry.descriptor
+            assert new.dtype == np.uint16, entry.descriptor
         a, b = old_cyclic_table(4), old_cyclic_table(3)
-        for dtype in (np.int32, np.int64, np.int16):
+        pairs = (a[:, None, :, None] * 3 + b[None, :, None, :]).reshape(12, 12)
+        for dtype in (np.int32, np.int64, np.int16, np.uint16):
             t = product_table(a.astype(dtype), b.astype(dtype))
-            assert t.dtype == dtype and t.flags.c_contiguous
-            assert np.array_equal(t, product_table(a, b))
+            assert t.dtype == np.uint16 and t.flags.c_contiguous
+            assert np.array_equal(t, pairs)

@@ -1,5 +1,7 @@
 """Randomized invariants over the group families, graphs, and repunits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ hyp = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import ncgraph as ng
+from ncgraph import cayfile
 from ncgraph.descriptors import GroupDescriptor
 
 SMALL_INT = st.integers(min_value=1, max_value=12)
@@ -76,6 +79,25 @@ def test_table_text_round_trips(g):
     again = ng.parse_group(ng.format_group(g), descriptor=g.descriptor)
     assert (again.table == g.table).all()
     assert again.descriptor == g.descriptor
+
+
+# every line end of str.splitlines, a "\r\n" pair among them, characters
+# that are not line ends (whitespace among them), and lines longer than a window
+LINE_PIECE = st.one_of(
+    st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                     "\x85", "\u2028", "\u2029"]),
+    st.sampled_from(["0", "17", " ", "\t", "\x1f", "\xa0", "\u3000"]),
+    st.integers(1, 600).map(lambda k: "9" * k),
+)
+
+
+@given(st.lists(LINE_PIECE, max_size=40).map("".join), st.integers(64, 256))
+@example(text="a" * 63 + "\r\n" + "b", width=64)
+@example(text="a" * 300 + "\n\n" + "b" * 64 + "\r", width=64)
+@settings(max_examples=300, deadline=None)
+def test_cay_line_windows_split_as_splitlines(text, width):
+    with mock.patch.object(cayfile, "_BLOCK_BYTES", width):
+        assert list(cayfile._lines(text)) == text.splitlines()
 
 
 @given(st.integers(2, 50), st.integers(1, 40))
