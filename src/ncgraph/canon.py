@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import _memoised, _orbit_roots
+from .cayley import _cleared_on_error, _memoised, _orbit_roots
 from .errors import InternalInconsistency, NotAnIsomorphism
 from .graphs import NcGraph, _permutation, pack_rows
 
@@ -376,12 +376,14 @@ def degree_profile(graph: NcGraph) -> tuple:
 class Isomorphism:
     """A verified vertex bijection; construction re-checks every edge.
     ``mapping[i]`` is the target position of source vertex i, held as
-    Python ints (numpy integers are accepted, bools and floats are not)."""
+    Python ints (numpy integers are accepted, bools and floats are not).
+    A ``NotAnIsomorphism`` holds no reference to the n-by-n comparison."""
 
     source: NcGraph
     target: NcGraph
     mapping: tuple
 
+    @_cleared_on_error
     def __post_init__(self):
         n = self.source.num_vertices
         if self.target.num_vertices != n:

@@ -24,7 +24,8 @@ comes first.  No table is allocated for a text shorter than n(2n - 1)
 characters, which fails some row, and an order above 65,536, the most a
 uint16 table indexes, raises ``OrderOverflow``.  Import then runs the rest
 of the full validator on the uint16 table, as construction does, so a .cay
-file from any source cannot smuggle in a non-group.
+file from any source cannot smuggle in a non-group.  A raised error holds
+none of the text or the file's bytes, nor any n-by-n scratch.
 """
 
 from __future__ import annotations
@@ -104,14 +105,13 @@ class _Rejected(Exception):
     """A window failed a check; its lines of the text name the bad row."""
 
 
-def _parse_block(window, first: int, n: int, out: np.ndarray) -> None:
-    """Parse ``window``, the bytes of rows ``first``, ``first + 1``, ...,
-    each but maybe the last ended by a newline, into ``out``, the flat
+def _parse_block(window, ends: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Parse ``window``, the bytes of whole rows, each but maybe the last
+    ended by a newline at its offset in ``ends``, into ``out``, the flat
     int64 view of their slice of the table, or raise ``_Rejected``."""
     b = np.frombuffer(_PAD + window + b" ", dtype=np.uint8)
     digit = b >= ord("0")
-    newlines = np.flatnonzero(b == ord("\n"))
-    if b.max() > ord("9") or (np.count_nonzero(digit) + newlines.size
+    if b.max() > ord("9") or (np.count_nonzero(digit) + ends.size
                               + np.count_nonzero(b == ord(" ")) != b.size):
         raise _Rejected
     # the digit mask rises before each token and falls after its last digit
@@ -122,10 +122,10 @@ def _parse_block(window, first: int, n: int, out: np.ndarray) -> None:
     tails = edges[1::2] - 3
     del edges
     # tokens before each newline, so the running count at each row end
-    per_row = np.searchsorted(tails, newlines - 3, side="right")
+    per_row = np.searchsorted(tails, ends, side="right")
     width = int(lengths.max(initial=0))
-    if (tails.size != out.size or not 0 <= out.size // n - newlines.size <= 1
-            or np.any(per_row != np.arange(1, newlines.size + 1) * n)
+    if (tails.size != out.size or not 0 <= out.size // n - ends.size <= 1
+            or np.any(per_row != np.arange(1, ends.size + 1) * n)
             or width > _MAX_DIGITS):
         raise _Rejected
     # the four bytes from each offset, as a little-endian word
@@ -145,10 +145,11 @@ def _parse_block(window, first: int, n: int, out: np.ndarray) -> None:
             out[:] = w
 
 
+@_cleared_on_error
 def parse_group(text: str, descriptor: str = None) -> CayleyTable:
     """Parse .cay text; errors carry 1-based line numbers.  A raised error
-    holds no reference to the rows, the table or a check's scratch."""
-    return _cleared_on_error(_parse_group, text, descriptor)
+    holds no reference to the text, the table or a check's scratch."""
+    return _parse_group(text, descriptor)
 
 
 def _ascii(piece) -> bytes:
@@ -233,7 +234,7 @@ def _parse_group(text, descriptor):
             if rows * n > scratch.size:
                 scratch = np.empty(rows * n, dtype=np.int64)
             values = scratch[:rows * n]
-            _parse_block(window[:cut], first, n, values)
+            _parse_block(window[:cut], ends[:rows], n, values)
         except _Rejected:
             lines = _str(text[pos:pos + cut]).splitlines()
             raise _row_error(lines, first, n) or InternalInconsistency(
@@ -261,9 +262,10 @@ def _parse_group(text, descriptor):
     return _adopt(table, name)
 
 
+@_cleared_on_error
 def import_group(path: str) -> CayleyTable:
     """Import a .cay file, parsing its bytes; a non-ASCII byte is an error
-    at its line."""
+    at its line.  A raised error holds none of the file or the table."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
@@ -272,4 +274,4 @@ def import_group(path: str) -> CayleyTable:
         line = len((data[:at].decode("ascii") + "x").splitlines())
         raise CayParseError(f"line {line}: non-ASCII byte 0x{data[at]:02x}")
     name = os.path.splitext(os.path.basename(path))[0]
-    return _cleared_on_error(_parse_group, data, f"imported({name})")
+    return _parse_group(data, f"imported({name})")

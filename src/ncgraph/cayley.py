@@ -10,6 +10,8 @@ and the centre, central series, conjugacy classes and Sylow closure run on
 them instead of on n-by-n passes.  Derived data (inverses, centre,
 conjugacy classes, ...) is memoised on the table object by ``_memoised``;
 tables and their derived forms are immutable, so concurrent reads are safe.
+Each entry point that checks n-by-n data is decorated with
+``_cleared_on_error``: a raised error holds none of its input or scratch.
 
 Every table is a read-only, C-ordered uint16 array, written as uint16 by
 every path that makes one, so a group has at most 65,536 elements; a
@@ -248,24 +250,24 @@ def _light(arr, left, right, name, a) -> None:
 def _check_latin(arr, name) -> None:
     """``NotLatin`` at the first row, else the first column, of ``arr`` that
     repeats a value.  Line i holds every value exactly when all n flags
-    seen[i, line_i] are set; the flags are scattered a block of lines at a
-    time, so the index arrays stay near 1 MB."""
-    n = len(arr)
-    step = max(1, 2 ** 17 // n)
+    seen[i, line_i] are set; the flags of a block of lines (``_block_rows``)
+    are set and read at a time."""
+    n, step = len(arr), _block_rows(len(arr))
     for kind, lines in (("row", arr), ("column", arr.T)):
-        seen = np.zeros(n * n, dtype=bool)
         for s in range(0, n, step):
-            seen[(np.arange(s, min(s + step, n)) * n)[:, None] + lines[s:s + step]] = True
-        bad = np.flatnonzero(~seen.reshape(n, n).all(axis=1))
-        if bad.size:
-            i = int(bad[0])
-            v = int(np.nonzero(np.bincount(lines[i], minlength=n) > 1)[0][0])
-            k1, k2 = map(int, np.nonzero(lines[i] == v)[0][:2])
-            across = "columns" if kind == "row" else "rows"
-            raise NotLatin(
-                f"{name}: {kind} {i} repeats value {v} at {across} {k1} and {k2}",
-                witness=(i, k1, k2) if kind == "row" else (k1, k2, i),
-            )
+            block = lines[s:s + step]
+            seen = np.zeros(block.shape, dtype=bool)
+            seen.reshape(-1)[(np.arange(len(block)) * n)[:, None] + block] = True
+            bad = np.flatnonzero(~seen.all(axis=1))
+            if bad.size:
+                i = s + int(bad[0])
+                v = int(np.nonzero(np.bincount(lines[i], minlength=n) > 1)[0][0])
+                k1, k2 = map(int, np.nonzero(lines[i] == v)[0][:2])
+                across = "columns" if kind == "row" else "rows"
+                raise NotLatin(
+                    f"{name}: {kind} {i} repeats value {v} at {across} {k1} and {k2}",
+                    witness=(i, k1, k2) if kind == "row" else (k1, k2, i),
+                )
 
 
 def _index_entries(arr, name) -> np.ndarray:
@@ -288,17 +290,24 @@ def _index_entries(arr, name) -> np.ndarray:
     return out
 
 
-def _cleared_on_error(fn, *args):
-    """``fn(*args)``.  An error keeps its traceback, but the frames it left
-    lose their locals: a kept validation error would otherwise hold every
-    n-by-n table and scratch buffer of the checks."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        traceback.clear_frames(exc.__traceback__)
-        raise
+def _cleared_on_error(fn):
+    """Decorates an entry point: an error keeps its traceback, but the
+    frames it left, the entry point's own among them, lose their locals.  A
+    kept error would otherwise hold the input and every n-by-n table and
+    scratch buffer of the checks."""
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:
+            traceback.clear_frames(exc.__traceback__)
+            del args, kwargs
+            raise
+
+    return guarded
 
 
+@_cleared_on_error
 def validate(raw, descriptor=None) -> CayleyTable:
     """Check the group axioms on a raw table and return a normalized group.
 
@@ -320,9 +329,22 @@ def validate(raw, descriptor=None) -> CayleyTable:
     An order above 65,536 raises ``OrderOverflow`` before any entry is read.
     Beside the input, the checks hold one uint16 copy of the table, which
     becomes the group's, and scratch of a few row blocks.  A raised error
-    holds no reference to either.
+    holds no reference to the input, the copy or the scratch.
     """
-    return _cleared_on_error(_validate, raw, descriptor)
+    arr = np.asarray(raw)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ValueError("expected a square table of order >= 1")
+    name = _table_name(descriptor, arr.shape[0])
+    _check_order(arr.shape[0], name)
+    if arr.dtype.kind in "iu" and not isinstance(raw, np.ndarray):
+        # np.asarray reads True as 1 among ints: look at a list's entries for bools
+        entries = np.asarray(raw, dtype=object)
+        if any(isinstance(v, (bool, np.bool_)) for v in entries.flat):
+            arr = entries
+    if arr.dtype.kind not in "iu":
+        return _adopt(_index_entries(arr, name), name)
+    _check_closed(arr, name)
+    return _adopt(arr.astype(np.uint16, order="C"), name)
 
 
 def _table_name(descriptor, n) -> str:
@@ -350,33 +372,11 @@ def _check_closed(arr, name) -> None:
         raise _not_closed(name, n, i, j, int(arr[i, j]))
 
 
-def _validate(raw, descriptor):
-    """Stage one of ``validate``, for a table passed in: its entries are
-    checked as indices and copied once, to the uint16 table that stage two
-    (``_adopt``) owns."""
-    arr = np.asarray(raw)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError("expected a square table of order >= 1")
-    name = _table_name(descriptor, arr.shape[0])
-    _check_order(arr.shape[0], name)
-
-    if arr.dtype.kind in "iu" and not isinstance(raw, np.ndarray):
-        # np.asarray reads True as 1 among ints: look at a list's entries for bools
-        entries = np.asarray(raw, dtype=object)
-        if any(isinstance(v, (bool, np.bool_)) for v in entries.flat):
-            arr = entries
-    if arr.dtype.kind not in "iu":
-        return _adopt(_index_entries(arr, name), name)
-    _check_closed(arr, name)
-    return _adopt(arr.astype(np.uint16, order="C"), name)
-
-
 def _adopt(arr, name) -> CayleyTable:
     """Stage two of ``validate``: the group on ``arr``, a C-ordered uint16
     table of indices in 0..n-1 that the caller hands over.  The checks run
     on it in place, the identity is swapped to index 0 in place, and it is
-    frozen as the group's table.  Callers run it under
-    ``_cleared_on_error``."""
+    frozen as the group's table."""
     n = len(arr)
     # an identity e has e*0 = 0, so only those rows are compared in full
     idx = np.arange(n)
@@ -571,13 +571,14 @@ def product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return out
 
 
+@_cleared_on_error
 def induced_group(g: CayleyTable, members) -> CayleyTable:
     """Relabel a subgroup, any iterable of g's element indices, as a group
     of its own.  Indices are checked as by ``centralizer``, duplicates
     collapse; a non-iterable, or a set that is not a subgroup (no identity,
-    or not closed), is NotASubgroup.  The result's ``parent_map`` maps local
-    indices back to parent indices, ascending; the parent identity comes
-    first, so it stays at index 0.
+    or not closed), is NotASubgroup, which holds none of the k-by-k block.
+    The result's ``parent_map`` maps local indices back to parent indices,
+    ascending; the parent identity comes first, so it stays at index 0.
     """
     if not isinstance(members, Iterable):
         raise NotASubgroup(f"{members!r} is not a set of element indices")

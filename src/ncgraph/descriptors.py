@@ -153,33 +153,29 @@ def _cyclic_table(k: int) -> np.ndarray:
     return _circulant(k, np.arange(k))
 
 
-def _dihedral_table(k: int) -> np.ndarray:
-    """Symmetries of the regular k-gon; index e*k + i encodes s^e r^i.
+def _two_cosets(m: int, t: int) -> np.ndarray:
+    """The group of order 2m made of a of order m and b with b^2 = a^t and
+    a b = b a^-1; index e*m + i encodes b^e a^i.
 
-    r^i r^j = r^(i+j) and r^i s r^j = s r^(j-i), so the table is two k-by-k
-    circulants, (i+j) mod k and (j-i) mod k, placed in four blocks.
+    a^i a^j = a^(i+j), a^i b a^j = b a^(j-i) and b a^i b a^j = a^(j-i+t), so
+    the table is the m-by-m circulants (i+j) mod m, (j-i) mod m and
+    (j-i+t) mod m placed in four blocks.
     """
-    plus, minus = _cyclic_table(k), _circulant(k, -np.arange(k) % k)
-    out = np.empty((2, k, 2, k), dtype=np.uint16)   # [e, i, e', j]
-    out[0, :, 0], out[1, :, 1] = plus, minus
-    np.add(minus, k, out=out[0, :, 1])
-    np.add(plus, k, out=out[1, :, 0])
-    return out.reshape(2 * k, 2 * k)
-
-
-def _dicyclic_table(k: int) -> np.ndarray:
-    """Dicyclic group of order 4k; index e*2k + i encodes b^e a^i with b^2 = a^k.
-
-    With m = 2k the blocks are the m-by-m circulants (i+j) mod m and
-    (j-i) mod m, and (j-i+k) mod m where b^2 = a^k enters.
-    """
-    m, i = 2 * k, np.arange(2 * k)
-    plus, minus, twisted = _cyclic_table(m), _circulant(m, -i % m), _circulant(m, (k - i) % m)
+    i = np.arange(m)
+    plus, minus = _cyclic_table(m), _circulant(m, -i % m)
     out = np.empty((2, m, 2, m), dtype=np.uint16)   # [e, i, e', j]
-    out[0, :, 0], out[1, :, 1] = plus, twisted
+    out[0, :, 0], out[1, :, 1] = plus, _circulant(m, (t - i) % m)
     np.add(minus, m, out=out[0, :, 1])
     np.add(plus, m, out=out[1, :, 0])
     return out.reshape(2 * m, 2 * m)
+
+
+def _dihedral_table(k: int) -> np.ndarray:   # symmetries of the k-gon
+    return _two_cosets(k, 0)
+
+
+def _dicyclic_table(k: int) -> np.ndarray:   # order 4k, b^2 = a^k
+    return _two_cosets(2 * k, k)
 
 
 def _heisenberg_table(p: int, k: int) -> np.ndarray:
@@ -281,12 +277,7 @@ def _build_raw(desc: GroupDescriptor, max_order: int) -> np.ndarray:
     return _FAMILIES[desc.name].table(*desc.args)
 
 
-def _validated_raw(desc: GroupDescriptor, max_order: int) -> CayleyTable:
-    raw = _build_raw(desc, max_order)
-    _check_closed(raw, str(desc))
-    return _adopt(raw, str(desc))
-
-
+@_cleared_on_error
 def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     """Build a family group from a descriptor string or tree.
 
@@ -295,10 +286,13 @@ def construct(descriptor, max_order: int = DEFAULT_ORDER_CAP) -> CayleyTable:
     its second stage on the table just built, which becomes the group's
     without a copy.  The order and centre size are cross-checked against
     the family's closed forms, so the group's graph has
-    ``descriptor_vertex_count`` vertices.
+    ``descriptor_vertex_count`` vertices.  A raised error holds no
+    reference to the table or the checks' scratch.
     """
     desc = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
-    g = _cleared_on_error(_validated_raw, desc, max_order)
+    raw = _build_raw(desc, max_order)
+    _check_closed(raw, str(desc))
+    g = _adopt(raw, str(desc))
     row = _FAMILIES[desc.name]
     expected = (row.order(*desc.args), row.center(*desc.args))
     if (g.order, len(center(g))) != expected:

@@ -1,6 +1,10 @@
+import gc
 import random
 import time
+import traceback
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import ncgraph as ng
@@ -54,3 +58,32 @@ def seeded_picker():
         rng = random.Random(seed)
         return lambda group, candidates: rng.choice(candidates)
     return make
+
+
+@pytest.fixture
+def kept_error():
+    """``kept_error(expected, fn, *args)``: the ``expected`` error that
+    ``fn(*args)`` raises, the bytes it still holds after ``gc.collect()``
+    (tracemalloc), and each local of an ncgraph frame in its traceback that
+    holds an ndarray of 200 or more entries or 200 or more bytes."""
+    def call(expected, fn, *args):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(expected) as caught:
+                fn(*args)
+            kept = caught.value
+            del caught
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held = [f"{frame.f_code.co_name}: {name}"
+                for frame, _ in traceback.walk_tb(kept.__traceback__)
+                if frame.f_globals["__name__"].startswith("ncgraph")
+                for name, value in frame.f_locals.items()
+                if isinstance(value, np.ndarray) and value.size >= 200
+                or isinstance(value, bytes) and len(value) >= 200]
+        return kept, retained, held
+    return call

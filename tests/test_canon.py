@@ -933,6 +933,16 @@ class TestIsomorphism:
             ng.Isomorphism(source=a, target=b, mapping=tuple(bad))
         assert exc.value.witness is not None
 
+    def test_a_kept_error_holds_no_comparison(self, kept_error):
+        graph = ng.build_nc_graph(ng.construct("dihedral(512)", max_order=1024))
+        mapping = tuple(np.random.default_rng(0).permutation(graph.num_vertices).tolist())
+        kept, retained, held = kept_error(ng.NotAnIsomorphism, ng.Isomorphism,
+                                          graph, graph, mapping)
+        assert str(kept).startswith("adjacency not preserved")
+        # the 1022-by-1022 image and comparison are 2.1 MB
+        assert retained < 64 * 1024
+        assert held == []
+
     def test_mapping_is_held_as_python_ints(self):
         a = ng.build_nc_graph(ng.construct("dihedral(8)"))
         b = ng.build_nc_graph(ng.construct("dicyclic(4)"))

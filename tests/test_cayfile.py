@@ -211,8 +211,8 @@ def raw_parse(monkeypatch):
     kernel = cayfile._parse_block
     blocks = []
 
-    def recording(rows, first, n, out):
-        kernel(rows, first, n, out)
+    def recording(rows, ends, n, out):
+        kernel(rows, ends, n, out)
         blocks.append((n, out.copy()))
 
     monkeypatch.setattr(cayfile, "_parse_block", recording)
@@ -677,3 +677,19 @@ class TestKeptErrors:
         # the n-by-n arrays of an order-512 parse are 1-2 MB each
         assert retained < 1_000_000
         assert kept.__traceback__ is not None
+
+    @pytest.mark.parametrize("kind, message, witness", [
+        ("NotAssociative", "(2*1)*5 != 2*(1*5)", (2, 1, 5)),
+        ("NotLatin", "row 5 repeats value 13 at columns 7 and 8", (5, 7, 8)),
+        ("NotClosed", "entry 512 at (9, 3) is outside 0..511", (9, 3, 512)),
+    ])
+    def test_a_kept_import_error_holds_none_of_the_file(self, kind, message, witness,
+                                                        tmp_path, kept_error):
+        path = tmp_path / "t512.cay"
+        path.write_text(corrupted_512(kind))
+        assert path.stat().st_size > 990_000
+        kept, retained, held = kept_error(getattr(ng, kind), ng.import_group, str(path))
+        assert (str(kept), kept.witness) == (f"imported(t512): {message}", witness)
+        # the file's bytes alone are 992 KB
+        assert retained < 64 * 1024
+        assert held == []

@@ -332,6 +332,14 @@ class TestStructure:
         with pytest.raises(ng.NotASubgroup, match="set is not closed: 1 \\* 1 escapes it"):
             ng.induced_group(d4, bad)
 
+    def test_a_kept_induced_group_error_holds_no_block(self, kept_error):
+        g = ng.construct("dihedral(512)", max_order=1024)
+        kept, retained, held = kept_error(ng.NotASubgroup, ng.induced_group, g, range(600))
+        assert str(kept).startswith("set is not closed")
+        # the 600-by-600 block of the table and its mask are 1.1 MB
+        assert retained < 64 * 1024
+        assert held == []
+
     def test_induced_group_checks_each_index(self):
         # out of range, negative, a bool or a float: never read as an element
         d4 = ng.construct("dihedral(4)")
@@ -1164,6 +1172,31 @@ class TestRowBlocks:
             for table in (t, corrupt(t, rng), corrupt(t, rng)):
                 blocked, whole = self.outcomes(table, monkeypatch)
                 assert blocked == whole, desc
+
+    @pytest.mark.parametrize("block_entries", [1, 7 * 20])
+    def test_latin_scan_in_row_blocks_matches_the_sort(self, monkeypatch, block_entries):
+        monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(101)
+        for desc in ["dihedral(10)", "heisenberg(3,1)", "dicyclic(5)"]:
+            t = relabel(ng.construct(desc).table, rng)
+            for _ in range(10):
+                bad = np.array(plant_latin_faults(t, rng))
+                with pytest.raises(ng.NotLatin) as exc:
+                    cayley._check_latin(bad, f"table(order={len(bad)})")
+                assert (str(exc.value), exc.value.witness) == old_latin_failure(bad)
+
+    def test_latin_scan_holds_no_n_by_n_flags(self):
+        # n-by-n flags and 128-row index blocks peaked at 2.1 MiB
+        assert traced_peak(cayley._check_latin, self.planted(1018), "t") < 1
+
+    def test_a_kept_error_holds_no_table(self, kept_error):
+        # the 2 MiB input is made inside the call, so the error may hold
+        # neither it nor its uint16 copy
+        kept, retained, held = kept_error(ng.NotAssociative,
+                                          lambda: ng.validate(self.planted(1018)))
+        assert kept.witness[1] == 1
+        assert retained < 64 * 1024
+        assert held == []
 
     def test_center_reads_the_generators(self, catalog_groups):
         for g in catalog_groups.values():

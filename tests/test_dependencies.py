@@ -233,3 +233,34 @@ def test_no_option_that_every_caller_sets_the_same_way():
                    if None not in values and len(values) == 1
                    and values != defaults[(func, param)])
     assert not knobs, f"every call site sets these to the same non-default constant: {knobs}"
+
+
+GUARD = "_cleared_on_error"
+GUARDED = {"validate", "construct", "parse_group", "import_group", "induced_group",
+           "Isomorphism.__post_init__"}
+
+
+def guard_uses(tree):
+    """(the module's functions and methods decorated with
+    ``_cleared_on_error``, the lines that read it any other way)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    definitions = [(node.name, node) for node in tree.body if isinstance(node, functions)]
+    definitions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body if isinstance(node, functions)]
+    decorators = {id(d): name for name, node in definitions for d in node.decorator_list
+                  if isinstance(d, ast.Name) and d.id == GUARD}
+    other = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == GUARD and id(node) not in decorators]
+    return set(decorators.values()), other
+
+
+def test_the_error_guard_is_only_a_decorator():
+    # a guard around an inner call leaves the entry point's own frame, and
+    # whatever it holds, on a kept error's traceback
+    decorated = set()
+    for path in SOURCES:
+        names, other = guard_uses(ast.parse(path.read_text(), filename=str(path)))
+        assert not other, f"{path.name} reads {GUARD} outside a decorator at lines {other}"
+        decorated |= names
+    assert GUARDED <= decorated

@@ -224,6 +224,18 @@ class TestFullValidation:
                 if isinstance(value, np.ndarray) and value.size >= 200]
         assert held == []
 
+    def test_a_kept_error_holds_under_64_kib(self, monkeypatch, kept_error):
+        from ncgraph import descriptors
+
+        good = descriptors._build_raw(ng.parse_descriptor("dihedral(256)"), 512)
+        bad = good.copy()
+        bad[3, [107, 127]] = good[3, [127, 107]]
+        monkeypatch.setattr(descriptors, "_build_raw", lambda desc, max_order: bad.copy())
+        kept, retained, held = kept_error(ng.NotLatin, ng.construct, "dihedral(256)")
+        assert kept.witness == (3, 23, 107)   # column 107 repeats a value
+        assert retained < 64 * 1024
+        assert held == []
+
 
 # --- the element-wise builders that the block builders replaced ----------------
 
