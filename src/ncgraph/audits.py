@@ -11,8 +11,8 @@ which the catalog scan counts and the command line turns into exit status 2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
+from itertools import combinations
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     WrongShape,
 )
 from .graphs import NcGraph, build_nc_graph
-from .repunits import repunit
+from .repunits import _collisions, repunit
 
 
 # --- small helpers -------------------------------------------------------------
@@ -95,6 +95,11 @@ class AuditItem(Record):
     lhs: object
     rhs: object
     witness: object = None
+
+
+def _equal(name: str, lhs, rhs) -> AuditItem:
+    """The item that checks lhs == rhs."""
+    return AuditItem(name, lhs == rhs, lhs, rhs)
 
 
 def _verdict(items) -> tuple:
@@ -295,18 +300,13 @@ class CentralizerChain:
         return tuple(g.order for g in self.groups)
 
 
-def centralizer_chain(g: CayleyTable, picker=None) -> CentralizerChain:
-    """Repeatedly pass to the centralizer of a chosen non-central element with
-    non-abelian centralizer, until the current group is an AC-group.
+def centralizer_chain(g: CayleyTable) -> CentralizerChain:
+    """Repeatedly pass to the centralizer of the least non-central element
+    with non-abelian centralizer, until the current group is an AC-group.
 
-    Candidates always exist while the current group is not AC, each step drops
-    to a proper subgroup (so at most log2 |G| steps), and every step stays
-    non-abelian; both facts are asserted.
-
-    By default each step takes the least candidate.  ``picker(group,
-    candidates)``, if given, is called with the current group and the
-    ascending list of its candidate elements (local indices), and must return
-    one of them; anything else raises ValueError.
+    Such an element always exists while the current group is not AC, each
+    step drops to a proper subgroup (so at most log2 |G| steps), and every
+    step stays non-abelian; both facts are asserted.
     """
     if g.is_abelian:
         raise AbelianInput(f"{g.descriptor}: centralizer chains need a non-abelian root")
@@ -316,22 +316,17 @@ def centralizer_chain(g: CayleyTable, picker=None) -> CentralizerChain:
     max_steps = g.order.bit_length()
     while not is_ac_group(current):
         data = centralizer_data(current)
-        candidates = np.flatnonzero((data.sizes < current.order) & ~data.abelian).tolist()
-        if not candidates:
+        x = _first((data.sizes < current.order) & ~data.abelian)
+        if x is None:
             raise InternalInconsistency(
                 "group is not an AC-group yet no non-central element has a "
                 "non-abelian centralizer"
             )
-        x = candidates[0] if picker is None else picker(current, candidates)
-        # True == 1 and 1.0 == 1, so membership alone lets them through
-        if (isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Integral)
-                or x not in candidates):
-            raise ValueError("picker returned a non-candidate element")
         nxt = induced_group(current, centralizer(current, x))
         if nxt.order >= current.order:
             raise InternalInconsistency("centralizer step failed to shrink the group")
         groups.append(nxt)
-        chosen.append(int(x))
+        chosen.append(x)
         current = nxt
         if len(groups) - 1 > max_steps:
             raise InternalInconsistency(
@@ -400,8 +395,9 @@ def _nonabelian_sylow_shape(g: CayleyTable, k: int) -> list:
 
 def _prime_power_split(g: CayleyTable) -> tuple:
     """Split G = P x A, P its one non-abelian Sylow p-part and A abelian, into
-    (p, n, r, |A|, class exponents): |P| = p^n, |Z(P)| = p^r, and the
-    ascending e with some conjugacy class of size p^e."""
+    (p, n, r, |A|, classes): |P| = p^n, |Z(P)| = p^r, and ``classes`` maps
+    each e with some conjugacy class of size p^e, ascending, to the number
+    of elements in such classes and the first element of the first one."""
     factor, = _nonabelian_sylow_shape(g, 1)
     p = factor.prime
 
@@ -415,9 +411,13 @@ def _prime_power_split(g: CayleyTable) -> tuple:
     n = exponent(p_part.order, "Sylow factor order is not a prime power")
     r = exponent(len(center(p_part)), "centre of a p-group has non-p-power order")
     cofactor = g.order // p_part.order
-    exps = {exponent(len(cls), f"{g.descriptor}: class size {len(cls)} is not a power of {p}")
-            for cls in conjugacy_classes(g) if len(cls) > 1}
-    return p, n, r, cofactor, tuple(sorted(exps))
+    classes = {}
+    for cls in conjugacy_classes(g):
+        if len(cls) > 1:
+            e = exponent(len(cls), f"{g.descriptor}: class size {len(cls)} is not a power of {p}")
+            count, sample = classes.get(e, (0, cls[0]))
+            classes[e] = (count + len(cls), sample)
+    return p, n, r, cofactor, dict(sorted(classes.items()))
 
 
 @dataclass(frozen=True)
@@ -462,10 +462,11 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable,
     _check_graph_fit(g_b, phi.target, "target")
     if phi.source.is_regular or phi.target.is_regular:
         raise RegularGraph("this audit requires both graphs irregular")
-    p, n, r, size_a, a_exps = _prime_power_split(g_a)
-    q, m, s, size_b, b_exps = _prime_power_split(g_b)
+    p, n, r, size_a, a_classes = _prime_power_split(g_a)
+    q, m, s, size_b, b_classes = _prime_power_split(g_b)
     if p != q:
         raise PrimeMismatch(f"non-abelian Sylow primes differ: {p} vs {q}")
+    a_exps, b_exps = tuple(a_classes), tuple(b_classes)
     if len(a_exps) < 2 or len(b_exps) < 2:
         raise RegularGraph("irregular graphs need at least two distinct class sizes")
     items = []
@@ -478,7 +479,7 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable,
         raise InternalInconsistency(
             "factored non-central count disagrees with the direct count"
         )
-    items.append(AuditItem("noncentral_gap_factored", lhs == rhs, lhs, rhs))
+    items.append(_equal("noncentral_gap_factored", lhs, rhs))
 
     if len(a_exps) != len(b_exps):
         items.append(AuditItem(
@@ -486,44 +487,32 @@ def same_prime_audit(g_a: CayleyTable, g_b: CayleyTable,
             witness=(len(a_exps), len(b_exps)),
         ))
     else:
-        counts_ok = True
-        count_witness = None
-        for ae, be in zip(a_exps, b_exps):
-            count_a = sum(len(c) for c in conjugacy_classes(g_a) if len(c) == p ** ae)
-            count_b = sum(len(c) for c in conjugacy_classes(g_b) if len(c) == p ** be)
-            if count_a != count_b and counts_ok:
-                counts_ok, count_witness = False, (ae, be, count_a, count_b)
+        count_witness = next(((ae, be, a_classes[ae][0], b_classes[be][0])
+                              for ae, be in zip(a_exps, b_exps)
+                              if a_classes[ae][0] != b_classes[be][0]), None)
         items.append(AuditItem(
-            "class_count_alignment", counts_ok, list(a_exps), list(b_exps),
+            "class_count_alignment", count_witness is None, list(a_exps), list(b_exps),
             witness=count_witness,
         ))
+        sizes_a = centralizer_data(g_a).sizes
         for ae, be in zip(a_exps, b_exps):
             lhs_i = size_a * p ** (n - ae) * (p ** ae - 1)
             rhs_i = size_b * p ** (m - be) * (p ** be - 1)
-            sample = next(c[0] for c in conjugacy_classes(g_a) if len(c) == p ** ae)
-            degree_direct = g_a.order - int(centralizer_data(g_a).sizes[sample])
+            degree_direct = g_a.order - int(sizes_a[a_classes[ae][1]])
             if lhs_i != degree_direct:
                 raise InternalInconsistency(
                     "factored degree disagrees with the graph degree"
                 )
-            items.append(AuditItem(
-                f"degree_by_class_step[{ae}]", lhs_i == rhs_i, lhs_i, rhs_i,
-            ))
-        a1, a2 = a_exps[0], a_exps[1]
-        b1, b2 = b_exps[0], b_exps[1]
+            items.append(_equal(f"degree_by_class_step[{ae}]", lhs_i, rhs_i))
+        (a1, a2), (b1, b2) = a_exps[:2], b_exps[:2]
         lhs_d = size_a * (p ** (n - a1) - p ** (n - a2))
         rhs_d = size_b * (p ** (m - b1) - p ** (m - b2))
-        items.append(AuditItem(
-            "smallest_degrees_difference", lhs_d == rhs_d, lhs_d, rhs_d,
-        ))
-        items.append(AuditItem("center_exponents_equal", r == s, r, s))
-        match_ok = all(n - ae == m - be for ae, be in zip(a_exps, b_exps))
-        items.append(AuditItem(
-            "centralizer_exponents_match", match_ok,
-            [n - ae for ae in a_exps], [m - be for be in b_exps],
-        ))
-        items.append(AuditItem("cofactor_orders_equal", size_a == size_b, size_a, size_b))
-        items.append(AuditItem("p_part_orders_equal", n == m, n, m))
+        items.append(_equal("smallest_degrees_difference", lhs_d, rhs_d))
+        items.append(_equal("center_exponents_equal", r, s))
+        items.append(_equal("centralizer_exponents_match",
+                            [n - ae for ae in a_exps], [m - be for be in b_exps]))
+        items.append(_equal("cofactor_orders_equal", size_a, size_b))
+        items.append(_equal("p_part_orders_equal", n, m))
 
     verdict, witness = _verdict(items)
     return SamePrimeAudit(
@@ -607,27 +596,14 @@ def two_nonabelian_sylow_audit(h: CayleyTable) -> TwoSylowAudit:
     cq2 = int(centralizer_data(q2).sizes[local_2])
 
     items = [
-        AuditItem(
-            "centralizer_center_gap",
-            ch2 - z_ch2 == (q1.order - zq1) * cq2 * cofactor,
-            ch2 - z_ch2, (q1.order - zq1) * cq2 * cofactor,
-        ),
-        AuditItem(
-            "center_growth",
-            z_ch1 - zh == (cq1 - zq1) * zq2 * cofactor,
-            z_ch1 - zh, (cq1 - zq1) * zq2 * cofactor,
-        ),
-        AuditItem(
-            "whole_minus_centralizer",
-            h.order - ch1 == (q1.order - cq1) * q2.order * cofactor,
-            h.order - ch1, (q1.order - cq1) * q2.order * cofactor,
-        ),
+        _equal("centralizer_center_gap", ch2 - z_ch2, (q1.order - zq1) * cq2 * cofactor),
+        _equal("center_growth", z_ch1 - zh, (cq1 - zq1) * zq2 * cofactor),
+        _equal("whole_minus_centralizer", h.order - ch1,
+               (q1.order - cq1) * q2.order * cofactor),
     ]
     p = nonabelian[0].prime
-    valuations = []
-    for item in items:
-        valuations.append((item.name, "lhs", _valuation(item.lhs, p)))
-        valuations.append((item.name, "rhs", _valuation(item.rhs, p)))
+    valuations = [(item.name, side, _valuation(getattr(item, side), p))
+                  for item in items for side in ("lhs", "rhs")]
 
     verdict, witness = _verdict(items)
     return TwoSylowAudit(
@@ -669,121 +645,122 @@ class CrossPrimeScan(Record):
     verdict: str
 
 
+def _side_configs(p: int, max_exp: int, max_cofactor: int) -> dict:
+    """Equal-vertex-count parameters at the prime p: each non-central count
+    |A|(p^n - p^r) -> its (n, r, |A|), over 3 <= n <= max_exp,
+    1 <= r <= n - 2 and cofactor sizes |A| <= max_cofactor prime to p."""
+    out = {}
+    for n in range(3, max_exp + 1):
+        for r in range(1, n - 1):
+            gap = p ** n - p ** r
+            for a in range(1, max_cofactor + 1):
+                if a % p:
+                    out.setdefault(a * gap, []).append((n, r, a))
+    return out
+
+
+def _repunit_coincidences(p: int, q: int, d1: int, d2: int) -> set:
+    """The repunit equalities on the divisor grid of the gap pair (d1, d2):
+    (p^u, d1/u, q^v, d2/v, value) for u | d1 and v | d2 with both lengths
+    at least 2 and repunit(p^u, d1/u) = repunit(q^v, d2/v) = value."""
+    def grid(prime, d):
+        return [(prime ** (d // k), k, repunit(prime ** (d // k), k))
+                for k in range(2, d + 1) if d % k == 0]
+
+    return {(x, l1, y, l2, r1) for x, l1, r1 in grid(p, d1)
+            for y, l2, r2 in grid(q, d2) if r1 == r2}
+
+
+def _survivor(candidate: tuple, pair_1: tuple, pair_2: tuple):
+    """The survivor row of a candidate (p, q, n, r, |A|, m, s, |B|) and two of
+    its class-exponent pairs (a1, b1), (a2, b2), or None if they fail.
+
+    With u = gcd(a1, a2, n - r) and v = gcd(b1, b2, m - s), the pairs
+    survive if three identities hold: the gcd identity
+    |A| p^r (p^u - 1) = |B| q^s (q^v - 1), the full repunit ratio
+    (p^{n-r} - 1)(q^v - 1) = (q^{m-s} - 1)(p^u - 1), and the same ratio at
+    each class, with n - a_i and m - b_i in place of n and m.  The row is
+    the candidate, then a1, b1, a2, b2, u, v.
+    """
+    p, q, n, r, size_a, m, s, size_b = candidate
+    (a1, b1), (a2, b2) = pair_1, pair_2
+    u = math.gcd(a1, a2, n - r)
+    v = math.gcd(b1, b2, m - s)
+    ok_gcd = size_a * p ** r * (p ** u - 1) == size_b * q ** s * (q ** v - 1)
+    ok_full = (p ** (n - r) - 1) * (q ** v - 1) == (q ** (m - s) - 1) * (p ** u - 1)
+    ok_class = all(
+        (p ** (n - ai - r) - 1) * (q ** v - 1) == (q ** (m - bi - s) - 1) * (p ** u - 1)
+        for ai, bi in (pair_1, pair_2)
+    )
+    if ok_gcd and ok_full and ok_class:
+        return (*candidate, a1, b1, a2, b2, u, v)
+    return None
+
+
 def cross_prime_scan(max_prime: int = 7, max_exp: int = 8,
                      max_cofactor: int = 50) -> CrossPrimeScan:
     """Exhaustively scan cross-prime parameter tuples and verify none survives.
 
     For each ordered pair of distinct primes p, q up to max_prime, each side
     enumerates (exponent n <= max_exp, centre exponent 1 <= r <= n-2, cofactor
-    size coprime to the prime, <= max_cofactor).  Sides are matched by the
-    exact value |A|(p^n - p^r) = |B|(q^m - q^s); every match is then probed
-    for aligned class-exponent pairs a != a' (with their forced partners b, b')
-    and the gcd/repunit identities those would imply.  Along the way every
-    repunit equality repunit(p^u, L1) = repunit(q^v, L2) with both lengths at
-    least 2 met on the divisor grid is recorded, and for each such base pair
-    the box is re-enumerated to confirm at most one length pair exists.
+    size coprime to the prime, <= max_cofactor); each prime's side is built
+    once, by ``_side_configs``.  Sides are matched by the exact value
+    |A|(p^n - p^r) = |B|(q^m - q^s); every match is then probed for aligned
+    class-exponent pairs a != a' (with their forced partners b, b') and the
+    gcd/repunit identities those would imply (``_survivor``).  Every repunit
+    equality repunit(p^u, L1) = repunit(q^v, L2) with both lengths at least
+    2 met on the divisor grid of a matched gap pair (n - r, m - s) is
+    recorded, once per gap pair.  The bases of those equalities then go
+    through the index that ``goormaghtigh_search`` uses, at lengths 2 to
+    max_exp, which confirms at most one length pair per base pair.
     """
     primes = [p for p in range(2, max_prime + 1) if is_prime(p)]
     prime_pairs = [(p, q) for p in primes for q in primes if p != q]
+    sides = {p: _side_configs(p, max_exp, max_cofactor) for p in primes}
     configs_per_side = []
-    candidates = 0
     candidates_with_pairs = 0
     pairs_analyzed = 0
     survivors = []
     coincidences = set()
 
-    def side_configs(p):
-        out = {}
-        for n in range(3, max_exp + 1):
-            for r in range(1, n - 1):
-                gap = p ** n - p ** r
-                for a in range(1, max_cofactor + 1):
-                    if a % p == 0:
-                        continue
-                    out.setdefault(a * gap, []).append((n, r, a))
-        return out
-
     for p, q in prime_pairs:
-        lhs = side_configs(p)
-        rhs = side_configs(q)
-        nl = sum(len(v) for v in lhs.values())
-        nr = sum(len(v) for v in rhs.values())
+        lhs, rhs = sides[p], sides[q]
         matches = 0
+        gap_pairs = set()
         for value in lhs.keys() & rhs.keys():
             for n, r, size_a in lhs[value]:
                 for m, s, size_b in rhs[value]:
                     matches += 1
-                    candidates += 1
-                    # forced partner b for each class exponent a
-                    pairs = []
-                    for a in range(1, n - r):
-                        lhs8 = size_a * (p ** (n - a) - p ** r)
-                        for b in range(1, m - s):
-                            if size_b * (q ** (m - b) - q ** s) == lhs8:
-                                pairs.append((a, b))
-                    # record divisor-grid repunit coincidences once per config
-                    for u in _divisors(n - r):
-                        for v in _divisors(m - s):
-                            l1, l2 = (n - r) // u, (m - s) // v
-                            if l1 < 2 or l2 < 2:
-                                continue
-                            r1 = repunit(p ** u, l1)
-                            if r1 == repunit(q ** v, l2):
-                                coincidences.add((p ** u, l1, q ** v, l2, r1))
-                    if len(pairs) >= 2:
-                        candidates_with_pairs += 1
-                    for i in range(len(pairs)):
-                        for j in range(i + 1, len(pairs)):
-                            (a1, b1), (a2, b2) = pairs[i], pairs[j]
-                            pairs_analyzed += 1
-                            u = math.gcd(a1, a2, n - r)
-                            v = math.gcd(b1, b2, m - s)
-                            ok_gcd = (size_a * p ** r * (p ** u - 1)
-                                      == size_b * q ** s * (q ** v - 1))
-                            ok_full = ((p ** (n - r) - 1) * (q ** v - 1)
-                                       == (q ** (m - s) - 1) * (p ** u - 1))
-                            ok_class = all(
-                                (p ** (n - ai - r) - 1) * (q ** v - 1)
-                                == (q ** (m - bi - s) - 1) * (p ** u - 1)
-                                for ai, bi in ((a1, b1), (a2, b2))
-                            )
-                            if ok_gcd and ok_full and ok_class:
-                                survivors.append(
-                                    (p, q, n, r, size_a, m, s, size_b,
-                                     a1, b1, a2, b2, u, v)
-                                )
-        configs_per_side.append((p, q, nl, nr, matches))
+                    gap_pairs.add((n - r, m - s))
+                    # the forced partner b of each class exponent a, by degree
+                    partner = {size_b * (q ** (m - b) - q ** s): b for b in range(1, m - s)}
+                    pairs = [(a, partner[d]) for a in range(1, n - r)
+                             if (d := size_a * (p ** (n - a) - p ** r)) in partner]
+                    candidate = (p, q, n, r, size_a, m, s, size_b)
+                    candidates_with_pairs += len(pairs) >= 2
+                    pairs_analyzed += math.comb(len(pairs), 2)
+                    survivors += filter(None, (_survivor(candidate, *two)
+                                               for two in combinations(pairs, 2)))
+        for d1, d2 in gap_pairs:
+            coincidences |= _repunit_coincidences(p, q, d1, d2)
+        configs_per_side.append((p, q, sum(map(len, lhs.values())),
+                                 sum(map(len, rhs.values())), matches))
 
-    uniqueness_rows = []
-    for base1, _, base2, _, _ in sorted(coincidences):
-        found = []
-        for l1 in range(2, max_exp + 1):
-            r1 = repunit(base1, l1)
-            for l2 in range(2, max_exp + 1):
-                if r1 == repunit(base2, l2):
-                    found.append((l1, l2))
-        if len(found) > 1:
-            raise InternalInconsistency(
-                f"bases ({base1}, {base2}) admit multiple repunit length "
-                f"pairs {found} within the scan box"
-            )
-        row = (base1, base2, len(found))
-        if row not in uniqueness_rows:
-            uniqueness_rows.append(row)
-
+    coincidences = sorted(coincidences)
+    hits = _collisions(sorted({c[k] for c in coincidences for k in (0, 2)}), max_exp)
+    uniqueness_rows = dict.fromkeys(
+        (base1, base2, len(hits[min(base1, base2), max(base1, base2)]))
+        for base1, _, base2, _, _ in coincidences
+    )
     return CrossPrimeScan(
         max_prime=max_prime, max_exp=max_exp, max_cofactor=max_cofactor,
         prime_pairs=tuple(prime_pairs),
         configs_per_side=tuple(configs_per_side),
-        candidates=candidates,
+        candidates=sum(row[4] for row in configs_per_side),
         candidates_with_pairs=candidates_with_pairs,
         pairs_analyzed=pairs_analyzed,
         survivors=tuple(survivors),
-        repunit_coincidences=tuple(sorted(coincidences)),
+        repunit_coincidences=tuple(coincidences),
         uniqueness_rows=tuple(uniqueness_rows),
         verdict="empty" if not survivors else "survivors-found",
     )
-
-
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]

@@ -355,6 +355,16 @@ def _canon(graph: NcGraph):
     return _certified(graph, tuple(v for q in q_pi for v in expansion[q]))
 
 
+def _hold(graph: NcGraph, order=None) -> tuple:
+    """Hold a canonical form on ``graph`` and return it, as ``_canon`` would:
+    the (order, certificate) of ``order``, a canonical order proved on this
+    graph, or with None a fresh labeling that replaces any form held."""
+    graph._memo.pop(_canon.key, None)
+    if order is not None:
+        graph._memo[_canon.key] = _certified(graph, order)
+    return _canon(graph)
+
+
 def canonical_order(graph: NcGraph) -> tuple:
     """A vertex order (local indices) realising the canonical adjacency matrix."""
     return _canon(graph)[0]

@@ -38,8 +38,7 @@ import numpy as np
 from .audits import Record, audit_isomorphic_pair, same_prime_audit
 from .canon import (
     CERT_VERSION,
-    _canon,
-    _certified,
+    _hold,
     canonical_order,
     certificate,
     degree_profile,
@@ -166,18 +165,18 @@ class CertificateCache:
         return os.path.join(self.directory, digest + ".cert")
 
     def get(self, descriptor: str, graph: NcGraph):
-        """The stored canonical order of ``graph`` and the certificate it
-        gives there; None if no file is stored or the stored one is rejected."""
+        """The stored canonical order of ``graph``; None if no file is
+        stored or the stored one is rejected."""
         try:
             with open(self._path(descriptor), "rb") as fh:
                 frame = fh.read()
         except FileNotFoundError:
             return None
-        form = _read_frame(frame, graph)
-        if isinstance(form, str):
-            self.reject(descriptor, form)
+        order = _read_frame(frame, graph)
+        if isinstance(order, str):
+            self.reject(descriptor, order)
             return None
-        return form
+        return order
 
     def put(self, descriptor: str, order) -> None:
         body = (_MAGIC + CERT_VERSION.to_bytes(4, "big") + len(order).to_bytes(4, "big")
@@ -203,8 +202,8 @@ _DIGEST = 32
 
 
 def _read_frame(frame: bytes, graph: NcGraph):
-    """(order, certificate) from a frame's order on ``graph``, or the reason
-    the frame is rejected."""
+    """The order a frame stores for ``graph``, or the reason the frame is
+    rejected."""
     body, digest = frame[:-_DIGEST], frame[-_DIGEST:]
     if len(body) < _HEAD or hashlib.sha256(body).digest() != digest:
         return "bad digest"
@@ -220,7 +219,7 @@ def _read_frame(frame: bytes, graph: NcGraph):
     order = np.frombuffer(body, dtype=">u4", offset=_HEAD)
     if not np.array_equal(np.sort(order), np.arange(n)):
         return "order is not a permutation"
-    return _certified(graph, tuple(order.tolist()))
+    return tuple(order.tolist())
 
 
 def _family_instances(request: str, max_order: int) -> list:
@@ -297,10 +296,9 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
         )
     graph = build_nc_graph(g)
     key = str(desc)
-    form = cache.get(key, graph) if cache is not None else None
-    if form is not None:
-        graph._memo[_canon.key] = form  # proved on this graph: no labeling needed
-        cert = form[1]
+    order = cache.get(key, graph) if cache is not None else None
+    if order is not None:
+        cert = _hold(graph, order)[1]  # proved on this graph: no labeling needed
     else:
         cert = certificate(graph)
         if cache is not None:
@@ -328,7 +326,7 @@ def _build_entry(desc: GroupDescriptor, max_order: int, cache) -> tuple:
         nonabelian_sylow_count=na_count,
         nonabelian_sylow_prime=na_prime,
         certificate_sha256=hashlib.sha256(cert).hexdigest(),
-    ), form is not None
+    ), order is not None
 
 
 def _descriptors(config: CatalogConfig) -> list:
@@ -402,8 +400,7 @@ def _enumerate_count(descriptors: list, max_order: int, cache, sample, audit) ->
         cached[i] = False
         entry = entries[i]
         graph = build_nc_graph(groups[entry.descriptor])
-        graph._memo.pop(_canon.key, None)
-        digest = hashlib.sha256(certificate(graph)).hexdigest()
+        digest = hashlib.sha256(_hold(graph)[1]).hexdigest()
         if digest != entry.certificate_sha256:
             cache.reject(entry.descriptor, reason)
             cache.put(entry.descriptor, canonical_order(graph))

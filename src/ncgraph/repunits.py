@@ -10,11 +10,12 @@ an error instead of an unbounded computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InternalInconsistency, Overflow
 
-# Values are capped at this bit size; the guards below are conservative
-# (they bound the result's bit length from above before computing it).
+# Values are capped at this bit size; ``_check_bits`` is conservative (it
+# bounds the result's bit length from above before computing it).
 DEFAULT_MAX_BITS = 1 << 20
 
 
@@ -24,9 +25,51 @@ def repunit(b: int, k: int) -> int:
         raise ValueError(f"repunit base must be >= 2, got {b}")
     if k < 1:
         raise ValueError(f"repunit length must be >= 1, got {k}")
+    _check_bits(b, k)
+    return (b ** k - 1) // (b - 1)
+
+
+def _check_bits(b: int, k: int) -> None:
+    """``Overflow`` unless repunit(b, k), and so every shorter repunit to
+    base b, is bounded within ``DEFAULT_MAX_BITS``."""
     if (k - 1) * b.bit_length() > DEFAULT_MAX_BITS:
         raise Overflow(f"repunit({b}, {k}) would exceed the {DEFAULT_MAX_BITS}-bit cap")
-    return (b ** k - 1) // (b - 1)
+
+
+def _lengths(b: int, max_exp: int):
+    """(k, repunit(b, k)) for k = 2 .. max_exp, by R(k + 1) = b R(k) + 1."""
+    _check_bits(b, max_exp)
+    r = 1 + b
+    for k in range(2, max_exp + 1):
+        yield k, r
+        r = r * b + 1
+
+
+def _collisions(bases, max_exp: int) -> dict:
+    """(x, y) -> [(m, n)]: every repunit(x, m) == repunit(y, n) with x < y
+    among ``bases`` (distinct) and 2 <= n < m <= max_exp, indexed in one
+    pass, one evaluation per (base, length) cell.  ``InternalInconsistency``
+    if m <= n, or if a base pair meets twice (the at-most-one property)."""
+    by_value = {}
+    for b in bases:
+        for k, r in _lengths(b, max_exp):
+            by_value.setdefault(r, []).append((b, k))
+    pair_hits = {}
+    for value in sorted(by_value):
+        for (x, m), (y, n) in combinations(sorted(by_value[value]), 2):
+            if m <= n:
+                raise InternalInconsistency(
+                    f"equal repunits {value} with bases {x} < {y} but "
+                    f"lengths {m} <= {n}"
+                )
+            pair_hits.setdefault((x, y), []).append((m, n))
+    for (x, y), hits in sorted(pair_hits.items()):
+        if len(hits) > 1:
+            raise InternalInconsistency(
+                f"base pair ({x}, {y}) admits multiple exponent pairs {hits} "
+                f"within the box; the at-most-one property failed"
+            )
+    return pair_hits
 
 
 @dataclass(frozen=True)
@@ -69,39 +112,10 @@ def goormaghtigh_search(max_base: int, max_exp: int) -> list:
     in the uniqueness check: if any base pair (x, y) admitted two distinct
     exponent pairs (m, n) with n >= 2 inside the box, that would violate the
     documented at-most-one property and raises InternalInconsistency.
-
-    Values are indexed in one pass (value -> list of (base, length)), so the
-    cost is one repunit evaluation per (base, length) cell of the box.
     """
     if max_base < 2 or max_exp < 2:
         raise ValueError("caps must be at least 2")
-    by_value = {}
-    for b in range(2, max_base + 1):
-        r = 1 + b
-        for k in range(2, max_exp + 1):
-            if r.bit_length() > DEFAULT_MAX_BITS:
-                raise Overflow(f"repunit({b}, {k}) exceeds the {DEFAULT_MAX_BITS}-bit cap")
-            by_value.setdefault(r, []).append((b, k))
-            r = r * b + 1
-    solutions = []
-    pair_hits = {}
-    for value in sorted(by_value):
-        entries = sorted(by_value[value])
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                (x, m), (y, n) = entries[i], entries[j]
-                if m <= n:
-                    raise InternalInconsistency(
-                        f"equal repunits {value} with bases {x} < {y} but "
-                        f"lengths {m} <= {n}"
-                    )
-                pair_hits.setdefault((x, y), []).append((m, n))
-                if n >= 3:
-                    solutions.append(RepunitSolution(x, y, m, n))
-    for (x, y), hits in sorted(pair_hits.items()):
-        if len(hits) > 1:
-            raise InternalInconsistency(
-                f"base pair ({x}, {y}) admits multiple exponent pairs {hits} "
-                f"within the box; the at-most-one property failed"
-            )
+    solutions = [RepunitSolution(x, y, m, n)
+                 for (x, y), hits in _collisions(range(2, max_base + 1), max_exp).items()
+                 for m, n in hits if n >= 3]
     return sorted(solutions, key=RepunitSolution.astuple)

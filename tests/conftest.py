@@ -1,5 +1,4 @@
 import gc
-import random
 import time
 import traceback
 import tracemalloc
@@ -48,16 +47,6 @@ def bare_family_groups():
              + ["heisenberg(2,1)", "heisenberg(2,2)", "heisenberg(2,3)",
                 "heisenberg(3,1)", "heisenberg(5,1)"])
     return {d: ng.construct(d) for d in names}
-
-
-@pytest.fixture(scope="session")
-def seeded_picker():
-    """Makes ``centralizer_chain`` pickers that choose uniformly among the
-    candidates, reproducibly per seed."""
-    def make(seed):
-        rng = random.Random(seed)
-        return lambda group, candidates: rng.choice(candidates)
-    return make
 
 
 @pytest.fixture

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -277,35 +280,6 @@ class TestCentralizerChain:
         with pytest.raises(ng.AbelianInput):
             ng.centralizer_chain(ng.construct("cyclic(6)"))
 
-    def test_seeded_pickers_always_terminate(self, seeded_picker):
-        g = ng.construct("product(dicyclic(2),heisenberg(3,1))")
-        lengths = set()
-        for seed in range(10):
-            chain = ng.centralizer_chain(g, picker=seeded_picker(seed))
-            lengths.add(chain.steps)
-            assert chain.steps <= g.order.bit_length()
-        assert lengths  # every run terminated
-
-    def test_bad_picker_rejected(self):
-        g = ng.construct("heisenberg(3,2)")
-        with pytest.raises(ValueError):
-            ng.centralizer_chain(g, picker=lambda grp, candidates: -1)
-
-    @pytest.mark.parametrize("choice", [True, np.True_, 1.0, np.float64(1)],
-                             ids=["True", "np.True_", "1.0", "np.float64"])
-    def test_picker_must_return_an_integer(self, choice):
-        # element 1 is a candidate, and True, 1.0 and 1 compare equal
-        g = ng.construct("product(dihedral(4),dihedral(4))")
-        with pytest.raises(ValueError):
-            ng.centralizer_chain(g, picker=lambda grp, candidates: choice)
-
-    def test_picker_may_return_a_numpy_integer(self):
-        g = ng.construct("product(dihedral(4),dihedral(4))")
-        chain = ng.centralizer_chain(g, picker=lambda grp, cands: np.int64(cands[-1]))
-        plain = ng.centralizer_chain(g, picker=lambda grp, cands: cands[-1])
-        assert chain.chosen == plain.chosen and chain.orders == plain.orders
-        assert all(type(x) is int for x in chain.chosen)
-
     def test_deterministic_default(self):
         g = ng.construct("heisenberg(3,2)")
         a = ng.centralizer_chain(g)
@@ -322,17 +296,15 @@ class TestCentralizerChain:
                     out.append(x)
             return out
 
-        seen = []
-
-        def recording(group, candidates):
-            assert candidates == loop_candidates(group)
-            seen.append(group.order)
-            return candidates[-1]
-
+        steps = 0
         for desc in ("heisenberg(3,2)", "product(dicyclic(2),heisenberg(3,1))",
                      "product(heisenberg(2,2),cyclic(3))"):
-            ng.centralizer_chain(ng.construct(desc), picker=recording)
-        assert seen
+            chain = ng.centralizer_chain(ng.construct(desc))
+            for group, x in zip(chain.groups, chain.chosen):
+                assert x == min(loop_candidates(group))
+                assert type(x) is int
+            steps += chain.steps
+        assert steps
 
 
 class TestLargeCentralizerWitness:
@@ -371,9 +343,12 @@ class TestLargeCentralizerWitness:
 
 class TestSylowSplit:
     def test_dihedral_16(self):
-        # (p, n, r, |A|, class exponents): |P| = 2^4 = 16, |Z(P)| = 2
+        # (p, n, r, |A|, classes): |P| = 2^4 = 16, |Z(P)| = 2; the rotation
+        # classes {1, 7}, {2, 6}, {3, 5} have size 2^1, and the reflection
+        # classes {8, 10, 12, 14}, {9, 11, 13, 15} size 2^2
         split = audits._prime_power_split(ng.construct("dihedral(8)"))
-        assert split == (2, 4, 1, 1, (1, 2))
+        assert split == (2, 4, 1, 1, {1: (6, 1), 2: (8, 8)})
+        assert list(split[4]) == [1, 2]
 
     def test_with_cofactor(self):
         p, n, _, cofactor, _ = audits._prime_power_split(
@@ -476,3 +451,67 @@ class TestCrossPrimeScan:
         scan = ng.cross_prime_scan(max_prime=3, max_exp=5, max_cofactor=10)
         parsed = json.loads(json.dumps(scan.to_dict()))
         assert parsed["verdict"] == "empty"
+
+    def test_each_side_is_built_once_per_prime(self, monkeypatch):
+        built = []
+        real = audits._side_configs
+
+        def counting(p, *caps):
+            built.append(p)
+            return real(p, *caps)
+
+        monkeypatch.setattr(audits, "_side_configs", counting)
+        ng.cross_prime_scan(max_prime=7)
+        assert built == [2, 3, 5, 7]
+
+    def test_coincidences_are_recorded_once_per_gap_pair(self, monkeypatch):
+        calls = []
+        real = audits._repunit_coincidences
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(audits, "_repunit_coincidences", counting)
+        scan = ng.cross_prime_scan(max_prime=7)
+        assert len(calls) == len(set(calls)) < scan.candidates
+        assert scan.repunit_coincidences == ((2, 5, 5, 3, 31), (5, 3, 2, 5, 31))
+
+    def test_side_configs_match_their_values(self):
+        side = audits._side_configs(3, 6, 10)
+        rows = [(value, *row) for value, configs in side.items() for row in configs]
+        assert sorted(rows) == sorted((a * (3 ** n - 3 ** r), n, r, a) for n in range(3, 7)
+                                      for r in range(1, n - 1) for a in range(1, 11) if a % 3)
+
+
+def identities(candidate, pair_1, pair_2):
+    """(gcd, full, per-class) identities of two class-exponent pairs of a
+    candidate (p, q, n, r, |A|, m, s, |B|), evaluated directly."""
+    p, q, n, r, size_a, m, s, size_b = candidate
+    (a1, b1), (a2, b2) = pair_1, pair_2
+    u, v = math.gcd(a1, a2, n - r), math.gcd(b1, b2, m - s)
+    ratio = Fraction(p ** u - 1, q ** v - 1)
+    return (size_a * p ** r * (p ** u - 1) == size_b * q ** s * (q ** v - 1),
+            Fraction(p ** (n - r) - 1, q ** (m - s) - 1) == ratio,
+            all(Fraction(p ** (n - a - r) - 1, q ** (m - b - s) - 1) == ratio
+                for a, b in (pair_1, pair_2)))
+
+
+class TestSurvivor:
+    """No scan box reaches the survivor analysis, so it is tested directly."""
+
+    def test_a_self_matched_tuple_survives(self):
+        candidate = (2, 2, 6, 1, 1, 6, 1, 1)
+        assert identities(candidate, (1, 1), (2, 2)) == (True, True, True)
+        assert audits._survivor(candidate, (1, 1), (2, 2)) == (*candidate, 1, 1, 2, 2, 1, 1)
+        candidate = (3, 3, 7, 1, 4, 7, 1, 4)
+        assert audits._survivor(candidate, (2, 2), (4, 4)) == (*candidate, 2, 2, 4, 4, 2, 2)
+
+    @pytest.mark.parametrize("candidate, pair_1, pair_2, held", [
+        ((2, 2, 6, 1, 1, 6, 1, 2), (1, 1), (2, 2), (False, True, True)),
+        ((2, 2, 8, 1, 1, 9, 1, 1), (1, 2), (2, 3), (True, False, True)),
+        ((2, 2, 6, 1, 1, 6, 1, 1), (1, 1), (2, 3), (True, True, False)),
+    ], ids=["gcd", "full", "per-class"])
+    def test_a_broken_identity_does_not_survive(self, candidate, pair_1, pair_2, held):
+        assert identities(candidate, pair_1, pair_2) == held
+        assert audits._survivor(candidate, pair_1, pair_2) is None

@@ -264,3 +264,17 @@ def test_the_error_guard_is_only_a_decorator():
         assert not other, f"{path.name} reads {GUARD} outside a decorator at lines {other}"
         decorated |= names
     assert GUARDED <= decorated
+
+
+def test_only_canon_holds_a_canonical_form():
+    # a cache hit and a recompute both go through canon._hold, so no other
+    # module reads or writes the memo entry that holds a graph's form
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set(loaded_names(tree)) | {alias.name for node in ast.walk(tree)
+                                           if isinstance(node, ast.ImportFrom)
+                                           for alias in node.names}
+        if path.name != "canon.py":
+            assert not names & {"_canon", "_certified"}, path.name
+        if path.name == "catalog.py":
+            assert "_memo" not in names and "_hold" in names

@@ -87,3 +87,12 @@ def test_cross_prime_scan_json_is_pinned():
     scan = ng.cross_prime_scan(5, 5, 10)
     assert sha256(json.dumps(scan.to_dict())) == (
         "699df6ed8a12db240d340483ec1f46e86c834b370763c6cac39580c43ace74a7")
+
+
+# wider boxes, each with 2,000 or more candidates
+@pytest.mark.parametrize("box, digest", [
+    ((7, 12, 100), "77706906a5ec110542006990d40bdfb5801b70f3390f33dcbfc949c09d7af690"),
+    ((13, 8, 100), "720a55c4f02bbd33888e2ac86a6cf10abd86f78e7802a4e16a6322cdaf96e089"),
+])
+def test_wider_cross_prime_scans_are_pinned(box, digest):
+    assert sha256(json.dumps(ng.cross_prime_scan(*box).to_dict())) == digest

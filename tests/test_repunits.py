@@ -69,3 +69,54 @@ class TestSearch:
         monkeypatch.setattr(repunits, "DEFAULT_MAX_BITS", 30)
         with pytest.raises(ng.Overflow):
             ng.goormaghtigh_search(100, 20)
+
+
+def with_values(monkeypatch, values):
+    """Make the collision index read ``values[(b, k)]`` in place of
+    repunit(b, k) wherever one is given."""
+    real = repunits._lengths
+
+    def lengths(b, max_exp):
+        for k, r in real(b, max_exp):
+            yield k, values.get((b, k), r)
+
+    monkeypatch.setattr(repunits, "_lengths", lengths)
+
+
+class TestCollisionIndex:
+    def test_collisions_in_a_small_box(self):
+        assert repunits._collisions([2, 5, 90], 13) == {(2, 5): [(5, 3)], (2, 90): [(13, 3)]}
+
+    @pytest.mark.parametrize("search", [
+        lambda: ng.goormaghtigh_search(12, 20),
+        lambda: ng.cross_prime_scan(max_prime=5, max_exp=8, max_cofactor=20),
+    ], ids=["goormaghtigh_search", "cross_prime_scan"])
+    def test_a_second_length_pair_raises(self, monkeypatch, search):
+        # repunit(2, 5) = repunit(5, 3) = 31 is real; make 2 and 5 meet again
+        with_values(monkeypatch, {(2, 7): ng.repunit(5, 4)})
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"base pair \(2, 5\) admits multiple exponent pairs "
+                                 r"\[\(5, 3\), \(7, 4\)\]"):
+            search()
+
+    @pytest.mark.parametrize("search", [
+        lambda: ng.goormaghtigh_search(12, 20),
+        lambda: ng.cross_prime_scan(max_prime=5, max_exp=8, max_cofactor=20),
+    ], ids=["goormaghtigh_search", "cross_prime_scan"])
+    def test_the_larger_base_with_the_longer_length_raises(self, monkeypatch, search):
+        with_values(monkeypatch, {(5, 6): 31})
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"equal repunits 31 with bases 2 < 5 but lengths 5 <= 6"):
+            search()
+
+    def test_the_bit_guard_is_the_one_repunit_uses(self, monkeypatch):
+        # R(100, 20) has 127 bits, under the bound 19 * 7 = 133 that both
+        # check before computing; 64 is the least base of 7 bits
+        assert ng.repunit(100, 20).bit_length() == 127
+        monkeypatch.setattr(repunits, "DEFAULT_MAX_BITS", 132)
+        with pytest.raises(ng.Overflow, match=r"repunit\(100, 20\) would exceed"):
+            ng.repunit(100, 20)
+        with pytest.raises(ng.Overflow, match=r"repunit\(64, 20\) would exceed"):
+            ng.goormaghtigh_search(100, 20)
+        monkeypatch.setattr(repunits, "DEFAULT_MAX_BITS", 133)
+        assert len(ng.goormaghtigh_search(100, 20)) == 2
