@@ -31,7 +31,8 @@ The pipeline:
    to the node where the current path leaves that leaf's path.  Every node
    grows its own orbits, folding in each newly stored automorphism that
    fixes its base pointwise, and skips the children in the orbit of an
-   explored child.
+   explored child.  The search walks an explicit stack of open nodes, each
+   a generator of its children, so no recursion limit caps its depth.
 4. Expand the winning quotient order to a full-graph vertex order, each
    quotient vertex recursively into its class members (members ascending at
    every level), and emit the adjacency matrix under that order as the
@@ -182,7 +183,18 @@ class _QuotientSearch:
         for color in sorted(by_color):
             cells[pos] = by_color[color]
             pos += cells[pos].bit_count()
-        self._search(cells, ())
+        stack = [iter([(cells, (), None)])]  # stack[d + 1]: the open node at depth d
+        while stack:
+            if (node := next(stack[-1], None)) is None:
+                stack.pop()
+                continue
+            cells, base, queue = node
+            cells = self._refine(cells, queue)
+            targets = [(m.bit_count(), t) for t, m in enumerate(cells) if m & (m - 1)]
+            if targets:  # branch on the first smallest non-singleton cell
+                stack.append(self._children(cells, base, min(targets)[1]))
+            elif (jump := self._leaf(tuple(m.bit_length() - 1 for m in cells), base)) is not None:
+                del stack[jump + 2:]  # resume at the node of that depth
         return self.best[1]
 
     def _refine(self, cell_at, queue=None):
@@ -248,18 +260,11 @@ class _QuotientSearch:
             open_starts = still_open
         return cell_at
 
-    def _search(self, cells, base, queue=None):
-        """Explore the subtree below the individualized sequence ``base``,
-        refining ``cells`` by the splitters in ``queue`` first.
-
-        Returns the depth to jump back to when a leaf below turned out to be
-        equivalent to the first or the best leaf, else None.
-        """
-        cells = self._refine(cells, queue)
-        targets = [(m.bit_count(), t) for t, m in enumerate(cells) if m & (m - 1)]
-        if not targets:
-            return self._leaf(tuple(m.bit_length() - 1 for m in cells), base)
-        start = min(targets)[1]  # the first smallest non-singleton cell
+    def _children(self, cells, base, start):
+        """Yield (cells, base, splitter queue) of each child of the node that
+        individualized ``base``, its refined ``cells`` branching on the cell
+        at ``start``, skipping those in the orbit of an explored child.  The
+        caller explores each child's subtree before asking for the next."""
         target = cells[start]
         explored = []
         roots, folded = np.arange(self.n), 0  # this node's orbits, and the auts in them
@@ -271,11 +276,8 @@ class _QuotientSearch:
             # the cells were equitable, so only (v,) can split them
             child = cells.copy()
             child[start], child[start + 1] = 1 << v, target ^ 1 << v
-            jump = self._search(child, base + (v,), [start])
+            yield child, base + (v,), [start]
             explored.append(v)
-            if jump is not None and jump < len(base):
-                return jump
-        return None
 
     def _grow_orbits(self, roots, folded, base):
         """Orbit ``roots`` joined with the stored automorphisms after the first

@@ -1,4 +1,7 @@
+import functools
 import hashlib
+import itertools
+import sys
 from collections import deque
 
 import numpy as np
@@ -196,6 +199,20 @@ class TestTwins:
                             assert not edge
                         elif c.kind == 2:
                             assert edge
+
+    def test_open_twins_are_the_classes_of_equal_centralizers(self, catalog_groups):
+        # N(x) = V minus C(x), so two non-central elements are open twins
+        # exactly when their centralizers are equal: the graph layer and the
+        # group layer must find the same partition
+        for g in catalog_groups.values():
+            graph = ng.build_nc_graph(g)
+            ids = ng.centralizer_data(g).ids[list(graph.vertices)]
+            by_centralizer = {}
+            for v, cid in enumerate(ids.tolist()):
+                by_centralizer.setdefault(cid, []).append(v)
+            expected = sorted(tuple(vs) for vs in by_centralizer.values() if len(vs) >= 2)
+            open_twins = [c.members for c in twin_classes(graph) if c.kind == 1]
+            assert open_twins == expected, g.descriptor
 
 
 class TestContraction:
@@ -856,6 +873,141 @@ def test_heisenberg_2_4_relabelings_share_one_certificate():
         assert ng.certificate(moved) == ng.certificate(graph)
         phi = ng.find_isomorphism(graph, moved)  # verified edge by edge
         assert sorted(phi.mapping) == list(range(graph.num_vertices))
+
+
+def shrikhande():
+    """The Cayley graph of Z4 x Z4 on the connection set ±(1,0), ±(0,1), ±(1,1)."""
+    x, y = np.divmod(np.arange(16), 4)
+    dx, dy = (x[:, None] - x) % 4, (y[:, None] - y) % 4
+    return (dx % 2 == 1) & ((dy == 0) | (dy == dx)) | (dx == 0) & (dy % 2 == 1)
+
+
+def rook_4x4():
+    """The 4x4 rook's graph: cells of a 4x4 board, adjacent in one row or column."""
+    x, y = np.divmod(np.arange(16), 4)
+    return (x[:, None] == x) ^ (y[:, None] == y)
+
+
+K8_PAIRS = list(itertools.combinations(range(8), 2))
+
+
+def triangular_8():
+    """T(8), the line graph of K8: its 28 edges, adjacent when they share an end."""
+    ends = np.array([[k in pair for k in range(8)] for pair in K8_PAIRS], dtype=int)
+    return ends @ ends.T == 1
+
+
+def chang(switching_edges):
+    """T(8) Seidel-switched on a set of K8 edges: every adjacency between a
+    switched vertex and an unswitched one is toggled."""
+    switched = np.array([pair in switching_edges for pair in K8_PAIRS])
+    return triangular_8() ^ (switched[:, None] ^ switched)
+
+
+def cfi(base, twisted):
+    """The Cai-Furer-Immerman graph over a base graph.  Each base vertex v
+    gets a middle vertex for every even set S of its edges, and two ends
+    (v, e, 0) and (v, e, 1) for each of its edges e; the middle vertex of S
+    is adjacent to (v, e, e in S).  Across each base edge the ends of equal
+    bit are joined, except that the twisted graph joins opposite bits across
+    its first edge.  Over a connected base graph the two are not isomorphic
+    (Cai, Furer and Immerman 1992): the tests rely on that, since VF2 takes
+    minutes to confirm it over the Petersen graph."""
+    index, edges = {}, []
+
+    def vertex(key):
+        return index.setdefault(key, len(index))
+
+    for v in sorted(base):
+        incident = sorted(tuple(sorted(e)) for e in base.edges(v))
+        for size in range(0, len(incident) + 1, 2):
+            for subset in itertools.combinations(incident, size):
+                middle = vertex(("middle", v, subset))
+                edges += [(middle, vertex(("end", v, e, e in subset))) for e in incident]
+    for k, (u, v) in enumerate(sorted(tuple(sorted(e)) for e in base.edges)):
+        for bit in (False, True):
+            flipped = bit ^ (twisted and k == 0)
+            edges.append((vertex(("end", u, (u, v), bit)), vertex(("end", v, (u, v), flipped))))
+    mat = np.zeros((len(index), len(index)), dtype=bool)
+    mat[tuple(np.array(edges).T)] = True
+    return mat | mat.T
+
+
+def five_cycles(k):
+    """The disjoint union of k five-cycles."""
+    v = np.arange(5 * k)
+    return (v[:, None] // 5 == v // 5) & np.isin((v[:, None] - v) % 5, (1, 4))
+
+
+LADDER = {
+    "shrikhande": shrikhande,
+    "rook 4x4": rook_4x4,
+    "T(8)": triangular_8,
+    "chang 4K2": lambda: chang({(0, 1), (2, 3), (4, 5), (6, 7)}),
+    "chang C3+C5": lambda: chang({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)}),
+    "chang C8": lambda: chang({tuple(sorted((i, (i + 1) % 8))) for i in range(8)}),
+    "50 five-cycles": lambda: five_cycles(50),
+    "50 five-cycles, complement": lambda: ~five_cycles(50) & ~np.eye(250, dtype=bool),
+}
+CFI_BASES = {
+    "K4": networkx.complete_graph(4),
+    "petersen": networkx.petersen_graph(),
+    "random cubic 12": networkx.random_regular_graph(3, 12, seed=1),
+}
+LADDER.update({f"cfi {name}{', twisted' * twisted}": functools.partial(cfi, base, twisted)
+               for name, base in CFI_BASES.items() for twisted in (False, True)})
+STRONGLY_REGULAR_PAIRS = [("shrikhande", "rook 4x4")] + [
+    ("T(8)", name) for name in ("chang 4K2", "chang C3+C5", "chang C8")]
+CFI_PAIRS = [(f"cfi {base}", f"cfi {base}, twisted") for base in CFI_BASES]
+
+
+@functools.cache
+def ladder_graph(name):
+    """The ladder graph of that name, one object per name, so that each
+    certificate is computed once per session."""
+    return to_ncgraph(LADDER[name]())
+
+
+class TestHardGraphs:
+    """Graphs that colour refinement alone cannot tell apart: strongly
+    regular pairs, CFI pairs, and many equal components."""
+
+    @pytest.mark.parametrize("a, b", STRONGLY_REGULAR_PAIRS + CFI_PAIRS)
+    def test_pairs_that_refinement_cannot_split_get_distinct_certificates(self, a, b):
+        ga, gb = ladder_graph(a), ladder_graph(b)
+        degrees = set(ga.degrees()) | set(gb.degrees())
+        assert ga.num_edges == gb.num_edges and len(degrees) == 1
+        assert ng.certificate(ga) != ng.certificate(gb)
+
+    @pytest.mark.parametrize("a, b", STRONGLY_REGULAR_PAIRS)
+    def test_strongly_regular_pairs_are_not_isomorphic_under_vf2(self, a, b):
+        assert not networkx.is_isomorphic(to_networkx(ladder_graph(a)),
+                                          to_networkx(ladder_graph(b)))
+
+    @pytest.mark.parametrize("name", LADDER)
+    def test_relabeling_keeps_the_certificate(self, name):
+        graph = ladder_graph(name)
+        moved = ng.relabeled(graph, np.random.default_rng(1).permutation(graph.num_vertices))
+        assert ng.certificate(moved) == ng.certificate(graph)
+        phi = ng.find_isomorphism(graph, moved)  # verified edge by edge
+        m = np.array(phi.mapping)
+        assert (moved.matrix[np.ix_(m, m)] == graph.matrix).all()
+
+
+def test_search_depth_is_not_capped_by_the_recursion_limit():
+    # the search individualizes two vertices per five-cycle down one path,
+    # 60 in all, so a recursive search would need more than 40 frames
+    free = ng.certificate(to_ncgraph(five_cycles(30)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        capped = ng.certificate(to_ncgraph(five_cycles(30)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capped == free
 
 
 class TestHeldForms:

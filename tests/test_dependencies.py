@@ -1,7 +1,7 @@
 """The package's runtime dependency stays numpy only, with no hidden caches,
 one way to hold a derived form, no dead private names, no export that
-nothing outside the tests uses and no option that every caller sets the same
-way."""
+nothing outside the tests uses, no option that every caller sets the same
+way and no recursion without a stated bound."""
 
 import ast
 import re
@@ -278,3 +278,35 @@ def test_only_canon_holds_a_canonical_form():
             assert not names & {"_canon", "_certified"}, path.name
         if path.name == "catalog.py":
             assert "_memo" not in names and "_hold" in names
+
+
+# Each function that calls itself, and what bounds its depth.  Any other
+# recursion is capped by the interpreter's recursion limit, which a caller
+# can lower, and would end in a bare RecursionError.
+RECURSIVE = {
+    "_plain": "the nesting of a record's fields, fixed by the record classes",
+    "_abelian_chains": "each level divides the order by at least 2: log2(order) levels",
+    "parse_node": "descriptors.MAX_NESTING levels of nested descriptors",
+}
+
+
+def self_calls(tree):
+    """Names of the functions and methods that call their own name, bare or
+    through ``self.``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if (isinstance(func, ast.Name) and func.id == node.name
+                        or isinstance(func, ast.Attribute) and func.attr == node.name
+                        and isinstance(func.value, ast.Name) and func.value.id == "self"):
+                    yield node.name
+                    break
+
+
+def test_recursion_is_bounded_by_the_input_format():
+    # the canonical-labeling search walks an explicit stack, so no graph's
+    # certificate depends on the recursion limit
+    found = {name for path in SOURCES
+             for name in self_calls(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == set(RECURSIVE)

@@ -82,6 +82,41 @@ def test_table_text_round_trips(g):
     assert again.descriptor == g.descriptor
 
 
+@st.composite
+def graph_matrices(draw, n):
+    """A graph on n vertices from a drawn edge list, sparse unless the draw
+    also takes its complement: so isolated vertices, twins and equal
+    components are common."""
+    ends = st.integers(0, max(n - 1, 0))
+    mat = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(ends, ends), max_size=3 * n)):
+        mat[i, j] = mat[j, i] = i != j
+    if draw(st.booleans()):
+        mat = ~mat & ~np.eye(n, dtype=bool)
+    return mat
+
+
+def as_graph(mat):
+    n = len(mat)
+    return ng.NcGraph(vertices=tuple(range(n)), matrix=mat, parent_descriptor="drawn",
+                      parent_order=n + 1, parent_center_size=1)
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    graph_matrices(n), graph_matrices(n), st.permutations(range(n)))))
+@settings(max_examples=60, deadline=None)
+def test_certificates_decide_isomorphism_on_graphs_of_up_to_40_vertices(drawn):
+    networkx = pytest.importorskip("networkx")
+    a, b, perm = drawn
+    try:
+        cert_a, cert_b = ng.certificate(as_graph(a)), ng.certificate(as_graph(b))
+    except ng.Error:  # a typed refusal is allowed; any other error fails
+        return
+    assert ng.certificate(ng.relabeled(as_graph(a), perm)) == cert_a
+    vf2 = networkx.is_isomorphic(networkx.from_numpy_array(a), networkx.from_numpy_array(b))
+    assert (cert_a == cert_b) == vf2
+
+
 # every line end of str.splitlines, a "\r\n" pair among them, characters
 # that are not line ends (whitespace among them), and lines longer than a window
 LINE_PIECE = st.one_of(
