@@ -15,7 +15,14 @@ The pipeline:
    cleared): it must equal the graph's matrix.  A class of two or more
    vertices gets the colour (class size, class kind, member colour); a
    singleton keeps its colour.  Repeat steps 1 and 2 on the quotient until
-   no twin class is left.
+   no twin class is left, or until every colour is distinct, since twins
+   share a colour.  Each level packs its matrix's rows into bytes once, and
+   both steps read those rows: the open-twin grouping keys on them, the
+   closed-twin grouping on them with each vertex's own bit set, and the
+   blow-up check compares them, with that bit set on every member of a
+   closed-twin class, against the row of the member's class's least
+   member.  The matrix is symmetric, so that is the whole check; the
+   boolean blow-up is built only after a mismatch, to name it.
 3. Canonically label the final quotient by individualization-refinement:
    equitable refinement of the colour partition, branching on the first
    smallest non-singleton cell, keeping the lexicographically least leaf
@@ -31,8 +38,9 @@ The pipeline:
    to the node where the current path leaves that leaf's path.  Every node
    grows its own orbits, folding in each newly stored automorphism that
    fixes its base pointwise, and skips the children in the orbit of an
-   explored child.  The search walks an explicit stack of open nodes, each
-   a generator of its children, so no recursion limit caps its depth.
+   explored child, with a union-find over a list of orbit roots.  The
+   search walks an explicit stack of open nodes, each a generator of its
+   children, so no recursion limit caps its depth.
 4. Expand the winning quotient order to a full-graph vertex order, each
    quotient vertex recursively into its class members (members ascending at
    every level), and emit the adjacency matrix under that order as the
@@ -51,19 +59,22 @@ does not depend on the labeling, because pruning drops only subtrees whose
 leaves are images, under a verified automorphism, of leaves in a subtree
 already explored.
 
-Every step reads the graph's boolean adjacency matrix, the one form an
-``NcGraph`` holds; only step 3 packs bitmask rows, once per search from the
-final quotient, and splits its cells with ``&`` on them.
+Every step starts from the graph's boolean adjacency matrix, the one form
+an ``NcGraph`` holds.  Steps 1 and 2 pack its rows into bytes once per
+contraction level; step 3 packs the final quotient's rows into integer
+bitmasks once per search and splits its cells with ``&`` on them; step 4
+and the leaf encodings read the boolean matrix.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cayley import _cleared_on_error, _memoised, _orbit_roots
+from .cayley import _cleared_on_error, _memoised
 from .errors import InternalInconsistency, NotAnIsomorphism
 from .graphs import NcGraph, _permutation, pack_rows
 
@@ -72,8 +83,7 @@ from .graphs import NcGraph, _permutation, pack_rows
 CERT_VERSION = 3
 
 
-@dataclass(frozen=True)
-class TwinClass:
+class TwinClass(NamedTuple):
     """A maximal set of mutually twin vertices; kind 0 = singleton,
     1 = equal open neighbourhoods, 2 = equal closed neighbourhoods."""
 
@@ -81,18 +91,21 @@ class TwinClass:
     kind: int
 
 
-def _rows(mat) -> list:
-    """Each row of a boolean matrix as a hashable key: a slice of one packed buffer."""
-    packed = np.packbits(mat, axis=1)
-    buf, width = packed.tobytes(), packed.shape[1]
-    return [buf[i * width:(i + 1) * width] for i in range(len(packed))]
+# _BIT[v & 7] is vertex v's bit in byte v >> 3 of a row packed by np.packbits
+_BIT = np.array([0x80 >> j for j in range(8)], dtype=np.uint8)
 
 
-def _twin_classes(mat, colors) -> list:
-    """Coloured twin classes, members ascending, ordered by least member."""
+def _keys(packed) -> list:
+    """Each packed row as a hashable key: its bytes, read as one void item."""
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+
+def _twin_classes(packed, colors) -> list:
+    """Coloured twin classes of the matrix whose rows ``np.packbits`` packed
+    into ``packed``, members ascending, ordered by least member."""
     open_groups = {}
-    for v, row in enumerate(_rows(mat)):
-        open_groups.setdefault((colors[v], row), []).append(v)
+    for v, key in enumerate(zip(colors, _keys(packed))):
+        open_groups.setdefault(key, []).append(v)
     classes = []
     leftovers = []
     for vs in open_groups.values():
@@ -100,10 +113,11 @@ def _twin_classes(mat, colors) -> list:
             classes.append(TwinClass(tuple(vs), 1))
         else:
             leftovers.append(vs[0])
-    closed = mat[leftovers]
-    closed[np.arange(len(leftovers)), leftovers] = True
+    own = np.array(leftovers, dtype=np.intp)
+    closed = packed[own]  # closed neighbourhoods: each row with its own bit set
+    closed[np.arange(len(own)), own >> 3] |= _BIT[own & 7]
     closed_groups = {}
-    for v, row in zip(leftovers, _rows(closed)):
+    for v, row in zip(leftovers, _keys(closed)):
         closed_groups.setdefault((colors[v], row), []).append(v)
     for vs in closed_groups.values():
         classes.append(TwinClass(tuple(vs), 2 if len(vs) >= 2 else 0))
@@ -111,22 +125,34 @@ def _twin_classes(mat, colors) -> list:
     return classes
 
 
-def _contract(mat, colors, classes):
+def _contract(mat, packed, colors, classes):
     """Coloured quotient matrix of the twin classes, verified against its
-    blow-up; the first mismatch in row-major order names the failing check."""
+    blow-up (a loop on each closed-twin class, the diagonal cleared);
+    ``packed`` is ``np.packbits(mat, axis=1)`` of a symmetric ``mat``.
+
+    The check runs on packed rows, with a loop put on every member of a
+    closed-twin class: the matrix is its blow-up exactly when every such
+    row equals the row of its class's least member.  Each column then
+    equals that member's column too, by symmetry, so every row is constant
+    on every class.  Only after a mismatch is the boolean blow-up built, so
+    that the first mismatch in row-major order names the failing check.
+    """
     reps = [c.members[0] for c in classes]
-    owner = np.empty(len(mat), dtype=np.intp)
-    owner[[v for c in classes for v in c.members]] = np.repeat(
-        np.arange(len(classes)), [len(c.members) for c in classes])
-    qmat = mat[reps][:, reps]
-    looped = qmat.copy()
-    np.fill_diagonal(looped, [c.kind == 2 for c in classes])
-    expected = looped[owner][:, owner]
-    np.fill_diagonal(expected, False)
-    bad = np.flatnonzero(expected != mat)
-    if bad.size:
-        u, w = divmod(int(bad[0]), len(mat))
-        a, b = int(owner[u]), int(owner[w])
+    owner = [0] * len(mat)  # each vertex's class
+    for a, c in enumerate(classes):
+        for v in c.members:
+            owner[v] = a
+    qmat = np.take(mat[reps], reps, axis=1)  # C-ordered, for the next level's pack
+    own = np.array([v for c in classes if c.kind == 2 for v in c.members], dtype=np.intp)
+    looped = packed.copy()
+    looped[own, own >> 3] ^= _BIT[own & 7]
+    if not np.array_equal(looped[[reps[a] for a in owner]], looped):
+        expected = qmat.copy()
+        np.fill_diagonal(expected, [c.kind == 2 for c in classes])
+        expected = expected[owner][:, owner]
+        np.fill_diagonal(expected, False)
+        u, w = divmod(int(np.flatnonzero(expected != mat)[0]), len(mat))
+        a, b = owner[u], owner[w]
         if a != b:
             raise InternalInconsistency(
                 f"block between twin classes {a} and {b} is not constant"
@@ -150,16 +176,22 @@ def _contract_to_fixpoint(mat):
     quotient vertex the graph vertices it stands for, in expansion order.  A
     colour is a byte string: the base colour is empty, and a contracted class
     prepends a (size: 4 bytes, kind: 1 byte) record to its members' colour.
+    Each level packs its matrix once for the grouping and the check, and
+    none is needed once every colour is distinct, since twins share one.
     """
     colors = (b"",) * len(mat)
-    expansion = [(v,) for v in range(len(mat))]
-    while True:
-        classes = _twin_classes(mat, colors)
+    levels = []  # the classes of each contraction, first level first
+    while len(set(colors)) < len(colors):
+        packed = np.packbits(mat, axis=1)
+        classes = _twin_classes(packed, colors)
         if len(classes) == len(mat):
-            return mat, colors, expansion
-        mat, colors = _contract(mat, colors, classes)
-        expansion = [tuple(v for m in c.members for v in expansion[m])
-                     for c in classes]
+            break
+        mat, colors = _contract(mat, packed, colors, classes)
+        levels.append(classes)
+    expansion = [(q,) for q in range(len(mat))]
+    for classes in reversed(levels):
+        expansion = [tuple(v for m in vs for v in classes[m].members) for vs in expansion]
+    return mat, colors, expansion
 
 
 class _QuotientSearch:
@@ -171,6 +203,7 @@ class _QuotientSearch:
         self.colors = colors
         self.n = len(qmat)
         self.color_codes = [len(c).to_bytes(4, "big") + c for c in colors]
+        self.upper = _upper_mask(self.n)  # for _encode
         self.first = None  # (encoding, leaf, path) of the first leaf
         self.best = None  # (encoding, leaf, path) of the least leaf so far
         self.auts = []  # verified automorphisms
@@ -267,7 +300,7 @@ class _QuotientSearch:
         caller explores each child's subtree before asking for the next."""
         target = cells[start]
         explored = []
-        roots, folded = np.arange(self.n), 0  # this node's orbits, and the auts in them
+        roots, folded = list(range(self.n)), 0  # this node's orbits, and the auts in them
         for v in _members(target):
             if explored:
                 roots, folded = self._grow_orbits(roots, folded, base)
@@ -281,10 +314,28 @@ class _QuotientSearch:
 
     def _grow_orbits(self, roots, folded, base):
         """Orbit ``roots`` joined with the stored automorphisms after the first
-        ``folded`` that fix ``base`` pointwise, and how many are folded in now."""
+        ``folded`` that fix ``base`` pointwise, and how many are folded in now.
+
+        ``roots[x]`` is the least member of x's orbit; the list is updated in
+        place by union-find, each root hooked under the smaller one.  Every
+        pointer then leads to a smaller point, so one ascending pass points
+        each point at its root again.
+        """
         fixing = [g for g in self.auts[folded:] if all(g[b] == b for b in base)]
-        grown = _orbit_roots(np.array(fixing, dtype=np.intp), roots) if fixing else roots
-        return grown, len(self.auts)
+        for g in fixing:
+            for x, y in enumerate(g):
+                while x != (up := roots[x]):
+                    x = up
+                while y != (up := roots[y]):
+                    y = up
+                if x < y:
+                    roots[y] = x
+                elif y < x:
+                    roots[x] = y
+        if fixing:
+            for x, up in enumerate(roots):
+                roots[x] = roots[up]
+        return roots, len(self.auts)
 
     def _leaf(self, pi, path):
         enc = self._encode(pi)
@@ -306,10 +357,14 @@ class _QuotientSearch:
     def _verify_automorphism(self, gamma):
         """Raise unless ``gamma`` preserves colours and adjacency; the message
         names the check that fails at the lowest vertex, colours first."""
+        g = np.asarray(gamma)
+        image = self.mat[g][:, g]
+        if tuple(map(self.colors.__getitem__, gamma)) == self.colors and np.array_equal(
+                image, self.mat):
+            return
         recoloured = next((v for v in range(self.n)
                            if self.colors[gamma[v]] != self.colors[v]), self.n)
-        g = np.asarray(gamma)
-        rewired = np.flatnonzero((self.mat[g][:, g] != self.mat).any(axis=1))
+        rewired = np.flatnonzero((image != self.mat).any(axis=1))
         if recoloured <= (rewired[0] if rewired.size else self.n - 1):
             raise InternalInconsistency(
                 "leaf-derived map does not preserve quotient colours"
@@ -321,7 +376,7 @@ class _QuotientSearch:
 
     def _encode(self, pi):
         head = b"".join(self.color_codes[v] for v in pi)
-        return head + _upper_bits(self.mat, pi)
+        return head + _upper_bits(self.mat, pi, self.upper)
 
 
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -335,18 +390,24 @@ def _members(mask: int) -> list:
     return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
-def _upper_bits(mat, order) -> bytes:
-    """The strict upper triangle of ``mat`` with rows and columns taken in
-    ``order``, row by row, packed big-endian and zero-padded to whole bytes."""
+def _upper_mask(n):
+    """The n-by-n boolean mask of the strict upper triangle."""
+    return ~np.tri(n, dtype=bool)
+
+
+def _upper_bits(mat, order, upper) -> bytes:
+    """The strict upper triangle (``upper``, its mask) of ``mat`` with rows
+    and columns taken in ``order``, row by row, packed big-endian and
+    zero-padded to whole bytes."""
     p = np.asarray(order, dtype=np.intp)
-    r = np.arange(len(p))
-    return np.packbits(mat[p][:, p][r[:, None] < r]).tobytes()
+    return np.packbits(mat[p][:, p][upper]).tobytes()
 
 
 def _certified(graph: NcGraph, order) -> tuple:
     """(order, certificate) for a vertex order of the graph: the vertex count
     (4 bytes, big-endian), then ``_upper_bits`` of the matrix in that order."""
-    return order, graph.num_vertices.to_bytes(4, "big") + _upper_bits(graph.matrix, order)
+    n = graph.num_vertices
+    return order, n.to_bytes(4, "big") + _upper_bits(graph.matrix, order, _upper_mask(n))
 
 
 @_memoised
@@ -408,10 +469,10 @@ class Isomorphism:
         object.__setattr__(self, "mapping", mapping)
         m = np.array(mapping, dtype=np.int64)
         image = self.source.matrix[:, np.argsort(m)]  # row i: m(N(i))
-        bad = image != self.target.matrix[m]
-        rows = np.flatnonzero(bad.any(axis=1))
-        if rows.size:
-            i = int(rows[0])
+        moved = self.target.matrix[m]
+        if not np.array_equal(image, moved):
+            bad = image != moved
+            i = int(np.flatnonzero(bad.any(axis=1))[0])
             raise NotAnIsomorphism(
                 f"adjacency not preserved at vertex {i}",
                 witness=(i, int(np.argmax(bad[i]))),
@@ -427,6 +488,7 @@ def find_isomorphism(a: NcGraph, b: NcGraph):
     """
     if certificate(a) != certificate(b):
         return None
-    mapping = np.empty(a.num_vertices, dtype=np.int64)
-    mapping[list(canonical_order(a))] = canonical_order(b)
-    return Isomorphism(a, b, tuple(mapping.tolist()))
+    mapping = [0] * a.num_vertices
+    for u, v in zip(canonical_order(a), canonical_order(b)):
+        mapping[u] = v
+    return Isomorphism(a, b, tuple(mapping))

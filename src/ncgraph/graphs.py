@@ -160,15 +160,19 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
 
 def _permutation(perm, n: int):
     """``perm`` as a tuple of Python ints if it is a sequence of n ints or
-    numpy integers, none of them a bool, that permutes range(n); else None."""
-    p = np.asarray(perm, dtype=object)   # keeps each entry's own type
-    if p.shape != (n,):
-        return None
-    entries = p.tolist()
-    types = set(map(type, entries))
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
-        return None
-    out = tuple(map(int, entries))
+    numpy integers, none of them a bool, that permutes range(n); else None.
+    A tuple of Python ints is checked as it is."""
+    if type(perm) is tuple and all(type(x) is int for x in perm):
+        out = perm
+    else:
+        p = np.asarray(perm, dtype=object)   # keeps each entry's own type
+        if p.shape != (n,):
+            return None
+        entries = p.tolist()
+        types = set(map(type, entries))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+            return None
+        out = tuple(map(int, entries))
     return out if sorted(out) == list(range(n)) else None
 
 

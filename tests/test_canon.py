@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ncgraph as ng
-from ncgraph import canon
+from ncgraph import canon, cayley
 from ncgraph.canon import TwinClass
 from ncgraph.graphs import pack_rows
 
@@ -165,9 +165,14 @@ class TestCertificate:
         assert len(outcomes) >= 200 and 30 < sum(outcomes) < len(outcomes)
 
 
+def packed(mat):
+    """The rows of a boolean matrix as np.packbits packs them for canon."""
+    return np.packbits(mat, axis=1)
+
+
 def twin_classes(graph):
     """The uncoloured twin classes of a graph, ordered by least member."""
-    return canon._twin_classes(graph.matrix, (b"",) * graph.num_vertices)
+    return canon._twin_classes(packed(graph.matrix), (b"",) * graph.num_vertices)
 
 
 class TestTwins:
@@ -253,10 +258,10 @@ class TestContraction:
         plain = (b"",) * 3
         one = TwinClass((1,), 0)
         with pytest.raises(ng.InternalInconsistency, match="not constant"):
-            canon._contract(path, plain, [TwinClass((0, 1), 2), TwinClass((2,), 0)])
+            canon._contract(path, packed(path), plain, [TwinClass((0, 1), 2), TwinClass((2,), 0)])
         with pytest.raises(ng.InternalInconsistency, match="not a clique"):
-            canon._contract(path, plain, [TwinClass((0, 2), 2), one])
-        qmat, colors = canon._contract(path, plain, [TwinClass((0, 2), 1), one])
+            canon._contract(path, packed(path), plain, [TwinClass((0, 2), 2), one])
+        qmat, colors = canon._contract(path, packed(path), plain, [TwinClass((0, 2), 1), one])
         assert pack_rows(qmat) == (0b10, 0b01)
         assert colors == ((2).to_bytes(4, "big") + b"\x01", b"")
         search = canon._QuotientSearch(path, plain)
@@ -415,9 +420,9 @@ class TestSearchOracles:
             search.auts.append(gamma)
 
         def orbits(base):
-            roots, folded = search._grow_orbits(np.arange(4), 0, base)
+            roots, folded = search._grow_orbits(list(range(4)), 0, base)
             assert folded == 2
-            return roots.tolist()
+            return roots
 
         assert orbits((0,)) == [0, 1, 2, 2]
         assert orbits((2,)) == [0, 0, 2, 3]
@@ -429,17 +434,43 @@ class TestSearchOracles:
         # transposition merge {0, 1, 2} and {3, 4}, while (4 5) is left out
         search = canon._QuotientSearch(unpack_masks((0,) * 6), (b"a",) * 6)
         steps = [(1, 2, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4), (0, 1, 2, 4, 3, 5)]
-        roots, folded = np.arange(6), 0
+        roots, folded = list(range(6)), 0
         for k, gamma in enumerate(steps, 1):
             search._verify_automorphism(gamma)
             search.auts.append(gamma)
             roots, folded = search._grow_orbits(roots, folded, (5,))
-            scratch, _ = search._grow_orbits(np.arange(6), 0, (5,))
+            fixing = [g for g in search.auts if g[5] == 5]
             assert folded == k
-            assert roots.tolist() == scratch.tolist()
-        assert roots.tolist() == [0, 0, 0, 3, 3, 5]
+            assert roots == cayley._orbit_roots(np.array(fixing)).tolist()
+        assert roots == [0, 0, 0, 3, 3, 5]
         # nothing new: the roots come back as they were
         assert search._grow_orbits(roots, folded, (5,))[0] is roots
+
+    def test_orbits_grown_in_random_steps_match_orbit_roots(self):
+        # permutations stored a few at a time, most of them a cycle on a few
+        # points off the base and the rest any permutation: after each step
+        # the roots are _orbit_roots' from scratch over those fixing the base
+        rng = np.random.default_rng(101)
+        for n in range(1, 41):
+            search = canon._QuotientSearch(np.zeros((n, n), dtype=bool), (b"",) * n)
+            base = tuple(rng.choice(n, size=int(rng.integers(0, min(n, 3) + 1)),
+                                    replace=False).tolist())
+            free = [v for v in range(n) if v not in base]
+            roots, folded = list(range(n)), 0
+            for _ in range(int(rng.integers(1, 6))):
+                for _ in range(int(rng.integers(0, 4))):
+                    g = rng.permutation(n)
+                    if free and rng.random() < 0.7:
+                        cycle = rng.choice(free, size=int(rng.integers(1, min(len(free), 4) + 1)),
+                                           replace=False)
+                        g = np.arange(n)
+                        g[cycle] = np.roll(cycle, 1)
+                    search.auts.append(tuple(g.tolist()))
+                roots, folded = search._grow_orbits(roots, folded, base)
+                fixing = [g for g in search.auts if all(g[b] == b for b in base)]
+                assert folded == len(search.auts)
+                assert roots == (cayley._orbit_roots(np.array(fixing)).tolist()
+                                 if fixing else list(range(n)))
 
     def test_verify_automorphism_matches_the_loop(self):
         rng = np.random.default_rng(67)
@@ -660,6 +691,57 @@ def old_contract(adj, colors, classes):
     return tuple(qadj), tuple(qcolors)
 
 
+def boolean_contract(mat, colors, classes):
+    """The boolean blow-up check _contract ran before it compared packed
+    rows: the n-by-n blow-up against the matrix, the first mismatch in
+    row-major order naming the failing check; else the quotient masks and
+    colours."""
+    reps = [c.members[0] for c in classes]
+    owner = np.empty(len(mat), dtype=np.intp)
+    owner[[v for c in classes for v in c.members]] = np.repeat(
+        np.arange(len(classes)), [len(c.members) for c in classes])
+    qmat = mat[reps][:, reps]
+    looped = qmat.copy()
+    np.fill_diagonal(looped, [c.kind == 2 for c in classes])
+    expected = looped[owner][:, owner]
+    np.fill_diagonal(expected, False)
+    bad = np.flatnonzero(expected != mat)
+    if bad.size:
+        u, w = divmod(int(bad[0]), len(mat))
+        a, b = int(owner[u]), int(owner[w])
+        if a != b:
+            raise ng.InternalInconsistency(
+                f"block between twin classes {a} and {b} is not constant")
+        if classes[a].kind == 2:
+            raise ng.InternalInconsistency(f"closed-twin class {a} is not a clique")
+        raise ng.InternalInconsistency(f"open-twin class {a} contains an edge")
+    qcolors = []
+    for c in classes:
+        color = colors[c.members[0]]
+        if c.kind:
+            color = len(c.members).to_bytes(4, "big") + bytes([c.kind]) + color
+        qcolors.append(color)
+    return pack_rows(qmat), tuple(qcolors)
+
+
+def contraction_outcomes(mat, colors, classes):
+    """(packed check, boolean check, mask walk) on one class list: each the
+    quotient masks and colours, or the message it raised."""
+    def outcome(contract):
+        try:
+            return contract()
+        except ng.InternalInconsistency as exc:
+            return str(exc)
+
+    def packed_check():
+        qmat, qcolors = canon._contract(mat, packed(mat), colors, classes)
+        return pack_rows(qmat), qcolors
+
+    return (outcome(packed_check),
+            outcome(lambda: boolean_contract(mat, colors, classes)),
+            outcome(lambda: old_contract(pack_rows(mat), colors, classes)))
+
+
 def assert_contraction_matches(mat, colors):
     """Contract to the fixpoint beside the mask references, comparing the
     classes, the quotient and its colours at every level; returns the
@@ -667,11 +749,11 @@ def assert_contraction_matches(mat, colors):
     levels = 0
     while True:
         adj = pack_rows(mat)
-        classes = canon._twin_classes(mat, colors)
+        classes = canon._twin_classes(packed(mat), colors)
         assert classes == old_twin_classes(adj, colors)
         if len(classes) == len(mat):
             return levels
-        mat, qcolors = canon._contract(mat, colors, classes)
+        mat, qcolors = canon._contract(mat, packed(mat), colors, classes)
         assert (pack_rows(mat), qcolors) == old_contract(adj, colors, classes)
         colors = qcolors
         levels += 1
@@ -687,6 +769,65 @@ def random_coloured_twins(rng):
     records = [b"", b"x", (2).to_bytes(4, "big") + b"\x02"]
     colors = tuple(records[k] for k in rng.integers(0, int(rng.integers(1, 4)), len(big)))
     return big[np.ix_(q, q)], colors
+
+
+# Sizes at which packed rows end exactly at a byte boundary or one bit to
+# either side of it
+BYTE_EDGES = (7, 8, 9, 15, 16, 17, 63, 64, 65)
+PLANTS = ("none", "flipped kind", "moved member", "non-constant block")
+
+
+def planted_contraction(rng, n, plant):
+    """A seeded graph of n vertices blown up from random twin classes,
+    relabeled and coloured from a few records, with its twin classes; the
+    class list then gets ``plant``: one class's kind flipped (a singleton
+    made kind 1 or 2), one vertex moved into another class, or one edge
+    between two classes toggled in the matrix."""
+    k = int(rng.integers(1, n + 1))
+    sizes = np.bincount(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    m = np.triu(rng.random((k, k)) < rng.uniform(0.1, 0.9), 1)
+    big = blow_up(m | m.T, sizes, rng.random(k) < 0.5)
+    q = rng.permutation(n)
+    mat = big[np.ix_(q, q)]
+    records = [b"", b"x", (2).to_bytes(4, "big") + b"\x02"]
+    colors = tuple(records[r] for r in rng.integers(0, int(rng.integers(1, 4)), n))
+    classes = canon._twin_classes(packed(mat), colors)
+    assert classes == old_twin_classes(pack_rows(mat), colors)
+    a = int(rng.integers(len(classes)))
+    if plant == "flipped kind":
+        kind = 3 - classes[a].kind if classes[a].kind else int(rng.integers(1, 3))
+        classes[a] = TwinClass(classes[a].members, kind)
+    elif plant == "moved member" and len(classes) > 1:
+        b = (a + int(rng.integers(1, len(classes)))) % len(classes)
+        members = classes[a].members
+        v = members[int(rng.integers(len(members)))]
+        classes[b] = TwinClass(tuple(sorted(classes[b].members + (v,))), classes[b].kind or 1)
+        rest = tuple(u for u in members if u != v)
+        if rest:
+            classes[a] = TwinClass(rest, classes[a].kind if len(rest) > 1 else 0)
+        else:
+            del classes[a]
+        classes.sort(key=lambda c: c.members[0])
+    elif plant == "non-constant block" and len(classes) > 1:
+        owner = {v: c for c, cls in enumerate(classes) for v in cls.members}
+        u, w = (int(x) for x in rng.choice(n, size=2, replace=False))
+        while owner[u] == owner[w]:
+            u, w = (int(x) for x in rng.choice(n, size=2, replace=False))
+        mat = mat.copy()
+        mat[u, w] = mat[w, u] = not mat[u, w]
+    return mat, colors, classes
+
+
+def assert_packed_check_agrees(mat, colors, classes):
+    """_contract on packed rows gives the boolean check's quotient or
+    message, and raises exactly when the mask walk does; returns the
+    outcome."""
+    got, boolean, walk = contraction_outcomes(mat, colors, classes)
+    assert got == boolean
+    assert isinstance(got, str) == isinstance(walk, str)
+    if not isinstance(got, str):
+        assert got == walk
+    return got
 
 
 class TestContractionOracles:
@@ -722,7 +863,7 @@ class TestContractionOracles:
             mat[u, v] = mat[v, u] = True
         plain = (b"",) * 5
         one = [TwinClass((3,), 0)]
-        assert canon._twin_classes(mat, plain) == [
+        assert canon._twin_classes(packed(mat), plain) == [
             TwinClass((0, 1), 2), TwinClass((2, 4), 1), *one]
         cases = [
             ([TwinClass((0, 1), 1), TwinClass((2, 4), 1), *one],
@@ -733,10 +874,10 @@ class TestContractionOracles:
              "block between twin classes 0 and 1 is not constant"),
         ]
         for classes, message in cases:
-            for contract in (canon._contract, old_contract):
-                adj = mat if contract is canon._contract else pack_rows(mat)
+            for contract in (lambda cs: canon._contract(mat, packed(mat), plain, cs),
+                             lambda cs: old_contract(pack_rows(mat), plain, cs)):
                 with pytest.raises(ng.InternalInconsistency) as exc:
-                    contract(adj, plain, classes)
+                    contract(classes)
                 assert str(exc.value) == message
 
     def test_flipped_kinds_raise_as_the_mask_walk(self):
@@ -746,7 +887,7 @@ class TestContractionOracles:
         seen = set()
         for _ in range(100):
             mat, colors = random_coloured_twins(rng)
-            classes = canon._twin_classes(mat, colors)
+            classes = canon._twin_classes(packed(mat), colors)
             big = [a for a, c in enumerate(classes) if c.kind]
             if not big:
                 continue
@@ -756,10 +897,22 @@ class TestContractionOracles:
             with pytest.raises(ng.InternalInconsistency) as old:
                 old_contract(pack_rows(mat), colors, wrong)
             with pytest.raises(ng.InternalInconsistency) as new:
-                canon._contract(mat, colors, wrong)
+                canon._contract(mat, packed(mat), colors, wrong)
             assert str(new.value) == str(old.value)
             seen.add(str(old.value).split()[0])
         assert seen == {"open-twin", "closed-twin"}
+
+    def test_packed_check_agrees_on_planted_class_lists(self):
+        # every size from 1 to 80 under each plant; the seeded sweep must
+        # meet each message and both outcomes, which the property in
+        # test_properties.py cannot assert of its own draws
+        rng = np.random.default_rng(97)
+        seen = set()
+        for n in [*range(1, 81), *BYTE_EDGES]:
+            for plant in PLANTS:
+                got = assert_packed_check_agrees(*planted_contraction(rng, n, plant))
+                seen.add(got.split()[0] if isinstance(got, str) else "quotient")
+        assert seen == {"quotient", "block", "open-twin", "closed-twin"}
 
     def test_moved_members_are_rejected(self):
         # a vertex moved into another class breaks the class it joins
@@ -767,7 +920,7 @@ class TestContractionOracles:
         rejected = 0
         for _ in range(100):
             mat, colors = random_coloured_twins(rng)
-            classes = canon._twin_classes(mat, colors)
+            classes = canon._twin_classes(packed(mat), colors)
             if len(classes) < 2:
                 continue
             a, b = (int(x) for x in rng.choice(len(classes), size=2, replace=False))
@@ -786,10 +939,10 @@ class TestContractionOracles:
                 expected = old_contract(pack_rows(mat), colors, wrong)
             except ng.InternalInconsistency:
                 with pytest.raises(ng.InternalInconsistency):
-                    canon._contract(mat, colors, wrong)
+                    canon._contract(mat, packed(mat), colors, wrong)
                 rejected += 1
             else:
-                qmat, qcolors = canon._contract(mat, colors, wrong)
+                qmat, qcolors = canon._contract(mat, packed(mat), colors, wrong)
                 assert (pack_rows(qmat), qcolors) == expected
         assert rejected > 50, rejected
 
@@ -992,6 +1145,46 @@ class TestHardGraphs:
         phi = ng.find_isomorphism(graph, moved)  # verified edge by edge
         m = np.array(phi.mapping)
         assert (moved.matrix[np.ix_(m, m)] == graph.matrix).all()
+
+
+# The graphs of the benchmark's canon-relabeled cases.
+CANON_RELABELED = [
+    "dihedral(24)", "dihedral(28)", "dihedral(30)", "dicyclic(12)", "dicyclic(14)",
+    "dicyclic(15)", "heisenberg(3,2)", "heisenberg(2,2)", "heisenberg(7,1)",
+    "product(dihedral(3),dihedral(3))", "product(heisenberg(2,2),cyclic(3))",
+]
+
+
+def canon_relabeled_graphs():
+    """Each canon-relabeled case's graph, natural and under seeds 1-3."""
+    for name in CANON_RELABELED:
+        graph = ng.build_nc_graph(ng.construct(name))
+        yield graph
+        for seed in (1, 2, 3):
+            yield ng.relabeled(graph, np.random.default_rng(seed).permutation(graph.num_vertices))
+
+
+# sha256 over each graph's certificate and canonical order (big-endian
+# uint32), in order, taken before contraction and the search nodes were made
+# cheaper: a change that only makes canon faster keeps every byte and every
+# canonical order.  The ladder's "random cubic 12" base comes from networkx's
+# seeded random_regular_graph.
+@pytest.mark.parametrize("inputs, pinned", [
+    ("catalog", "5b5da0a782560215b94187fea94183f8a371bd5e6da24c4e38058e12f0727558"),
+    ("canon-relabeled", "7d7ad94ccf3237ca30b05159650f5ea4e54af25f9fa444bfe5cee4da69dfbdd6"),
+    ("ladder", "ec313a0ddadb857ffd097f48a00e0dbad320abef500b8902a43ec955a26ded9f"),
+])
+def test_certificates_and_canonical_orders_are_pinned(inputs, pinned, catalog_groups):
+    graphs = {
+        "catalog": lambda: [ng.build_nc_graph(g) for g in catalog_groups.values()],
+        "canon-relabeled": canon_relabeled_graphs,
+        "ladder": lambda: [ladder_graph(name) for name in LADDER],
+    }[inputs]()
+    digest = hashlib.sha256()
+    for graph in graphs:
+        digest.update(ng.certificate(graph))
+        digest.update(np.asarray(ng.canonical_order(graph), dtype=">u4").tobytes())
+    assert digest.hexdigest() == pinned
 
 
 def test_search_depth_is_not_capped_by_the_recursion_limit():

@@ -5,7 +5,7 @@ import pytest
 
 import ncgraph as ng
 
-from ncgraph.graphs import pack_rows
+from ncgraph.graphs import _permutation, pack_rows
 
 
 def iter_bits(mask: int):
@@ -256,6 +256,31 @@ class TestOperations:
         swapped = ng.relabeled(graph, [np.int64(1), 0, 2, 3, 4, 5])
         assert swapped == ng.relabeled(graph, [1, 0, 2, 3, 4, 5])
         assert swapped.vertices == (graph.vertices[1], graph.vertices[0], *graph.vertices[2:])
+
+    def test_tuples_take_the_checks_lists_take(self):
+        # a tuple of Python ints skips the object-array round trip; any other
+        # tuple must still be rejected or accepted as the list would be
+        graph = ng.build_nc_graph(ng.construct("dihedral(4)"))
+
+        class Position(int):
+            pass
+
+        for bad in ((0, 0, 1, 2, 3, 4), (5, 4, 3, 2, 1, 6), tuple(range(7)), tuple(range(5)), (),
+                    (True, False, 2, 3, 4, 5), (1, 0, 2, 3, 4, True), (np.bool_(False), 1, 2, 3, 4, 5),
+                    (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (1, 0, 2, 3, 4, 5.0), (1, 0, 2, 3, 4, "5")):
+            assert _permutation(bad, 6) is None and _permutation(list(bad), 6) is None
+            with pytest.raises(ValueError) as exc:
+                ng.relabeled(graph, bad)
+            assert str(exc.value) == "perm is not a permutation of range(6)"
+            with pytest.raises(ng.NotAnIsomorphism,
+                               match="mapping is not a bijection on vertex positions"):
+                ng.Isomorphism(graph, graph, bad)
+        swap = (1, 0, 2, 3, 4, 5)
+        for good in (swap, (np.int64(1), np.int32(0), np.uint8(2), 3, 4, 5),
+                     tuple(map(Position, swap)), np.array(swap)):
+            held = _permutation(good, 6)
+            assert held == swap and type(held) is tuple and all(type(v) is int for v in held)
+            assert ng.relabeled(graph, good) == ng.relabeled(graph, list(swap))
 
     def test_adjacency_matrix_is_held_and_read_only(self):
         graph = ng.build_nc_graph(ng.construct("dihedral(5)"))

@@ -113,8 +113,26 @@ def test_certificates_decide_isomorphism_on_graphs_of_up_to_40_vertices(drawn):
     except ng.Error:  # a typed refusal is allowed; any other error fails
         return
     assert ng.certificate(ng.relabeled(as_graph(a), perm)) == cert_a
+    # graphs are isomorphic exactly when their complements are, and VF2 can
+    # take minutes on a dense pair of 26 vertices, so it reads the sparser side
+    n = len(a)
+    if 2 * np.count_nonzero(a) > n * (n - 1):
+        a, b = (~m & ~np.eye(n, dtype=bool) for m in (a, b))
     vf2 = networkx.is_isomorphic(networkx.from_numpy_array(a), networkx.from_numpy_array(b))
     assert (cert_a == cert_b) == vf2
+
+
+@given(st.one_of(st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64, 65]), st.integers(1, 80)),
+       st.sampled_from(["none", "flipped kind", "moved member", "non-constant block"]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_packed_blow_up_check_matches_the_boolean_one(n, plant, seed):
+    # a coloured twin graph and its class list, planted or not: the check on
+    # packed rows must give the boolean check's quotient or message, and
+    # raise exactly when the mask walk does (oracles from test_canon.py)
+    import test_canon as canon_tests   # skips with it if networkx is missing
+    drawn = canon_tests.planted_contraction(np.random.default_rng(seed), n, plant)
+    canon_tests.assert_packed_check_agrees(*drawn)
 
 
 # every line end of str.splitlines, a "\r\n" pair among them, characters
