@@ -123,10 +123,11 @@ class NcGraph:
 def build_nc_graph(g: CayleyTable) -> NcGraph:
     """The non-commuting graph of a non-abelian group, memoised on the table.
 
-    Post-conditions checked on the first build rather than assumed: the
-    vertex count equals the group order minus the centre size, and no vertex
-    is isolated (a non-central element always fails to commute with
-    something).
+    The vertices, the elements whose commuting row is not all true, are
+    checked against the centre computed from the generators: there must be
+    |G| - |Z(G)| of them.  No vertex is isolated, and that is not re-checked:
+    a vertex x is one because some y does not commute with it, and that y is
+    then a vertex too, and x's neighbour.
     """
     if g.is_abelian:
         raise AbelianInput(
@@ -148,12 +149,6 @@ def build_nc_graph(g: CayleyTable) -> NcGraph:
         raise InternalInconsistency(
             f"{g.descriptor}: graph has {graph.num_vertices} vertices but the "
             f"group has {g.order - graph.parent_center_size} non-central elements"
-        )
-    isolated = np.flatnonzero(~mat.any(axis=1))
-    if isolated.size:
-        raise InternalInconsistency(
-            f"{g.descriptor}: non-central element {v[isolated[0]]} has no "
-            f"non-commuting partner"
         )
     return graph
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,19 @@ class TestCentralizerChain:
         with pytest.raises(ng.AbelianInput):
             ng.centralizer_chain(ng.construct("cyclic(6)"))
 
+    def test_each_step_is_a_non_abelian_subgroup_of_at_most_half(self, catalog_groups):
+        # what centralizer_chain does not re-check
+        steps = 0
+        for g in catalog_groups.values():
+            chain = ng.centralizer_chain(g)
+            for a, b in zip(chain.groups, chain.groups[1:]):
+                assert a.order % b.order == 0 and b.order <= a.order // 2, g.descriptor
+                assert not b.is_abelian, g.descriptor
+            assert ng.is_ac_group(chain.groups[-1])
+            assert chain.steps <= g.order.bit_length()
+            steps += chain.steps
+        assert steps
+
     def test_deterministic_default(self):
         g = ng.construct("heisenberg(3,2)")
         a = ng.centralizer_chain(g)
@@ -315,6 +329,24 @@ class TestLargeCentralizerWitness:
         assert wit.square == 108 ** 2 == 11664
         assert wit.bound == 216 * 6 == 1296
         assert wit.strict
+
+    def test_dihedral_heisenberg_product_is_strict(self):
+        # |C(x)| = 4 * 27 for x non-central in D8 and central in H27
+        g = ng.construct("product(dihedral(4),heisenberg(3,1))")
+        wit = ng.large_centralizer_witness(g)
+        assert (wit.centralizer_order, wit.square, wit.bound) == (108, 108 ** 2, 216 * 6)
+        assert wit.strict
+
+    def test_two_factor_check_can_fail(self):
+        # a Sylow memo that calls the order-2 factor of H27 x C2 non-abelian;
+        # the largest centralizer, 9 * 2, squares to |G| |Z(G)| = 54 * 6 exactly
+        g = ng.construct("product(heisenberg(3,1),cyclic(2))")
+        g._memo[ng.sylow_decomposition.key] = tuple(
+            replace(f, abelian=False) for f in ng.sylow_decomposition(g))
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"two non-abelian Sylow factors but no strict centralizer "
+                                 r"witness"):
+            ng.large_centralizer_witness(g)
 
     def test_small_dihedral(self):
         wit = ng.large_centralizer_witness(ng.construct("dihedral(3)"))
@@ -364,6 +396,16 @@ class TestSylowSplit:
             audits._prime_power_split(
                 ng.construct("product(dicyclic(2),heisenberg(3,1))"))
 
+    def test_class_size_check_can_fail(self):
+        # a class list that merges the central 4 into the rotation class {1, 7}
+        g = ng.construct("dihedral(8)")
+        classes = [c for c in ng.conjugacy_classes(g) if c != (4,)]
+        classes[classes.index((1, 7))] = (1, 4, 7)
+        g._memo[ng.conjugacy_classes.key] = tuple(classes)
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"dihedral\(8\): class size 3 is not a power of 2"):
+            audits._prime_power_split(g)
+
 
 class TestSamePrimeAudit:
     def test_dihedral_dicyclic_16(self):
@@ -399,6 +441,45 @@ class TestSamePrimeAudit:
         with pytest.raises(ng.WrongShape):
             ng.same_prime_audit(g_a, g_b, phi)
 
+    def test_primes_must_agree(self, monkeypatch):
+        # no two groups at different primes are known to have isomorphic
+        # irregular graphs, so the split of one side reports the prime 3
+        g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        real = audits._prime_power_split
+        monkeypatch.setattr(audits, "_prime_power_split",
+                            lambda g: (3,) + real(g)[1:] if g is g_b else real(g))
+        with pytest.raises(ng.PrimeMismatch, match="non-abelian Sylow primes differ: 2 vs 3"):
+            ng.same_prime_audit(g_a, g_b, phi)
+
+    def test_class_sizes_are_checked_against_the_graph(self):
+        # a class list that splits each class of 4 reflections in two, so
+        # every non-central class has size 2 under an irregular graph
+        g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        g_a._memo[ng.conjugacy_classes.key] = tuple(
+            c[i:i + 2] for c in ng.conjugacy_classes(g_a) for i in range(0, len(c), 2))
+        with pytest.raises(ng.RegularGraph,
+                           match="irregular graphs need at least two distinct class sizes"):
+            ng.same_prime_audit(g_a, g_b, phi)
+
+    def test_noncentral_count_check_can_fail(self):
+        # a centre memo that misses the central element 4
+        g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        g_a._memo[ng.center.key] = (0,)
+        with pytest.raises(ng.InternalInconsistency,
+                           match="factored non-central count disagrees with the direct count"):
+            ng.same_prime_audit(g_a, g_b, phi)
+
+    def test_degree_check_can_fail(self):
+        # a centralizer memo that gives the rotation 1 a centralizer of 4, not 8
+        g_a, g_b, phi = iso_pair("dihedral(8)", "dicyclic(4)")
+        data = ng.centralizer_data(g_a)
+        sizes = data.sizes.copy()
+        sizes[1] = 4
+        g_a._memo[ng.centralizer_data.key] = replace(data, sizes=sizes)
+        with pytest.raises(ng.InternalInconsistency,
+                           match="factored degree disagrees with the graph degree"):
+            ng.same_prime_audit(g_a, g_b, phi)
+
 
 class TestTwoSylowAudit:
     def test_order_216(self):
@@ -428,6 +509,21 @@ class TestTwoSylowAudit:
         audit = ng.two_nonabelian_sylow_audit(g)
         assert audit.valuation_prime == 2   # Q1's prime
         assert audit.valuations  # at least one row
+
+    def test_dihedral_heisenberg_product(self):
+        g = ng.construct("product(dihedral(4),heisenberg(3,1))")
+        audit = ng.two_nonabelian_sylow_audit(g)
+        assert audit.verdict == "consistent"
+        assert (audit.prime_1, audit.prime_2, audit.order_q1, audit.order_q2,
+                audit.cofactor) == (2, 3, 8, 27, 1)
+
+    def test_rejects_a_factor_with_no_abelian_centralizer(self):
+        # in the order-32 Heisenberg group every non-central centralizer has
+        # order 16 and is non-abelian
+        g = ng.construct("product(heisenberg(2,2),heisenberg(3,1))", max_order=864)
+        with pytest.raises(ng.WrongShape,
+                           match="a factor has no non-central element with abelian centralizer"):
+            ng.two_nonabelian_sylow_audit(g)
 
     def test_rejects_single_nonabelian_sylow(self):
         with pytest.raises(ng.WrongShape):

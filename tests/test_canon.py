@@ -1298,6 +1298,12 @@ class TestIsomorphism:
         assert ng.audit_isomorphic_pair(ng.construct("dihedral(8)"), ng.construct("dicyclic(4)"),
                                         again).verdict == "consistent"
 
+    def test_vertex_counts_must_agree(self):
+        a = ng.build_nc_graph(ng.construct("dihedral(3)"))
+        b = ng.build_nc_graph(ng.construct("dihedral(4)"))
+        with pytest.raises(ng.NotAnIsomorphism, match="vertex counts differ: 5 vs 6"):
+            ng.Isomorphism(a, b, tuple(range(5)))
+
     def test_non_bijection_rejected(self):
         a = ng.build_nc_graph(ng.construct("dihedral(4)"))
         # no bool is read as a position, nor a float, even a whole one

@@ -163,11 +163,16 @@ class TestEnumeration:
         with pytest.raises(ng.BadDescriptor):
             ng.enumerate_catalog(cfg)
 
-    @pytest.mark.parametrize("request_text", ["dihedral(2..5)", "dihedral(\u0663..\u0665)"])
-    def test_bad_range(self, request_text):
-        # below the family's least argument; Arabic-Indic digits are not ASCII
+    @pytest.mark.parametrize("request_text, message", [
+        ("dihedral(2..5)", "dihedral needs one integer >= 3, got dihedral(2)"),
+        ("dihedral(\u0663..\u0665)", "expected an integer or nested descriptor at position 9"),
+        ("dihedral(9..3)", "bad range in family request 'dihedral(9..3)'"),
+    ], ids=["dihedral(2..5)", "dihedral(\u0663..\u0665)", "dihedral(9..3)"])
+    def test_bad_range(self, request_text, message):
+        # below the family's least argument; Arabic-Indic digits are not
+        # ASCII; reversed
         cfg = ng.CatalogConfig(families=(request_text,), max_order=64)
-        with pytest.raises(ng.BadDescriptor):
+        with pytest.raises(ng.BadDescriptor, match=re.escape(message)):
             ng.enumerate_catalog(cfg)
 
     @pytest.mark.parametrize("request_text", [
@@ -297,6 +302,18 @@ class TestCache:
         assert path.read_bytes() == frame(form[0])
         fresh = ng.build_nc_graph(ng.construct("dihedral(4)"))
         assert cache.get("dihedral(4)", fresh) == form[0]
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        cache = ng.CertificateCache(str(tmp_path))
+        order = ng.canonical_order(ng.build_nc_graph(ng.construct("dihedral(4)")))
+
+        def refuse(src, dst):
+            raise OSError("no room to rename")
+
+        monkeypatch.setattr(catalog.os, "replace", refuse)
+        with pytest.raises(OSError, match="no room to rename"):
+            cache.put("dihedral(4)", order)
+        assert list(tmp_path.iterdir()) == []
 
     def test_each_certificate_is_held_once(self, tmp_path):
         # the bytes stay with the graphs: the report holds their sha256

@@ -233,6 +233,17 @@ def raw_parse(monkeypatch):
 class TestKernelOracle:
     """The numpy kernel against the old token loop on the same texts."""
 
+    def test_a_rejected_block_must_hold_a_bad_row(self, monkeypatch):
+        # a kernel that rejects a block of rows the row parser reads
+        def rejecting(window, ends, n, out):
+            raise cayfile._Rejected
+
+        monkeypatch.setattr(cayfile, "_parse_block", rejecting)
+        text = group_text(ng.construct("dihedral(3)").table)
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"rows 0\.\.5 failed the window check, but every row parses"):
+            ng.parse_group(text)
+
     def assert_same_parse(self, parse, text):
         table = parse(text)
         assert table.dtype == np.int64

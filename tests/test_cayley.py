@@ -639,6 +639,28 @@ class TestProductsAndSylow:
         with pytest.raises(ng.NotNilpotent):
             ng.sylow_decomposition(ng.construct("dihedral(3)"))
 
+    def test_sylow_count_check_can_fail(self):
+        # a nilpotency memo that calls S3 nilpotent: its four elements with
+        # x^2 = e are no Sylow 2-subgroup
+        g = ng.construct("dihedral(3)")
+        g._memo[ng.is_nilpotent.key] = (True, 1)
+        with pytest.raises(ng.InternalInconsistency,
+                           match="p-power-order elements at p=2 number 4, expected 2"):
+            ng.sylow_decomposition(g)
+
+    @pytest.mark.parametrize("desc", ["cyclic(12)", "product(dihedral(4),cyclic(3))",
+                                      "product(dicyclic(2),heisenberg(3,1),cyclic(5))",
+                                      "product(heisenberg(3,1),dihedral(4),abelian(2,2))"])
+    def test_sylow_product_map_is_a_bijection(self, desc):
+        # what sylow_decomposition does not re-check: each product
+        # x_1 * x_2 * ... of one member per factor is a different element
+        g = ng.construct(desc, max_order=2048)
+        t = g.table.astype(np.int64)
+        products = np.zeros(1, dtype=np.int64)
+        for f in ng.sylow_decomposition(g):
+            products = t[products][:, f.members].ravel()
+        assert np.array_equal(np.sort(products), np.arange(g.order))
+
     def test_sylow_members_form_subgroups(self):
         g = ng.construct("product(dihedral(4),cyclic(3))")
         for f in ng.sylow_decomposition(g):

@@ -1,7 +1,8 @@
 """The package's runtime dependency stays numpy only, with no hidden caches,
 one way to hold a derived form, no dead private names, no export that
 nothing outside the tests uses, no option that every caller sets the same
-way and no recursion without a stated bound."""
+way, no recursion without a stated bound and no error class that nothing
+raises."""
 
 import ast
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ncgraph
+import raise_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ncgraph").glob("*.py"))
@@ -310,3 +312,43 @@ def test_recursion_is_bounded_by_the_input_format():
     found = {name for path in SOURCES
              for name in self_calls(ast.parse(path.read_text(), filename=str(path)))}
     assert found == set(RECURSIVE)
+
+
+def raised_names(trees):
+    """Names in the expression of each ``raise``, and in the ``return``
+    statements of each function named there, such as ``raise
+    _not_closed(...)``."""
+    raised = {name.id for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None
+              for name in ast.walk(node.exc) if isinstance(name, ast.Name)}
+    returned = {name.id for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in raised
+                for ret in ast.walk(node) if isinstance(ret, ast.Return) and ret.value
+                for name in ast.walk(ret.value) if isinstance(name, ast.Name)}
+    return raised | returned
+
+
+def test_every_error_class_has_a_raise_site():
+    # callers catch the base class; a subclass that nothing raises is a
+    # promise the package does not keep, and leaves errors.py and __all__
+    errors = ast.parse((ROOT / "src" / "ncgraph" / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    unraised = sorted(classes - raised_names(trees) - {"Error"})
+    assert not unraised, f"error classes with no raise site: {unraised}"
+    assert classes - {"Error"} <= set(ncgraph.__all__)
+
+
+def test_the_raise_trace_sees_each_raise_that_runs():
+    tracer = raise_trace.RaiseTracer()
+    tracer.start()
+    try:
+        with pytest.raises(ValueError, match="need m > n > 1"):
+            ncgraph.RepunitSolution(2, 3, 2, 3)
+    finally:
+        tracer.stop()
+    assert len(tracer.sites) == sum(
+        isinstance(node, ast.Raise) for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    (reached,) = set(raise_trace.RaiseTracer().unreached()) - set(tracer.unreached())
+    assert re.fullmatch(r"src/ncgraph/repunits\.py:\d+: raise ValueError", reached)

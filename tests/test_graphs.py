@@ -65,6 +65,21 @@ class TestBuild:
             with pytest.raises(ng.AbelianInput):
                 ng.build_nc_graph(g)
 
+    def test_vertex_count_is_checked_against_the_centre(self):
+        # a centre from the generators that misses the central element 2
+        g = ng.construct("dihedral(4)")
+        g._memo[ng.center.key] = (0,)
+        with pytest.raises(ng.InternalInconsistency,
+                           match=r"dihedral\(4\): graph has 6 vertices but the group "
+                                 r"has 7 non-central elements"):
+            ng.build_nc_graph(g)
+
+    def test_no_vertex_is_isolated(self, catalog_groups):
+        # what build_nc_graph does not re-check: a vertex's non-commuting
+        # partner is a vertex too
+        for g in catalog_groups.values():
+            assert ng.build_nc_graph(g).matrix.any(axis=1).all(), g.descriptor
+
     def test_graph_is_memoised_on_its_table(self):
         g = ng.construct("dihedral(5)")
         assert ng.build_nc_graph(g) is ng.build_nc_graph(g)

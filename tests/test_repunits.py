@@ -39,8 +39,10 @@ class TestSolution:
             ng.RepunitSolution(2, 5, 5, 4)
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            ng.RepunitSolution(5, 2, 3, 5)  # x must be smaller than y
+        with pytest.raises(ValueError, match="need y > x > 1, got x=5, y=2"):
+            ng.RepunitSolution(5, 2, 3, 5)
+        with pytest.raises(ValueError, match="need m > n > 1, got m=2, n=3"):
+            ng.RepunitSolution(2, 3, 2, 3)
 
 
 class TestSearch:
